@@ -11,28 +11,43 @@ import (
 // ISSUE 4: once the builder's reservoir has overflowed, Push does zero
 // allocations — the reservoir, coordinate arena, and compaction scratch are
 // all pre-sized and recycled.
+//
+// The arena holds coordinates of admitted keys only and is swept once per
+// 3×Buffer admissions, so the stream must keep admitting for sweeps to fall
+// inside the measured window: even keys carry a weight that grows by
+// 1+2/Buffer per key, which past the first 2×Buffer keys keeps each one
+// above the stream's total weight divided by the buffer, so the reservoir
+// always admits it; odd keys carry unit-scale weights that it drops on
+// arrival. A sweep thus runs at least every 6×Buffer pushes once warm.
 func TestBuilderPushZeroAllocSteadyState(t *testing.T) {
+	const buffer = 256
 	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
-	b, err := NewBuilder(axes, Config{Size: 64, Buffer: 256, Seed: 3})
+	b, err := NewBuilder(axes, Config{Size: 64, Buffer: buffer, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := xmath.NewRand(4)
 	pt := make([]uint64, 2)
+	trend := 1.0
 	push := func() {
 		pt[0], pt[1] = r.Uint64()%1024, r.Uint64()%1024
-		if err := b.Push(pt, 1+10*r.Float64()); err != nil {
+		trend *= 1 + 2.0/buffer
+		w := 1 + 10*r.Float64()
+		if b.Pushed()%2 == 0 {
+			w = trend * (1 + r.Float64())
+		}
+		if err := b.Push(pt, w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Warm well past the reservoir capacity and through several coordinate
-	// compaction cycles (compaction period is 3×4×Buffer pushes).
-	for b.Pushed() < 16*4*256 {
+	// compaction sweeps.
+	for b.Pushed() < 16*4*buffer {
 		push()
 	}
-	// Average over multiple compaction periods so the sweep itself is
-	// covered by the zero-allocation requirement, not amortized away.
-	if allocs := testing.AllocsPerRun(8*4*256, push); allocs != 0 {
+	// Average over at least five sweeps so the sweep itself is covered by
+	// the zero-allocation requirement, not amortized away.
+	if allocs := testing.AllocsPerRun(8*4*buffer, push); allocs != 0 {
 		t.Fatalf("steady-state Builder.Push allocated %v times per call", allocs)
 	}
 	if _, err := b.Finalize(); err != nil {

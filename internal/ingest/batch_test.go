@@ -3,6 +3,7 @@ package ingest
 import (
 	"testing"
 
+	"structaware/internal/varopt"
 	"structaware/internal/xmath"
 )
 
@@ -21,56 +22,152 @@ func batchFixture(n int) (cols [][]uint64, ws []float64) {
 	return cols, ws
 }
 
-// TestPushBatchMatchesPush: a columnar batch must be byte-equivalent to the
-// same keys pushed one at a time — same reservoir, same threshold, same
-// retained coordinates (the batch path is a fast path, not a variant).
-func TestPushBatchMatchesPush(t *testing.T) {
-	const n, capacity = 3000, 64
-	cols, ws := batchFixture(n)
-	one, err := New(Config{Capacity: capacity, Dims: 2, ThresholdSize: 16}, xmath.NewRand(5))
+// admitted counts the keys of ws that a capacity-k reservoir drawing from
+// xmath.NewRand(seed) keeps on arrival: the keys an Ingester with the same
+// capacity and seed claims coordinate slots for (threshold tracking draws no
+// randomness).
+func admitted(t *testing.T, ws []float64, k int, seed uint64) int {
+	t.Helper()
+	st, err := varopt.NewStream(k, xmath.NewRand(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := make([]uint64, 2)
-	for i := 0; i < n; i++ {
-		pt[0], pt[1] = cols[0][i], cols[1][i]
-		if err := one.Push(pt, ws[i]); err != nil {
+	n := 0
+	for i, w := range ws {
+		kept, err := st.Process(i, w)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if kept {
+			n++
+		}
 	}
-	bat, err := New(Config{Capacity: capacity, Dims: 2, ThresholdSize: 16}, xmath.NewRand(5))
+	return n
+}
+
+// TestPushBatchMatchesPush: a columnar batch must be byte-equivalent to the
+// same keys pushed one at a time — same reservoir, same threshold, same
+// retained coordinates (the batch path is a fast path, not a variant) — and
+// a snapshot taken between two batches must equal a per-key ingester fed
+// the same prefix. The longer case drops almost every key on arrival, so
+// the arena holds coordinates for a small fraction of the pushes.
+func TestPushBatchMatchesPush(t *testing.T) {
+	const capacity = 64
+	for _, tc := range []struct {
+		name            string
+		n, split        int
+		maxAdmittedFrac float64
+	}{
+		{"overflowing", 3000, 1234, 0.2},
+		{"mostly-dropped", 40000, 23456, 0.02},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cols, ws := batchFixture(tc.n)
+			if a := admitted(t, ws, capacity, 5); float64(a) > tc.maxAdmittedFrac*float64(tc.n) {
+				t.Fatalf("%d of %d keys admitted; the case needs at most %v", a, tc.n, tc.maxAdmittedFrac)
+			}
+			cfg := Config{Capacity: capacity, Dims: 2, ThresholdSize: 16}
+			pushKeys := func(g *Ingester, lo, hi int) {
+				pt := make([]uint64, 2)
+				for i := lo; i < hi; i++ {
+					pt[0], pt[1] = cols[0][i], cols[1][i]
+					if err := g.Push(pt, ws[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			one, err := New(cfg, xmath.NewRand(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushKeys(one, 0, tc.n)
+			prefix, err := New(cfg, xmath.NewRand(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushKeys(prefix, 0, tc.split)
+
+			r := xmath.NewRand(5)
+			bat, err := New(cfg, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Split the batch at an arbitrary boundary to exercise batch
+			// resumption, and snapshot there.
+			if err := bat.PushBatch([][]uint64{cols[0][:tc.split], cols[1][:tc.split]}, ws[:tc.split]); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := bat.Snapshot(r.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bat.PushBatch([][]uint64{cols[0][tc.split:], cols[1][tc.split:]}, ws[tc.split:]); err != nil {
+				t.Fatal(err)
+			}
+
+			to, okO := one.Tau()
+			tb, okB := bat.Tau()
+			if to != tb || okO != okB {
+				t.Fatalf("tau_s %v/%v vs %v/%v", to, okO, tb, okB)
+			}
+			sameGuide(t, bat, one, "PushBatch vs Push")
+			sameGuide(t, snap, prefix, "mid-stream snapshot vs Push prefix")
+		})
+	}
+}
+
+// TestArenaFollowsAdmissions: over a long overflowing stream a key claims a
+// coordinate slot exactly when the reservoir admits it, and the arena is
+// swept at most once per 3×capacity admissions (plus the first sweep).
+func TestArenaFollowsAdmissions(t *testing.T) {
+	const capacity, n = 32, 50000
+	g, err := New(Config{Capacity: capacity, Dims: 2}, xmath.NewRand(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Split the batch at an arbitrary boundary to exercise batch resumption.
-	if err := bat.PushBatch([][]uint64{cols[0][:1234], cols[1][:1234]}, ws[:1234]); err != nil {
-		t.Fatal(err)
-	}
-	if err := bat.PushBatch([][]uint64{cols[0][1234:], cols[1][1234:]}, ws[1234:]); err != nil {
-		t.Fatal(err)
-	}
-
-	itemsOne, tauOne := one.Guide()
-	itemsBat, tauBat := bat.Guide()
-	if tauOne != tauBat {
-		t.Fatalf("tau0 %v vs %v", tauOne, tauBat)
-	}
-	to, okO := one.Tau()
-	tb, okB := bat.Tau()
-	if to != tb || okO != okB {
-		t.Fatalf("tau_s %v/%v vs %v/%v", to, okO, tb, okB)
-	}
-	if len(itemsOne) != len(itemsBat) {
-		t.Fatalf("reservoir sizes %d vs %d", len(itemsOne), len(itemsBat))
-	}
-	for k := range itemsOne {
-		if itemsOne[k] != itemsBat[k] {
-			t.Fatalf("item %d: %+v vs %+v", k, itemsOne[k], itemsBat[k])
+	r := xmath.NewRand(13)
+	pt := make([]uint64, 2)
+	var items []varopt.StreamItem
+	admissions := 0
+	for i := 0; i < n; i++ {
+		pt[0], pt[1] = uint64(i), r.Uint64()%1024
+		w := 1 + 30*r.Float64()
+		if i%7 == 0 {
+			w = 0
 		}
-		a, okA := one.Point(itemsOne[k].Index)
-		b, okB := bat.Point(itemsBat[k].Index)
-		if !okA || !okB || a[0] != b[0] || a[1] != b[1] {
-			t.Fatalf("item %d coordinates: %v(%v) vs %v(%v)", k, a, okA, b, okB)
+		if err := g.Push(pt, w); err != nil {
+			t.Fatal(err)
+		}
+		items = g.stream.AppendItems(items[:0])
+		inReservoir := false
+		for _, it := range items {
+			if it.Index == i {
+				inReservoir = true
+			}
+		}
+		hasSlot := false
+		for _, row := range g.slotRows {
+			if row == i {
+				hasSlot = true
+			}
+		}
+		if hasSlot != inReservoir {
+			t.Fatalf("row %d: slot claimed %v, admitted %v", i, hasSlot, inReservoir)
+		}
+		if inReservoir {
+			admissions++
+		}
+	}
+	if admissions > n/20 {
+		t.Fatalf("%d of %d keys admitted: the stream does not exercise drops on arrival", admissions, n)
+	}
+	if g.sweeps < 2 || g.sweeps > admissions/(3*capacity)+1 {
+		t.Fatalf("%d sweeps for %d admissions into capacity %d", g.sweeps, admissions, capacity)
+	}
+	items, _ = g.Guide()
+	for _, it := range items {
+		if p, ok := g.Point(it.Index); !ok || p[0] != uint64(it.Index) {
+			t.Fatalf("coordinates lost for reservoir row %d", it.Index)
 		}
 	}
 }
@@ -139,6 +236,12 @@ func TestBatchErrors(t *testing.T) {
 
 // TestIngesterPushZeroAllocSteadyState: the coordinate-tracking per-key path
 // (slot arena + reservoir + compaction) must be allocation-free once warm.
+// Only admitted keys claim slots, so the stream keeps admitting: even keys
+// carry a weight that grows by 1+2/capacity per key, which past the first
+// 2×capacity keys keeps each one above the stream's total weight divided by
+// the capacity, so the reservoir always admits it, and odd keys carry
+// unit-scale weights that it drops on arrival. A sweep thus runs at least
+// every 6×capacity pushes once warm.
 func TestIngesterPushZeroAllocSteadyState(t *testing.T) {
 	const capacity = 128
 	g, err := New(Config{Capacity: capacity, Dims: 2}, xmath.NewRand(2))
@@ -147,22 +250,31 @@ func TestIngesterPushZeroAllocSteadyState(t *testing.T) {
 	}
 	r := xmath.NewRand(3)
 	pt := make([]uint64, 2)
-	idx := 0
+	idx, trend := 0, 1.0
 	push := func() {
 		pt[0], pt[1] = r.Uint64()%512, r.Uint64()%512
-		if err := g.Push(pt, 1+10*r.Float64()); err != nil {
+		trend *= 1 + 2.0/capacity
+		w := 1 + 10*r.Float64()
+		if idx%2 == 0 {
+			w = trend * (1 + r.Float64())
+		}
+		if err := g.Push(pt, w); err != nil {
 			t.Fatal(err)
 		}
 		idx++
 	}
-	// Warm past several compaction cycles so every buffer reaches its
+	// Warm past two compaction sweeps so every buffer reaches its
 	// steady-state capacity.
-	for idx < 12*g.maxSlots() {
+	for g.sweeps < 2 {
 		push()
 	}
-	// Average over several compaction periods: compaction itself must also
-	// be allocation-free, not just the common path.
+	// Measure over several sweeps: compaction itself must also be
+	// allocation-free, not just the common path.
+	sweeps := g.sweeps
 	if allocs := testing.AllocsPerRun(8*g.maxSlots(), push); allocs != 0 {
 		t.Fatalf("steady-state Push allocated %v times per call", allocs)
+	}
+	if g.sweeps == sweeps {
+		t.Fatal("no compaction sweep ran inside the measured window")
 	}
 }

@@ -9,15 +9,20 @@
 //     retains a mergeable sample of everything pushed so far, with its own
 //     IPPS threshold τ₀ (0 until the reservoir overflows);
 //   - optionally, the retained items' coordinates, kept in a flat columnar
-//     slot arena that is compacted in lockstep with the reservoir so memory
-//     stays O(capacity) regardless of stream length; and
+//     slot arena that holds coordinates of admitted keys only: a key the
+//     reservoir drops on arrival is never copied. The arena is swept of
+//     rows the reservoir has since dropped once every 3×capacity
+//     admissions, so memory stays O(capacity) regardless of stream length
+//     and sweeps are paced by admissions, not by pushes; and
 //   - optionally, the streaming IPPS threshold τ_s for a separate target
 //     size (the paper's Algorithm 4), which the two-pass construction of §5
 //     needs alongside its guide sample.
 //
 // The per-key path is allocation-free in steady state: coordinate slots are
 // recycled through a free list, compaction reuses persistent radix-sort
-// scratch, and weight validation is scalar. Columnar batches (PushBatch,
+// scratch, and weight validation is scalar. Once the reservoir has
+// overflowed, most arrivals are dropped on arrival and cost only the
+// reservoir's O(1) small-item check. Columnar batches (PushBatch,
 // PushWeights) avoid even the per-key point materialization, which is how
 // the dataset-backed and batch-file paths feed the pipeline.
 //
@@ -70,14 +75,15 @@ type Ingester struct {
 	done   bool
 
 	// Columnar coordinate retention (dims > 0 only). Slot s holds the
-	// coordinates of one pushed key at coords[s*dims : (s+1)*dims] and its
-	// row index in slotRows[s] (-1 when free). Slots are recycled through
-	// freeSlots; when live slots reach maxSlots the non-reservoir ones are
-	// swept back to the free list.
+	// coordinates of one admitted key at coords[s*dims : (s+1)*dims] and
+	// its row index in slotRows[s] (-1 when free). Slots are recycled
+	// through freeSlots; when live slots reach maxSlots the non-reservoir
+	// ones are swept back to the free list. sweeps counts those sweeps.
 	slotRows  []int
 	coords    []uint64
 	freeSlots []int32
 	live      int
+	sweeps    int
 
 	// Persistent compaction scratch: the reservoir snapshot and the sorted
 	// kept-row list, plus the radix scratch both sorts share.
@@ -114,17 +120,19 @@ func New(cfg Config, r xmath.Rand) (*Ingester, error) {
 	return g, nil
 }
 
-// maxSlots is the coordinate-arena size at which compaction runs: with a
-// reservoir of cap keys live, a 4× arena leaves 3×cap pushes between
-// sweeps, amortizing each sweep to O(1) work per key.
+// maxSlots is the coordinate-arena size at which compaction runs. Only
+// admitted keys claim a slot, and a sweep leaves at most cap slots live (the
+// reservoir's), so a 4× arena leaves at least 3×cap admissions between
+// sweeps, amortizing each O(cap log cap) sweep to O(log cap) work per
+// admission; pushes the reservoir drops on arrival never reach the arena.
 func (g *Ingester) maxSlots() int { return 4 * g.cap }
 
 // Push consumes one weighted key. The row index assigned to the key is the
 // number of prior Push calls, so dataset-backed callers pushing rows in
-// order can use dataset positions as reservoir indices. pt is copied when
-// coordinates are tracked and may be nil otherwise; zero-weight keys advance
-// the row index but never enter the reservoir. Steady-state pushes do not
-// allocate.
+// order can use dataset positions as reservoir indices. When coordinates
+// are tracked, pt is copied only if the reservoir admits the key; it may be
+// nil otherwise. Zero-weight keys advance the row index but never enter the
+// reservoir. Steady-state pushes do not allocate.
 //
 //sasvet:hotpath
 func (g *Ingester) Push(pt []uint64, w float64) error {
@@ -135,14 +143,11 @@ func (g *Ingester) Push(pt []uint64, w float64) error {
 		//sasvet:ok rejection path; a malformed point never reaches the per-row loop
 		return fmt.Errorf("ingest: point has %d dims, want %d", len(pt), g.dims)
 	}
-	if err := g.pushWeight(w); err != nil {
-		return err
+	base, err := g.admit(w)
+	if base >= 0 {
+		copy(g.coords[base:base+g.dims], pt)
 	}
-	if w != 0 && g.dims > 0 {
-		slot := g.takeSlot()
-		copy(g.coords[slot*g.dims:(slot+1)*g.dims], pt)
-	}
-	return nil
+	return err
 }
 
 // PushBatch consumes a columnar batch: cols[d][i] is key i's coordinate on
@@ -166,12 +171,11 @@ func (g *Ingester) PushBatch(cols [][]uint64, weights []float64) error {
 		}
 	}
 	for i, w := range weights {
-		if err := g.pushWeight(w); err != nil {
+		base, err := g.admit(w)
+		if err != nil {
 			return err
 		}
-		if w != 0 && g.dims > 0 {
-			slot := g.takeSlot()
-			base := slot * g.dims
+		if base >= 0 {
 			for d := range cols {
 				g.coords[base+d] = cols[d][i]
 			}
@@ -193,34 +197,40 @@ func (g *Ingester) PushWeights(weights []float64) error {
 		return errNoCoords
 	}
 	for _, w := range weights {
-		if err := g.pushWeight(w); err != nil {
+		if _, err := g.admit(w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// pushWeight runs the weight through the threshold tracker and reservoir,
-// assigning the next row index.
-func (g *Ingester) pushWeight(w float64) error {
+// admit is the per-key step of every push path: it assigns the next row
+// index and runs the weight through the threshold tracker and the
+// reservoir. When the reservoir admits the key and coordinates are
+// tracked, admit claims an arena slot for the row and returns the offset
+// of its coordinates in g.coords for the caller to fill; otherwise it
+// returns -1. Keys dropped on arrival thus cost no slot and no copy, and
+// the arena fills, and is swept, at the rate of admissions.
+//
+//sasvet:hotpath
+func (g *Ingester) admit(w float64) (int, error) {
 	index := g.rows
 	g.rows++
 	if g.thr != nil {
 		if err := g.thr.Process(w); err != nil {
-			return err
+			return -1, err
 		}
-	} else if err := ipps.ValidateWeight(w); err != nil {
-		return err
 	}
-	if w == 0 {
-		return nil
+	kept, err := g.stream.Process(index, w)
+	if err != nil || !kept || g.dims == 0 {
+		return -1, err
 	}
-	return g.stream.Process(index, w)
+	return g.takeSlot(index) * g.dims, nil
 }
 
-// takeSlot claims a coordinate slot for the row just pushed (g.rows-1),
-// sweeping stale slots first when the arena is full.
-func (g *Ingester) takeSlot() int {
+// takeSlot claims a coordinate slot for row, sweeping the slots of rows
+// the reservoir has since dropped first when the arena is full.
+func (g *Ingester) takeSlot(row int) int {
 	if g.live >= g.maxSlots() {
 		g.compact()
 	}
@@ -237,7 +247,7 @@ func (g *Ingester) takeSlot() int {
 			g.coords = append(g.coords, make([]uint64, g.dims)...)
 		}
 	}
-	g.slotRows[slot] = g.rows - 1
+	g.slotRows[slot] = row
 	g.live++
 	return slot
 }
@@ -245,6 +255,7 @@ func (g *Ingester) takeSlot() int {
 // compact frees the slots of rows no longer held by the reservoir. All
 // scratch is persistent, so steady-state compaction does not allocate.
 func (g *Ingester) compact() {
+	g.sweeps++
 	items := g.stream.AppendItems(g.itemsBuf[:0])
 	g.itemsBuf = items[:0]
 	keep := g.keepBuf[:0]

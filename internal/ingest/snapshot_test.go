@@ -8,15 +8,17 @@ import (
 	"structaware/internal/xmath"
 )
 
-// feed pushes n deterministic 2-D keys (index i gets coordinates derived
-// from i) into g, starting the weight sequence at seed.
+// feed pushes n deterministic 2-D keys into g, starting the coordinate and
+// weight sequence at seed. Log-weights trend upward with the row index, so
+// the reservoir keeps admitting keys all along the stream and the
+// coordinate arena, which holds admitted keys only, keeps being swept.
 func feed(t *testing.T, g *Ingester, n int, seed uint64) {
 	t.Helper()
 	r := xmath.NewRand(seed)
 	pt := make([]uint64, 2)
 	for i := 0; i < n; i++ {
 		pt[0], pt[1] = r.Uint64()%1024, r.Uint64()%1024
-		if err := g.Push(pt, math.Exp(4*r.Float64())); err != nil {
+		if err := g.Push(pt, math.Exp(4*r.Float64()+float64(g.Rows())/64)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func TestStreamProcessZeroAllocSteadyState(t *testing.T) {
 		if idx%37 == 0 {
 			w *= 100
 		}
-		if err := st.Process(idx, w); err != nil {
+		if _, err := st.Process(idx, w); err != nil {
 			t.Fatal(err)
 		}
 		idx++

@@ -13,7 +13,7 @@ func feedStream(t *testing.T, st *Stream, base, n int, seed uint64) {
 	t.Helper()
 	r := xmath.NewRand(seed)
 	for i := 0; i < n; i++ {
-		if err := st.Process(base+i, math.Exp(5*r.Float64())); err != nil {
+		if _, err := st.Process(base+i, math.Exp(5*r.Float64())); err != nil {
 			t.Fatal(err)
 		}
 	}

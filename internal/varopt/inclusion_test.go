@@ -29,7 +29,7 @@ func TestStreamPairwiseInclusionBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, w := range ws {
-			if err := st.Process(i, w); err != nil {
+			if _, err := st.Process(i, w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -69,7 +69,7 @@ func TestStreamFixedSizeThroughoutPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := st.Process(i, 1+10*r.Float64()); err != nil {
+		if _, err := st.Process(i, 1+10*r.Float64()); err != nil {
 			t.Fatal(err)
 		}
 		sm, _ := st.Result()

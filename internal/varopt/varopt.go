@@ -151,18 +151,22 @@ func (st *Stream) Seen() int { return st.seen }
 // Tau returns the current threshold (0 until the reservoir overflows).
 func (st *Stream) Tau() float64 { return st.tau }
 
-// Process consumes one item. Zero-weight items are ignored; negative or
-// non-finite weights are rejected. Steady-state calls are allocation-free:
-// the demotion buffer is reused and the heap and light pools are bounded by
-// the capacity.
+// Process consumes one item and reports whether the reservoir holds it on
+// return: kept is false for a zero weight and when the item itself was the
+// candidate dropped, so a caller that stores per-item payload can store it
+// for kept items only. The report identifies the item by index, so it is
+// exact when no item already in the reservoir carries the same index.
+// Zero-weight items are ignored; negative or non-finite weights are
+// rejected. Steady-state calls are allocation-free: the demotion buffer is
+// reused and the heap and light pools are bounded by the capacity.
 //
 //sasvet:hotpath
-func (st *Stream) Process(index int, w float64) error {
+func (st *Stream) Process(index int, w float64) (kept bool, err error) {
 	if err := ipps.ValidateWeight(w); err != nil {
-		return err
+		return false, err
 	}
 	if w == 0 {
-		return nil
+		return false, nil
 	}
 	st.seen++
 	demoted := st.scratch[:0]
@@ -177,7 +181,7 @@ func (st *Stream) Process(index int, w float64) error {
 	} else {
 		st.heavy.push(StreamItem{Index: index, Weight: w})
 		if len(st.heavy)+len(st.light) <= st.k {
-			return nil
+			return true, nil
 		}
 	}
 
@@ -201,13 +205,15 @@ func (st *Stream) Process(index int, w float64) error {
 	}
 	if t < 2 {
 		//sasvet:ok invariant-violation path; allocating while failing loudly is fine
-		return fmt.Errorf("varopt: internal error, %d small candidates", t)
+		return false, fmt.Errorf("varopt: internal error, %d small candidates", t)
 	}
 	tauNew := L / float64(t-1)
 
 	// Drop exactly one candidate: explicit candidates (the demoted items)
 	// with probability 1 - w/τ', otherwise a uniformly random old light item
 	// (old light items all carry adjusted weight τ, hence equal drop odds).
+	// The arriving item is kept unless it is the demoted candidate dropped.
+	kept = true
 	u := st.r.Float64()
 	dropped := -1
 	for di, it := range demoted {
@@ -222,6 +228,7 @@ func (st *Stream) Process(index int, w float64) error {
 		u -= dp
 	}
 	if dropped >= 0 {
+		kept = demoted[dropped].Index != index
 		demoted = append(demoted[:dropped], demoted[dropped+1:]...)
 	} else if len(st.light) > 0 {
 		j := int(st.r.Uint64() % uint64(len(st.light)))
@@ -230,6 +237,7 @@ func (st *Stream) Process(index int, w float64) error {
 	} else {
 		// Numerically the drop probabilities sum to 1; if rounding left us
 		// here, drop the last demoted item (probability O(eps) event).
+		kept = demoted[len(demoted)-1].Index != index
 		demoted = demoted[:len(demoted)-1]
 	}
 	st.light = append(st.light, demoted...)
@@ -237,9 +245,9 @@ func (st *Stream) Process(index int, w float64) error {
 	st.tau = tauNew
 	if len(st.heavy)+len(st.light) != st.k {
 		//sasvet:ok invariant-violation path; allocating while failing loudly is fine
-		return fmt.Errorf("varopt: reservoir size %d want %d", len(st.heavy)+len(st.light), st.k)
+		return false, fmt.Errorf("varopt: reservoir size %d want %d", len(st.heavy)+len(st.light), st.k)
 	}
-	return nil
+	return kept, nil
 }
 
 // Len returns the number of items currently held by the reservoir.

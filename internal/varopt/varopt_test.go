@@ -147,7 +147,7 @@ func TestStreamExactSizeAndValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range ws {
-		if err := st.Process(i, w); err != nil {
+		if _, err := st.Process(i, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,6 +177,66 @@ func TestStreamExactSizeAndValidity(t *testing.T) {
 	}
 }
 
+// TestStreamProcessReportsAdmission: after every call, Process's kept
+// report must equal "the arriving index is among AppendItems" — through the
+// fill phase, zero weights, arrivals that take the heap path (heavy ones,
+// and ones just above τ that the heap path may demote and drop), and light
+// arrivals on the small-item fast path.
+func TestStreamProcessReportsAdmission(t *testing.T) {
+	const k = 16
+	r := xmath.NewRand(14)
+	st, err := NewStream(k, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		path string
+		kept bool
+	}
+	seen := map[outcome]int{}
+	var items []StreamItem
+	for i := 0; i < 5000; i++ {
+		w := 1 + 10*r.Float64()
+		switch {
+		case i%13 == 0:
+			w = 0
+		case i%29 == 0:
+			w *= 1000
+		case i%5 == 0 && st.Tau() > 0:
+			w = st.Tau() * (1 + 0.01*r.Float64())
+		}
+		path := "heap"
+		switch {
+		case w == 0:
+			path = "zero"
+		case st.Len() < k:
+			path = "fill"
+		case w < st.Tau():
+			path = "small"
+		}
+		kept, err := st.Process(i, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = st.AppendItems(items[:0])
+		in := false
+		for _, it := range items {
+			if it.Index == i {
+				in = true
+			}
+		}
+		if kept != in {
+			t.Fatalf("item %d (%s path, w=%v): kept %v, in reservoir %v", i, path, w, kept, in)
+		}
+		seen[outcome{path, kept}]++
+	}
+	for _, o := range []outcome{{"fill", true}, {"zero", false}, {"heap", true}, {"heap", false}, {"small", true}, {"small", false}} {
+		if seen[o] == 0 {
+			t.Fatalf("no %s-path arrival with kept=%v: %v", o.path, o.kept, seen)
+		}
+	}
+}
+
 func TestStreamUnbiasedTotal(t *testing.T) {
 	ws := heavyTailedWeights(400, 41)
 	total := xmath.Sum(ws)
@@ -186,7 +246,7 @@ func TestStreamUnbiasedTotal(t *testing.T) {
 	for k := 0; k < trials; k++ {
 		st, _ := NewStream(20, r)
 		for i, w := range ws {
-			if err := st.Process(i, w); err != nil {
+			if _, err := st.Process(i, w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -214,7 +274,7 @@ func TestStreamInclusionMatchesIPPS(t *testing.T) {
 	for k := 0; k < trials; k++ {
 		st, _ := NewStream(s, r)
 		for i, w := range ws {
-			if err := st.Process(i, w); err != nil {
+			if _, err := st.Process(i, w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,7 +299,7 @@ func TestStreamTauMatchesBatchThreshold(t *testing.T) {
 	r := xmath.NewRand(9)
 	st, _ := NewStream(5, r)
 	for i := 0; i < 50; i++ {
-		if err := st.Process(i, 1); err != nil {
+		if _, err := st.Process(i, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +313,7 @@ func TestStreamFewerItemsThanCapacity(t *testing.T) {
 	r := xmath.NewRand(10)
 	st, _ := NewStream(10, r)
 	for i := 0; i < 4; i++ {
-		if err := st.Process(i, float64(i+1)); err != nil {
+		if _, err := st.Process(i, float64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,13 +330,13 @@ func TestStreamFewerItemsThanCapacity(t *testing.T) {
 
 func TestStreamRejectsBadWeights(t *testing.T) {
 	st, _ := NewStream(2, xmath.NewRand(11))
-	if err := st.Process(0, -5); err == nil {
+	if _, err := st.Process(0, -5); err == nil {
 		t.Fatal("negative weight must error")
 	}
-	if err := st.Process(0, math.NaN()); err == nil {
+	if _, err := st.Process(0, math.NaN()); err == nil {
 		t.Fatal("NaN weight must error")
 	}
-	if err := st.Process(0, 0); err != nil {
+	if _, err := st.Process(0, 0); err != nil {
 		t.Fatal("zero weight should be skipped silently")
 	}
 	if st.Seen() != 0 {
@@ -314,7 +374,7 @@ func TestStreamSubsetUnbiased(t *testing.T) {
 	for k := 0; k < trials; k++ {
 		st, _ := NewStream(25, r)
 		for i, w := range ws {
-			if err := st.Process(i, w); err != nil {
+			if _, err := st.Process(i, w); err != nil {
 				t.Fatal(err)
 			}
 		}

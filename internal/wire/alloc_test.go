@@ -16,22 +16,35 @@ import (
 // zero allocations per frame. This is what lets a live server ingest at
 // wire speed without GC pressure scaling with traffic.
 func TestDecodePushBatchZeroAllocSteadyState(t *testing.T) {
-	const rows = 512
+	const rows, buffer = 512, 256
+	const warmFrames, measuredFrames = 32, 64
 	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
-	bld, err := core.NewBuilder(axes, core.Config{Size: 64, Buffer: 256, Seed: 3})
+	bld, err := core.NewBuilder(axes, core.Config{Size: 64, Buffer: buffer, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cycle of pre-encoded frames, so successive decodes see different
-	// geometry-compatible payloads rather than one cached pattern.
+	// Pre-encoded frames, one per step, so successive decodes see different
+	// geometry-compatible payloads rather than one cached pattern. The
+	// Builder's coordinate arena is swept once per 3×Buffer admissions, so
+	// the stream keeps admitting: even keys carry a weight that grows by
+	// 1+2/Buffer per key, which past the first 2×Buffer keys keeps each one
+	// above the stream's total weight divided by the buffer, so the
+	// reservoir always admits it; odd keys carry unit-scale weights that it
+	// drops on arrival. A sweep thus runs at least every 6×Buffer keys once
+	// warm, several per measured window.
 	r := xmath.NewRand(9)
-	frames := make([][]byte, 8)
+	frames := make([][]byte, warmFrames+measuredFrames+1)
+	trend := 1.0
 	for f := range frames {
 		coords := [][]uint64{make([]uint64, rows), make([]uint64, rows)}
 		weights := make([]float64, rows)
 		for i := 0; i < rows; i++ {
 			coords[0][i], coords[1][i] = r.Uint64()%1024, r.Uint64()%1024
+			trend *= 1 + 2.0/buffer
 			weights[i] = 1 + 10*r.Float64()
+			if i%2 == 0 {
+				weights[i] = trend * (1 + r.Float64())
+			}
 		}
 		frames[f], err = wire.AppendFrame(nil, coords, weights)
 		if err != nil {
@@ -43,7 +56,7 @@ func TestDecodePushBatchZeroAllocSteadyState(t *testing.T) {
 	var batch wire.Batch
 	i := 0
 	step := func() {
-		if err := dec.Decode(frames[i%len(frames)], &batch); err != nil {
+		if err := dec.Decode(frames[i], &batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := bld.PushBatch(batch.Coords, batch.Weights); err != nil {
@@ -52,12 +65,11 @@ func TestDecodePushBatchZeroAllocSteadyState(t *testing.T) {
 		i++
 	}
 	// Warm past the reservoir capacity and through several coordinate
-	// compaction cycles (compaction period is 3×4×Buffer pushes), as the
-	// Builder.Push contract does.
-	for bld.Pushed() < 16*4*256 {
+	// compaction sweeps, as the Builder.Push contract does.
+	for i < warmFrames {
 		step()
 	}
-	if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
+	if allocs := testing.AllocsPerRun(measuredFrames, step); allocs != 0 {
 		t.Fatalf("steady-state decode→PushBatch allocated %v times per frame", allocs)
 	}
 	if _, err := bld.Finalize(); err != nil {
