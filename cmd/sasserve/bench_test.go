@@ -53,7 +53,7 @@ func ingestFixture(b *testing.B) ([][]uint64, []float64) {
 	return ingCoords, ingWeights
 }
 
-// benchLiveStore builds a single-shard live store with the root benchmark's
+// benchLiveStore builds a live store with the root benchmark's
 // summary size, with queue depth comfortably above the frames in flight so
 // the HTTP benchmarks measure throughput, not 429 shedding.
 func benchLiveStore(b *testing.B) *store {
@@ -61,7 +61,7 @@ func benchLiveStore(b *testing.B) *store {
 	st := newStore(nil, 4096, func(string, ...any) {})
 	err := st.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
-		liveConfig{size: 4096, seed: 1, shards: 1, queue: 4096},
+		liveConfig{size: 4096, seed: 1, queue: 4096},
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -268,7 +268,7 @@ func BenchmarkIngestWAL(b *testing.B) {
 			err := st.initLive(
 				[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
 				liveConfig{
-					size: 4096, seed: 1, shards: 1, queue: 4096,
+					size: 4096, seed: 1, queue: 4096,
 					dir: b.TempDir(), walSync: pol,
 				},
 			)

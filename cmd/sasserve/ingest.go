@@ -1,24 +1,23 @@
 package main
 
 // ingest.go is the decode half of the HTTP write path: POST
-// /v1/summaries/{name}/keys accepts one batch per request as binary
-// columnar frames (Content-Type application/x-sas-frame, the wire-speed
-// path), columnar JSON (the default), or NDJSON rows, normalizes all three
-// into a wire.Batch, validates it completely, and hands it to the shard
-// queues in live.go. Validation runs before enqueue on every path, so a
-// 4xx always means nothing was ingested and an accepted batch can never
-// fail inside a shard worker. Decode buffers (bodies and batches) are
-// pooled: steady-state ingest does not allocate per request beyond what
-// encoding/json itself needs, and the frame path not even that.
+// /v1/summaries/{name}/keys accepts one batch per request as a binary
+// columnar frame (Content-Type application/x-sas-frame, the wire-speed
+// path) or as columnar JSON (every other Content-Type), which has the
+// frame's column layout. Both decode into a wire.Batch, which is validated
+// completely and handed to the summary's ingest queue in live.go.
+// Validation runs before enqueue on every path, so a 4xx always means
+// nothing was ingested and an accepted batch can never fail inside the
+// worker. Decode buffers (bodies and batches) are pooled: steady-state
+// ingest does not allocate per request beyond what encoding/json itself
+// needs, and the frame path not even that.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
-	"strings"
 	"sync"
 
 	"structaware/internal/fault"
@@ -27,24 +26,27 @@ import (
 	"structaware/internal/wire"
 )
 
-// maxIngestBody bounds the POST /keys body. NDJSON runs ~40 bytes per 2-D
-// key and frames 24, so one request carries on the order of 100k keys;
-// heavier traffic should batch across requests or use the ingest socket.
+// maxIngestBody bounds the POST /keys body. Frames take 24 bytes per 2-D
+// key and columnar JSON roughly 40, so either carries maxKeysPerPush keys
+// in one request; heavier traffic should batch across requests or use the
+// ingest socket.
 const maxIngestBody = 8 << 20
 
 // maxKeysPerPush bounds the rows of one ingest batch, mirroring
 // maxRangesPerRequest on the query side: each row costs queue space and a
 // reservoir update, so an unbounded batch would let one request monopolize
-// a shard.
+// the worker.
 const maxKeysPerPush = 1 << 17
 
 // frameContentType selects the binary columnar frame body (internal/wire).
 const frameContentType = wire.ContentType
 
-// ingestBatch is one decoded batch on its way to a shard queue. Pooled
-// batches recycle themselves once their worker has pushed them; the pooled
-// flag lets tests (and any other owner of a stack batch) enqueue a batch
-// the worker must not recycle.
+// ingestBatch is one decoded batch on its way to an ingest queue. It has
+// one owner at a time and no lock: the decoding goroutine until the queue
+// send in enqueue, the worker after it. Pooled batches recycle themselves
+// once the worker has pushed them; the pooled flag (fixed at creation)
+// lets tests (and any other owner of a stack batch) enqueue a batch the
+// worker must not recycle.
 type ingestBatch struct {
 	wire.Batch
 	pooled bool
@@ -85,7 +87,7 @@ func (st *store) withLive(h func(http.ResponseWriter, *http.Request, *liveSummar
 
 // handlePushKeys ingests one batch of weighted keys into the live summary.
 // The batch is atomic: every coordinate and weight is validated before it
-// reaches a shard queue, so a 4xx means nothing was ingested. A full queue
+// reaches the ingest queue, so a 4xx means nothing was ingested. A full queue
 // is 429 with a Retry-After hint — the server sheds load explicitly rather
 // than buffering without bound.
 func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *liveSummary) {
@@ -111,7 +113,7 @@ func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *live
 		return
 	}
 	writeJSON(w, http.StatusOK, pushResponse{
-		Summary: ls.name, Pushed: rows, TotalPushed: ls.accepted.Load(), Snapshot: ls.snapSeq(),
+		Summary: ls.name, Pushed: rows, TotalPushed: ls.accepted.Load(), Snapshot: ls.pub.Load(),
 	})
 	// Torture crashpoint: the ack is written but any background WAL fsync
 	// (-wal-sync=interval) has not necessarily run — the widest window a
@@ -120,9 +122,9 @@ func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *live
 }
 
 // validateBatch is the single admission check every transport (HTTP frame,
-// JSON, NDJSON, and the ingest socket) runs before a batch may enter a
-// shard queue: shape, row cap, axis domains, weight validity. Frame
-// decoding already guarantees rectangularity; the JSON paths and any
+// columnar JSON, and the ingest socket) and WAL replay run before a batch
+// may enter a builder: shape, row cap, axis domains, weight validity.
+// Frame decoding already guarantees rectangularity; the JSON path and any
 // future transports get it checked here.
 func validateBatch(axes []structure.Axis, b *wire.Batch) error {
 	rows := len(b.Weights)
@@ -163,12 +165,6 @@ type pushRequest struct {
 	Weights []float64  `json:"weights"`
 }
 
-// pushKey is one NDJSON ingest row: {"point":[x,y],"weight":w}.
-type pushKey struct {
-	Point  []uint64 `json:"point"`
-	Weight float64  `json:"weight"`
-}
-
 type pushResponse struct {
 	Summary string `json:"summary"`
 	// Pushed counts this request's keys; TotalPushed every key accepted
@@ -206,15 +202,17 @@ func readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
 
 func putBody(bp *[]byte) { bodyPool.Put(bp) }
 
-// decodePushBody decodes the ingest body by Content-Type — binary frame,
-// NDJSON rows, or columnar JSON (the default) — into a pooled batch.
-// Responses for malformed input are written here; on ok the caller owns
-// the batch and must enqueue or release it.
+// decodePushBody decodes the ingest body into a pooled batch: a binary
+// frame under frameContentType, columnar JSON under any other type (curl
+// -d, for one, labels JSON as a form). Responses for malformed input are
+// written here; on ok the caller owns the batch and must enqueue or
+// release it.
 func decodePushBody(w http.ResponseWriter, r *http.Request, dims int) (*ingestBatch, bool) {
 	ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	what := ctype
-	if what == "" {
-		what, ctype = "JSON", "application/json"
+	frame := ctype == frameContentType
+	what := "columnar JSON"
+	if frame {
+		what = ctype
 	}
 	bp, err := readBody(w, r)
 	if err != nil {
@@ -224,12 +222,9 @@ func decodePushBody(w http.ResponseWriter, r *http.Request, dims int) (*ingestBa
 	defer putBody(bp)
 	body := *bp
 	batch := getBatch()
-	switch {
-	case ctype == frameContentType:
+	if frame {
 		err = decodeFrameBody(body, dims, batch)
-	case strings.HasSuffix(ctype, "ndjson"):
-		err = decodeNDJSONBody(body, batch)
-	default:
+	} else {
 		err = decodeColumnarBody(body, batch)
 	}
 	if err != nil {
@@ -246,53 +241,6 @@ func decodePushBody(w http.ResponseWriter, r *http.Request, dims int) (*ingestBa
 func decodeFrameBody(body []byte, dims int, batch *ingestBatch) error {
 	dec := wire.Decoder{Dims: dims, MaxRows: maxKeysPerPush}
 	return dec.Decode(body, &batch.Batch)
-}
-
-// decodeNDJSONBody decodes {"point":[...],"weight":w} rows into columns,
-// reusing the batch's capacity across requests. The column count is set by
-// the first row; later rows must match it.
-func decodeNDJSONBody(body []byte, batch *ingestBatch) error {
-	cols := batch.Coords[:0]
-	weights := batch.Weights[:0]
-	var point []uint64
-	dims := -1
-	dec := json.NewDecoder(bytes.NewReader(body))
-	n := 0
-	for dec.More() {
-		// Reset Point to length zero but keep its capacity; a row that omits
-		// "point" then decodes to zero coordinates and fails the dims check
-		// instead of silently reusing the previous row's coordinates.
-		row := pushKey{Point: point[:0]}
-		if err := dec.Decode(&row); err != nil {
-			return err
-		}
-		point = row.Point
-		if dims == -1 {
-			// Re-expose recycled column headers (keeping their capacity)
-			// before growing, then truncate each to empty.
-			dims = len(row.Point)
-			for cap(cols) < dims {
-				cols = append(cols, nil)
-			}
-			cols = cols[:dims]
-			for d := range cols {
-				cols[d] = cols[d][:0]
-			}
-		}
-		if len(row.Point) != dims {
-			return fmt.Errorf("key %d has %d coordinates, want %d", n, len(row.Point), dims)
-		}
-		if n >= maxKeysPerPush {
-			return fmt.Errorf("more than %d keys in one request", maxKeysPerPush)
-		}
-		for d := range cols {
-			cols[d] = append(cols[d], row.Point[d])
-		}
-		weights = append(weights, row.Weight)
-		n++
-	}
-	batch.Coords, batch.Weights = cols, weights
-	return nil
 }
 
 // decodeColumnarBody decodes the default columnar JSON body, steering

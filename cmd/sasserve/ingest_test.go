@@ -1,8 +1,8 @@
 package main
 
-// Tests for the wire ingest plane: binary frames over HTTP, the sharded
-// live builders behind the /keys endpoint, the bounded-queue 429 contract,
-// and the raw ingest socket.
+// Tests for the wire ingest plane: binary frames over HTTP, the one live
+// builder behind the /keys endpoint and its rotation barrier, the
+// bounded-queue 429 contract, and the raw ingest socket.
 
 import (
 	"bytes"
@@ -11,33 +11,53 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"structaware/internal/cliutil"
 	"structaware/internal/core"
 	"structaware/internal/structure"
+	"structaware/internal/wal"
 	"structaware/internal/wire"
 	"structaware/internal/xmath"
 )
 
-// shardedStore builds a store with one live summary "net" over the usual
-// 2×10-bit domain, with explicit shard and queue geometry.
-func shardedStore(t *testing.T, size int, shards, queue int) *store {
+// queueStore builds a store with one live summary "net" over the usual
+// 2×10-bit domain, with an explicit ingest queue depth.
+func queueStore(t *testing.T, queue int) *store {
 	t.Helper()
 	st := newStore(nil, 4096, t.Logf)
 	err := st.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}},
-		liveConfig{size: size, seed: liveTestCfg.Seed, shards: shards, queue: queue},
+		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, queue: queue},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.closeLive)
 	return st
+}
+
+// parkWorker queues a barrier marker the way cutBarrier does and returns
+// once the worker has parked on it: until release, the worker consumes
+// nothing, so the queue fills deterministically. release is idempotent
+// and also runs at cleanup, ahead of the store's closeLive, so a failing
+// test never leaves the worker parked.
+func parkWorker(t *testing.T, ls *liveSummary) (release func()) {
+	t.Helper()
+	done, resume := make(chan struct{}), make(chan struct{})
+	ls.walMu.Lock()
+	ls.q <- ingestJob{done: done, resume: resume}
+	ls.walMu.Unlock()
+	<-done
+	release = sync.OnceFunc(func() { close(resume) })
+	t.Cleanup(release)
+	return release
 }
 
 // postFrame pushes one batch as a binary frame over HTTP and returns the
@@ -120,127 +140,210 @@ func TestIngestFrameHTTP(t *testing.T) {
 	}
 }
 
-// TestShardedLiveIngest is the correctness contract of the per-core shard
-// plane: with N shards fed round-robin, the merged snapshot still
-// preserves the stream's total weight exactly (VarOpt invariant through
-// the HT merge), range estimates stay within sampling tolerance of truth,
-// construction is deterministic (two identical stores produce
-// byte-identical summaries), and the published summary round-trips SAS2
-// bit for bit.
-func TestShardedLiveIngest(t *testing.T) {
-	const shards, size, n = 4, 500, 10000
-	run := func(t *testing.T) *core.Summary {
-		st := shardedStore(t, size, shards, 0)
-		srv := httptest.NewServer(st.handler())
-		defer srv.Close()
-		coords, weights := genKeys(n, 71)
-		// Sequential frame pushes → deterministic round-robin routing.
-		const per = 250
-		for off := 0; off < n; off += per {
-			c := [][]uint64{coords[0][off : off+per], coords[1][off : off+per]}
-			if code := postFrame(t, srv.URL, c, weights[off:off+per], nil); code != http.StatusOK {
-				t.Fatalf("frame at offset %d: status %d", off, code)
+// TestConcurrentProducersMatchOneBuilder is the determinism contract of
+// the one-builder write path: four goroutines push frames concurrently over
+// HTTP into a store with a WAL, and the forced snapshot is, in SAS2 bytes,
+// exactly the summary of one offline Builder fed a copy of the WAL in
+// replay order. WAL append and queue send happen together under walMu, so
+// the WAL order is the order the batches reached the builder, whatever the
+// producers' interleaving.
+func TestConcurrentProducersMatchOneBuilder(t *testing.T) {
+	dir := t.TempDir()
+	st := newStore(nil, 4096, t.Logf)
+	err := st.initLive(
+		[]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}},
+		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, dir: dir, walSync: wal.PolicyInterval},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.closeWALs)
+	t.Cleanup(st.closeLive)
+	srv := httptest.NewServer(st.handler())
+	defer srv.Close()
+
+	const producers, frames, per = 4, 25, 100
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for f := 0; f < frames; f++ {
+				c, w := genKeys(per, uint64(1000*p+f))
+				frame, err := wire.AppendFrame(nil, c, w)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// At most one request per producer is in flight, far below
+				// the default queue depth, so every push is accepted.
+				resp, err := http.Post(srv.URL+"/v1/summaries/net/keys", frameContentType, bytes.NewReader(frame))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("producer %d frame %d: status %d", p, f, resp.StatusCode)
+					return
+				}
 			}
-		}
-		e, err := st.rotate(st.lives["net"], true)
+		}(p)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// Every push was acked, so every record is in the WAL. Copy it before
+	// the snapshot truncates it.
+	walCopy := t.TempDir()
+	segs, err := filepath.Glob(filepath.Join(dir, "net-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("wal segments %v, %v", segs, err)
+	}
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.pushed != n {
-			t.Fatalf("entry pushed %d, want %d", e.pushed, n)
+		if err := os.WriteFile(filepath.Join(walCopy, filepath.Base(seg)), raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		s := e.sample()
-		if s == nil {
-			t.Fatal("merged live snapshot is not a sample backend")
-		}
-		return s.Summary()
 	}
-	sum := run(t)
-
-	coords, weights := genKeys(n, 71)
-	exact := func(box structure.Range) float64 {
-		total := 0.0
-		for i := range weights {
-			if box[0].Contains(coords[0][i]) && box[1].Contains(coords[1][i]) {
-				total += weights[i]
-			}
-		}
-		return total
+	e, err := st.rotate(st.lives["net"], true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := structure.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 1023}}
-	// The HT merge preserves the exact total weight (up to float rounding):
-	// the strongest checkable consequence of unbiasedness.
-	if got, want := sum.EstimateTotal(), exact(full); !xmath.AlmostEqual(got, want, 1e-6) {
-		t.Fatalf("merged total %v, want exactly ~%v", got, want)
-	}
-	// Large sub-ranges estimate within sampling tolerance of ground truth
-	// (deterministic seeds; the bound has generous slack over the observed
-	// error, it exists to catch gross bias, not to certify variance).
-	for _, box := range []structure.Range{
-		{{Lo: 0, Hi: 511}, {Lo: 0, Hi: 1023}},
-		{{Lo: 512, Hi: 1023}, {Lo: 0, Hi: 1023}},
-		{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 511}},
-		{{Lo: 256, Hi: 767}, {Lo: 256, Hi: 767}},
-	} {
-		got, want := sum.EstimateRange(box), exact(box)
-		if relerr := math.Abs(got-want) / want; relerr > 0.15 {
-			t.Fatalf("box %s: estimate %v vs exact %v (%.1f%% off)", box, got, want, 100*relerr)
-		}
+	if e.pushed != producers*frames*per {
+		t.Fatalf("entry pushed %d, want %d", e.pushed, producers*frames*per)
 	}
 
-	// Determinism: an identical second run reproduces the merged summary
-	// byte for byte, and the bytes survive a SAS2 round trip bit-identically.
-	again := run(t)
-	raw1, err := sum.MarshalBinary()
+	axes, err := structure.ParseAxisSpec(liveAxesSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw2, err := again.MarshalBinary()
+	b, err := core.NewBuilder(axes, liveTestCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw1, raw2) {
-		t.Fatal("two identical sharded runs produced different summary bytes")
-	}
-	var rt core.Summary
-	if err := rt.UnmarshalBinary(raw1); err != nil {
-		t.Fatal(err)
-	}
-	raw3, err := rt.MarshalBinary()
+	dec := wire.Decoder{Dims: len(axes), MaxRows: maxKeysPerPush}
+	stats, err := wal.Replay(walCopy, "net", 0, dec, func(bt *wire.Batch) error {
+		return b.PushBatch(bt.Coords, bt.Weights)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw1, raw3) {
-		t.Fatal("merged snapshot does not round-trip SAS2 bit-identically")
+	if stats.Records != producers*frames || stats.Torn {
+		t.Fatalf("wal copy replayed %+v, want %d whole records", stats, producers*frames)
+	}
+	want, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRaw, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	persisted, err := os.ReadFile(e.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(persisted, wantRaw) {
+		t.Fatal("persisted snapshot differs in SAS2 bytes from one Builder fed the WAL in replay order")
+	}
+	served, err := e.sample().Summary().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, wantRaw) {
+		t.Fatal("served snapshot differs in SAS2 bytes from one Builder fed the WAL in replay order")
 	}
 }
 
-// TestIngestQueueFull is the backpressure contract: with the queue
-// saturated (worker wedged on the builder lock, one slot filled), a
-// further HTTP push answers 429 with a Retry-After hint, and the
-// accepted batches — and only those — survive into the next snapshot.
+// TestSnapshotPushedExcludesKeysBehindBarrier pins the provenance count a
+// snapshot reports (its entry's pushed, shown by the snapshot response and
+// the metadata): the keys ahead of rotation's barrier marker, which are
+// exactly the keys the snapshot holds — not batches acked while the
+// rotation waited for the worker. The interleaving is forced: the worker
+// is parked on a marker, rotate queues its barrier behind it, a batch is
+// acked behind the barrier, and only then does the worker move on.
+func TestSnapshotPushedExcludesKeysBehindBarrier(t *testing.T) {
+	st := liveStore(t, "")
+	ls := st.lives["net"]
+	aheadC, aheadW := genKeys(300, 83)
+	if err := pushDirect(st, aheadC, aheadW); err != nil {
+		t.Fatal(err)
+	}
+	release := parkWorker(t, ls)
+
+	type rotation struct {
+		e   *entry
+		err error
+	}
+	rotated := make(chan rotation, 1)
+	go func() {
+		e, err := st.rotate(ls, true)
+		rotated <- rotation{e, err}
+	}()
+	// The parked worker consumes nothing, so a queued job is rotate's
+	// barrier marker, sent under walMu: the push below waits for walMu and
+	// lands behind it.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(ls.q) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("rotate never queued its barrier marker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	behindC, behindW := genKeys(200, 84)
+	if err := pushDirect(st, behindC, behindW); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	r := <-rotated
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.e.pushed != int64(len(aheadW)) {
+		t.Fatalf("snapshot reports %d keys pushed, want the %d ahead of its barrier", r.e.pushed, len(aheadW))
+	}
+	exact := 0.0
+	for _, w := range aheadW {
+		exact += w
+	}
+	if got := r.e.be.EstimateTotal(); !xmath.AlmostEqual(got, exact, 1e-6) {
+		t.Fatalf("snapshot total %v, want ~%v (only the keys ahead of the barrier)", got, exact)
+	}
+
+	// The batch behind the barrier is in the next epoch.
+	e2, err := st.rotate(ls, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(aheadW) + len(behindW)); e2.pushed != want {
+		t.Fatalf("next snapshot reports %d keys pushed, want %d", e2.pushed, want)
+	}
+}
+
+// TestIngestQueueFull is the backpressure contract: with the worker parked
+// on a barrier marker and the one queue slot filled, a further HTTP push
+// answers 429 with a Retry-After hint, and the accepted batches — and only
+// those — survive into the next snapshot.
 func TestIngestQueueFull(t *testing.T) {
-	st := shardedStore(t, liveTestCfg.Size, 1, 1)
+	st := queueStore(t, 1)
 	srv := httptest.NewServer(st.handler())
 	defer srv.Close()
 	ls := st.lives["net"]
-	sh := ls.shards[0]
 
-	// Wedge the shard: the worker pops the first batch and blocks on the
-	// builder lock we hold; the second fills the one queue slot.
-	sh.mu.Lock()
 	c1, w1 := genKeys(100, 81)
 	if code := postFrame(t, srv.URL, c1, w1, nil); code != http.StatusOK {
 		t.Fatalf("first push status %d", code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(sh.q) != 0 {
-		if time.Now().After(deadline) {
-			sh.mu.Unlock()
-			t.Fatal("worker never picked up the first batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Park the worker behind the first batch; the second fills the one
+	// queue slot.
+	release := parkWorker(t, ls)
 	c2, w2 := genKeys(100, 82)
 	if code := postFrame(t, srv.URL, c2, w2, nil); code != http.StatusOK {
 		t.Fatalf("second push status %d", code)
@@ -248,18 +351,15 @@ func TestIngestQueueFull(t *testing.T) {
 
 	frame, err := wire.AppendFrame(nil, c1, w1)
 	if err != nil {
-		sh.mu.Unlock()
 		t.Fatal(err)
 	}
 	resp, err := http.Post(srv.URL+"/v1/summaries/net/keys", frameContentType, bytes.NewReader(frame))
 	if err != nil {
-		sh.mu.Unlock()
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		sh.mu.Unlock()
 		t.Fatalf("saturated push status %d, want 429", resp.StatusCode)
 	}
 	// The hint must be a parseable positive whole number of seconds —
@@ -268,12 +368,11 @@ func TestIngestQueueFull(t *testing.T) {
 	// disable the advertised back-pressure.
 	ra := resp.Header.Get("Retry-After")
 	if secs, err := strconv.Atoi(ra); err != nil || secs <= 0 {
-		sh.mu.Unlock()
 		t.Fatalf("429 Retry-After %q is not a positive integer of seconds", ra)
 	}
 
 	// Release the worker: both accepted batches (and nothing else) land.
-	sh.mu.Unlock()
+	release()
 	e, err := st.rotate(ls, true)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 package main
 
 // live.go is the write side of sasserve: named live summaries accept
-// weighted keys — over HTTP (JSON, NDJSON, or binary frames; see ingest.go)
+// weighted keys — over HTTP (columnar JSON or binary frames; see ingest.go)
 // and over the raw ingest socket (socket.go) — into long-lived core.Builders
 // and periodically publish immutable snapshots into the same serving map the
 // file-backed summaries use. The read path never changes: a snapshot
@@ -16,24 +16,20 @@ package main
 //
 //sasvet:durable
 //
-// Ingestion is parallel and explicitly bounded. Each live summary runs N
-// per-core shards (-live-shards, default GOMAXPROCS), each a fully
-// independent Builder behind a bounded frame queue drained by its own worker
-// goroutine. Accepted batches are routed round-robin, so every key enters
-// exactly one shard: the shard streams partition the population, which is
-// precisely the disjointness precondition of the paper's mergeable samples —
-// at rotation time the shard snapshots are combined with core.MergeSummaries
-// and the published summary's Horvitz–Thompson estimates stay unbiased for
-// the whole stream. When a shard queue is full the transport pushes back
-// instead of buffering without bound: the HTTP endpoint answers 429 with a
-// Retry-After hint, the socket listener stops reading and lets the
-// transport's flow control stall the sender.
+// Ingestion is explicitly bounded. Each live summary has one core.Builder
+// — the paper's §5 bounded stream reservoir over the whole stream — fed by
+// one worker goroutine draining a bounded batch queue. Transports decode
+// and validate on their own goroutines; only PushBatch is serialized. When
+// the queue is full the transport pushes back instead of buffering without
+// bound: the HTTP endpoint answers 429 with a Retry-After hint, the socket
+// listener stops reading and lets the transport's flow control stall the
+// sender.
 //
 // With -snapshot-dir set, every published snapshot is also persisted as a
 // numbered SAS2 file (written to a temp name, then renamed, so a crash
 // never leaves a torn file) and the newest one is recovered on startup.
 // The recovered summary covers the pre-restart stream and the restarted
-// builders cover the post-restart stream — disjoint populations — so each
+// builder covers the post-restart stream — disjoint populations — so each
 // rotation merges them with core.MergeSummaries, keeping estimates
 // unbiased across restarts.
 //
@@ -44,9 +40,9 @@ package main
 // panic loses no acknowledged key, and under "always" neither does power
 // loss. The crash-consistency invariant is enforced here, not in the wal
 // package: a per-summary walMu makes {capacity check, WAL append, queue
-// handoff} atomic against rotation's cut, and the cut itself is a barrier
-// — every shard worker pauses at a marker while the shard builders are
-// snapshotted — so the records in WAL segments sealed by the cut are
+// handoff} atomic against each other and against rotation's cut, and the
+// cut itself is a barrier — the worker parks at a marker while the builder
+// is snapshotted — so the records in WAL segments sealed by the cut are
 // exactly the records the snapshot covers. Startup recovery is then
 // newest-loadable-snapshot plus a replay of the WAL segments the snapshot
 // does not cover, tolerating a torn final record (the one write a dying
@@ -60,7 +56,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,12 +84,11 @@ const (
 // liveConfig is the configuration shared by every live summary.
 type liveConfig struct {
 	size     int           // target sample size of each published snapshot
-	buffer   int           // per-shard builder reservoir in keys (0 = 5×size)
-	seed     uint64        // construction seed (shard i uses seed+i)
+	buffer   int           // builder reservoir in keys (0 = 5×size)
+	seed     uint64        // construction seed
 	dir      string        // snapshot persistence directory ("" = in-memory only)
 	interval time.Duration // automatic rotation period (0 = manual snapshots only)
-	shards   int           // parallel builders per summary (0 = GOMAXPROCS)
-	queue    int           // per-shard pending-batch queue cap (0 = defaultIngestQueue)
+	queue    int           // pending-batch queue cap per summary (0 = defaultIngestQueue)
 
 	// Write-ahead log of acknowledged batches (-wal-sync); effective only
 	// with dir set. The zero value (wal.PolicyOff) keeps the snapshot-only
@@ -109,19 +103,12 @@ func (lc liveConfig) walEnabled() bool {
 	return lc.dir != "" && lc.walSync != wal.PolicyOff
 }
 
-// defaultIngestQueue is the per-shard pending-batch cap applied when
-// liveConfig.queue is 0: enough to keep a worker busy across transport
+// defaultIngestQueue is the per-summary pending-batch cap applied when
+// liveConfig.queue is 0: enough to keep the worker busy across transport
 // jitter, small enough that a stalled worker surfaces as backpressure
 // (429 / socket flow control) in well under a second, not as unbounded
 // memory.
 const defaultIngestQueue = 64
-
-func (lc liveConfig) shardCount() int {
-	if lc.shards <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return lc.shards
-}
 
 func (lc liveConfig) queueCap() int {
 	if lc.queue <= 0 {
@@ -138,91 +125,93 @@ const keepSnapshots = 3
 // has been pushed (and with no recovered snapshot to fall back on).
 var errNoLiveData = errors.New("live summary has no data yet")
 
-// errIngestQueueFull reports a non-blocking enqueue against a full shard
+// errIngestQueueFull reports a non-blocking enqueue against a full ingest
 // queue — the HTTP 429 case.
 var errIngestQueueFull = errors.New("ingest queue is full")
 
 // errIngestStopped reports an enqueue after shutdown began.
 var errIngestStopped = errors.New("live ingestion has stopped")
 
-// ingestJob is one unit of shard-queue work: a batch to push, or (batch ==
-// nil) a flush marker whose done channel closes once the worker reaches it —
-// queues are FIFO, so a completed marker proves every batch enqueued before
-// it has been pushed into the builder. A marker with resume set is a
-// rotation barrier: after closing done the worker parks until resume
-// closes, so jobs enqueued behind the marker cannot reach the builder
-// while the rotation snapshots it.
+// ingestJob is one unit of queue work: a batch to push, or (batch == nil)
+// a marker whose done channel closes once the worker reaches it — the
+// queue is FIFO, so a reached marker proves every batch enqueued before it
+// is in the builder. A marker with resume set is a rotation barrier: after
+// closing done the worker parks until resume closes, and in between the
+// builder belongs to the rotation.
 type ingestJob struct {
 	batch  *ingestBatch
 	done   chan struct{}
 	resume chan struct{}
 }
 
-// liveShard is one of a live summary's parallel ingestion lanes: an
-// independent Builder over its slice of the population, fed by one worker
-// goroutine draining a bounded queue. mu guards the builder; it is only
-// ever held for O(buffer)-bounded operations (PushBatch, Snapshot), so
-// ingestion stalls are bounded regardless of how long indexing or
-// persistence of a rotation takes.
-type liveShard struct {
-	mu sync.Mutex
-	b  *core.Builder
-	q  chan ingestJob
-}
-
-// liveSummary is one writable summary. rotMu serializes rotations (ticker,
-// forced, and the shutdown flush) so concurrent rotations cannot publish
-// out of order; mu guards the snapshot lineage (base, seq); qmu guards the
-// queue lifecycle (stopped excludes enqueues racing the queue close);
-// walMu makes {capacity check, WAL append, queue handoff} atomic against
-// each other and against rotation's cut. Lock order: walMu before qmu.
+// liveSummary is one writable summary: one Builder, fed by one worker
+// goroutine through one bounded queue. Each field's comment names what
+// orders access to it. Lock order: rotMu before walMu.
 type liveSummary struct {
+	// Set by initLive before the summary is published; read-only after.
 	name string
 	axes []structure.Axis
-	cfg  core.Config // merge-time config; shard i builds with Seed+i
+	cfg  core.Config // the builder's config; rotation merges seed cfg.Seed+seq
 
-	shards   []*liveShard
-	next     atomic.Uint64 // round-robin routing counter
-	accepted atomic.Int64  // keys accepted (queued or pushed) by this process
-	dirty    atomic.Bool   // keys accepted since the last published snapshot
+	// b is never locked; channel handoffs order it. recoverWAL owns it
+	// before the worker starts (the go statement), the worker owns it while
+	// running, and rotate owns it from a barrier marker's done to its
+	// resume, or once exited has closed.
+	b *core.Builder
+	// q is the worker's FIFO of batches and markers, capacity
+	// liveConfig.queueCap. Every send holds walMu; closeLive closes it
+	// under walMu.
+	q chan ingestJob
+	// exited closes when the worker returns, after draining the closed q.
+	exited chan struct{}
 
-	// wal, when non-nil, logs every accepted batch before its ack. walMu
-	// serializes producers (so the non-blocking capacity check cannot lie:
-	// only workers consume) and excludes them across the rotation cut (so a
-	// record lands on a well-defined side of every snapshot).
-	walMu sync.Mutex
-	wal   *wal.Log
+	// accepted counts keys acked by this process, replayed ones included.
+	// It grows under walMu right after the send that queues the keys, so a
+	// load under walMu counts exactly the keys ahead of the queue's tail.
+	// The ack path loads it lock-free.
+	accepted atomic.Int64
+	// dirty marks keys accepted since the last published snapshot. enqueue
+	// sets it; rotate clears it under rotMu and sets it again on failure.
+	dirty atomic.Bool
 
+	// walMu serializes every send on q, so the non-blocking capacity check
+	// cannot lie (only the worker consumes) and WAL order is queue order,
+	// and excludes producers across the rotation cut, so a record lands on
+	// a well-defined side of every snapshot. A send may block on a full
+	// queue while holding walMu; the worker never takes walMu, and rotate
+	// releases a parked worker without it, so the send always completes.
+	walMu   sync.Mutex
+	stopped bool     // walMu: set once by closeLive; no send on q follows it
+	wal     *wal.Log // set before the worker starts; Append and Cut under walMu
+
+	// rotMu serializes rotations (ticker, forced, and the shutdown flush)
+	// so they cannot publish out of order. initLive sets base, seq and pub
+	// from recovery before the summary is published.
 	rotMu sync.Mutex
-
-	mu   sync.Mutex
-	base *core.Summary // newest persisted snapshot of a previous process
-	seq  uint64        // newest snapshot attempt sequence (consumed even by failures)
-	pub  uint64        // newest attempt that actually published (installed an entry)
-
-	qmu     sync.RWMutex
-	stopped bool
+	base  *core.Summary // rotMu: newest persisted snapshot of a previous process
+	seq   uint64        // rotMu: newest snapshot attempt sequence (consumed even by failures)
+	// pub is the newest attempt that actually published (installed an
+	// entry), stored under rotMu. The ack path reports it lock-free instead
+	// of seq: clients polling pushResponse.Snapshot to await durability
+	// must never observe a number no snapshot ever published.
+	pub atomic.Uint64
 }
 
-// enqueue routes one validated batch to the next shard round-robin and
-// hands it to that shard's worker, transferring ownership of the batch.
-// block selects the transport's backpressure discipline: the HTTP handler
-// passes false and maps errIngestQueueFull to a 429, the socket listener
-// passes true so a full queue stalls the read loop and the transport's own
-// flow control throttles the sender.
+// enqueue hands one validated batch to the worker, transferring ownership
+// of the batch. block selects the transport's backpressure discipline: the
+// HTTP handler passes false and maps errIngestQueueFull to a 429, the
+// socket listener passes true so a full queue stalls the read loop and the
+// transport's own flow control throttles the sender.
 //
 // With a WAL, the batch is appended (and made as durable as the sync
 // policy promises) before the queue handoff, all under walMu, which is
 // what makes the ack that follows crash-safe. The ordering matters twice
 // over: backpressure is checked first, so a 429 leaves no WAL record, and
 // the append precedes the send, because a successful send transfers batch
-// ownership to the worker. The capacity check is reliable rather than
-// advisory because every producer holds walMu and only workers consume —
-// after it passes, the send below cannot block on a full queue for longer
-// than one worker pop (a concurrent quiesce marker may take the last
-// slot).
+// ownership to the worker. The capacity check is exact rather than
+// advisory because every sender holds walMu and only the worker consumes:
+// once it passes, the send below cannot block.
 func (ls *liveSummary) enqueue(b *ingestBatch, block bool) error {
-	sh := ls.shards[ls.next.Add(1)%uint64(len(ls.shards))]
 	// Non-blocking fast path: a full queue answers 429 without touching
 	// walMu. A blocking producer holds walMu across its channel send, so
 	// under sustained back-pressure the lock is held almost continuously —
@@ -230,17 +219,15 @@ func (ls *liveSummary) enqueue(b *ingestBatch, block bool) error {
 	// starve exactly when it matters. The peek is racy (the queue may
 	// drain before a retry), but shedding is advisory; the locked re-check
 	// below is what the accept path actually relies on.
-	if !block && len(sh.q) == cap(sh.q) {
+	if !block && len(ls.q) == cap(ls.q) {
 		return errIngestQueueFull
 	}
 	ls.walMu.Lock()
 	defer ls.walMu.Unlock()
-	ls.qmu.RLock()
-	defer ls.qmu.RUnlock()
 	if ls.stopped {
 		return errIngestStopped
 	}
-	if !block && len(sh.q) == cap(sh.q) {
+	if !block && len(ls.q) == cap(ls.q) {
 		return errIngestQueueFull
 	}
 	if ls.wal != nil {
@@ -252,112 +239,78 @@ func (ls *liveSummary) enqueue(b *ingestBatch, block bool) error {
 			return fmt.Errorf("wal append: %w", err)
 		}
 	}
-	// The send transfers batch ownership to the shard worker, which may
-	// push and recycle it immediately — size the batch before the send,
-	// never touch it after.
+	// The send transfers batch ownership to the worker, which may push and
+	// recycle it immediately — size the batch before the send, never touch
+	// it after.
 	rows := int64(b.Rows())
-	sh.q <- ingestJob{batch: b}
+	ls.q <- ingestJob{batch: b}
 	ls.accepted.Add(rows)
 	ls.dirty.Store(true)
 	return nil
 }
 
 // cutBarrier freezes the ingest pipeline at one instant: holding walMu (no
-// producer can be mid-append) it enqueues a barrier marker to every shard
-// and cuts the WAL into snapshot attempt window seq. Every record appended
-// before the call is ahead of the markers and in a segment the cut sealed;
-// every later one is behind the markers and in a segment with baseSeq >=
-// seq. The caller then wait()s for all workers to reach their markers —
-// proving the sealed records are all in the builders — snapshots the
-// builders, and release()s the workers. After closeLive the workers are
-// gone and the queues are already drained, so only the cut happens.
-func (ls *liveSummary) cutBarrier(seq uint64) (wait, release func(), err error) {
+// producer can be mid-append) it cuts the WAL into snapshot attempt window
+// seq, counts the keys accepted so far, and queues a barrier marker behind
+// them. Every record appended before the call is ahead of the marker, in a
+// segment the cut sealed, and in pushed; every later one is behind the
+// marker and in a segment with baseSeq >= seq. The caller receives from
+// parked — once it is closed the builder holds exactly the pushed keys and
+// belongs to the caller — snapshots it, and calls release. After closeLive
+// there is no worker to park: parked is the exit channel, and the drained
+// builder stays the caller's.
+func (ls *liveSummary) cutBarrier(seq uint64) (pushed int64, parked <-chan struct{}, release func(), err error) {
 	ls.walMu.Lock()
 	defer ls.walMu.Unlock()
-	ls.qmu.RLock()
-	defer ls.qmu.RUnlock()
-	nop := func() {}
-	if ls.stopped {
-		if ls.wal != nil {
-			err = ls.wal.Cut(seq)
-		}
-		return nop, nop, err
-	}
-	resume := make(chan struct{})
-	dones := make([]chan struct{}, len(ls.shards))
-	for i, sh := range ls.shards {
-		dones[i] = make(chan struct{})
-		sh.q <- ingestJob{done: dones[i], resume: resume}
-	}
 	if ls.wal != nil {
 		if err := ls.wal.Cut(seq); err != nil {
-			// Unpark the workers; the markers ahead of them are harmless.
-			close(resume)
-			return nop, nop, err
+			return 0, nil, nil, err
 		}
 	}
-	wait = func() {
-		//sasvet:ok the workers only close the done channels; receiving on them is the rendezvous
-		for _, done := range dones {
-			<-done
-		}
+	pushed = ls.accepted.Load()
+	if ls.stopped {
+		return pushed, ls.exited, func() {}, nil
 	}
-	return wait, func() { close(resume) }, nil
+	done, resume := make(chan struct{}), make(chan struct{})
+	ls.q <- ingestJob{done: done, resume: resume}
+	return pushed, done, func() { close(resume) }, nil
 }
 
 // quiesce blocks until every batch accepted before the call has been
-// pushed into its shard's builder, by riding a flush marker down each FIFO
-// queue. After closeLive the workers have already drained and exited, so
-// quiesce is a no-op.
+// pushed into the builder, by riding a flush marker down the FIFO queue.
+// After closeLive the worker drains the closed queue and exits, so quiesce
+// waits for that instead.
 func (ls *liveSummary) quiesce() {
-	ls.qmu.RLock()
+	ls.walMu.Lock()
 	if ls.stopped {
-		ls.qmu.RUnlock()
+		ls.walMu.Unlock()
+		<-ls.exited
 		return
 	}
-	dones := make([]chan struct{}, len(ls.shards))
-	for i, sh := range ls.shards {
-		dones[i] = make(chan struct{})
-		sh.q <- ingestJob{done: dones[i]}
-	}
-	ls.qmu.RUnlock()
-	//sasvet:ok the workers only close the done channels; receiving on them is the rendezvous
-	for _, done := range dones {
-		<-done
-	}
+	done := make(chan struct{})
+	ls.q <- ingestJob{done: done}
+	ls.walMu.Unlock()
+	<-done
 }
 
-// snapSeq returns the sequence number of the last published snapshot.
-// Attempt numbers (ls.seq) are consumed even by failed rotations, so this
-// reports ls.pub instead: clients polling pushResponse.Snapshot to await
-// durability must never observe a number no snapshot ever published.
-func (ls *liveSummary) snapSeq() uint64 {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.pub
-}
-
-// shardWorker is a shard's drain loop: pop a job, push it into the builder,
-// recycle the batch. It exits when closeLive closes the queue, after
-// draining every remaining job. Batches are fully validated before they are
-// accepted, so a push failure here is an internal invariant break, logged
-// rather than silently swallowed.
-func (st *store) shardWorker(ls *liveSummary, sh *liveShard) {
-	defer st.liveWG.Done()
-	for job := range sh.q {
+// ingestWorker is a live summary's drain loop: pop a job, push it into the
+// builder, recycle the batch. It exits when closeLive closes the queue,
+// after draining every remaining job. Batches are fully validated before
+// they are accepted, so a push failure here is an internal invariant
+// break, logged rather than silently swallowed.
+func (st *store) ingestWorker(ls *liveSummary) {
+	defer close(ls.exited)
+	for job := range ls.q {
 		if job.batch == nil {
 			close(job.done)
 			if job.resume != nil {
-				// Rotation barrier: the builder must not advance past the
-				// marker until every shard is snapshotted.
+				// Rotation barrier: the builder is the rotation's until
+				// resume closes.
 				<-job.resume
 			}
 			continue
 		}
-		sh.mu.Lock()
-		err := sh.b.PushBatch(job.batch.Coords, job.batch.Weights)
-		sh.mu.Unlock()
-		if err != nil {
+		if err := ls.b.PushBatch(job.batch.Coords, job.batch.Weights); err != nil {
 			st.logf("live %q: push of an accepted batch failed: %v", ls.name, err)
 		}
 		job.batch.release()
@@ -365,7 +318,7 @@ func (st *store) shardWorker(ls *liveSummary, sh *liveShard) {
 }
 
 // initLive creates the live summaries (after loadAll: recovery installs
-// serving entries into the loaded map) and starts their shard workers.
+// serving entries into the loaded map) and starts their workers.
 // Specs pair each name with a textual axis description, e.g.
 // net=bittrie:32,bittrie:32. The HTTP listener may already be serving
 // (/readyz answers 503 throughout), so the live map is built privately and
@@ -387,18 +340,14 @@ func (st *store) initLive(specs []cliutil.Assignment, lc liveConfig) error {
 		if err != nil {
 			return fmt.Errorf("live summary %q: %w", sp.Name, err)
 		}
-		ls := &liveSummary{
-			name: sp.Name,
-			axes: axes,
-			cfg:  core.Config{Size: lc.size, Seed: lc.seed, Buffer: lc.buffer},
+		cfg := core.Config{Size: lc.size, Seed: lc.seed, Buffer: lc.buffer}
+		b, err := core.NewBuilder(axes, cfg)
+		if err != nil {
+			return fmt.Errorf("live summary %q: %w", sp.Name, err)
 		}
-		for i := 0; i < lc.shardCount(); i++ {
-			cfg := core.Config{Size: lc.size, Seed: lc.seed + uint64(i), Buffer: lc.buffer}
-			b, err := core.NewBuilder(axes, cfg)
-			if err != nil {
-				return fmt.Errorf("live summary %q: %w", sp.Name, err)
-			}
-			ls.shards = append(ls.shards, &liveShard{b: b, q: make(chan ingestJob, lc.queueCap())})
+		ls := &liveSummary{
+			name: sp.Name, axes: axes, cfg: cfg, b: b,
+			q: make(chan ingestJob, lc.queueCap()), exited: make(chan struct{}),
 		}
 		if lc.dir != "" {
 			loadedSeq, err := st.recoverLive(ls)
@@ -411,10 +360,7 @@ func (st *store) initLive(specs []cliutil.Assignment, lc liveConfig) error {
 				}
 			}
 		}
-		for _, sh := range ls.shards {
-			st.liveWG.Add(1)
-			go st.shardWorker(ls, sh)
-		}
+		go st.ingestWorker(ls)
 		lives[sp.Name] = ls
 		order = append(order, sp.Name)
 	}
@@ -426,13 +372,14 @@ func (st *store) initLive(specs []cliutil.Assignment, lc liveConfig) error {
 
 // recoverWAL finishes a live summary's startup recovery: replay the WAL
 // records the loaded snapshot (seq loadedSeq; 0 = none) does not cover
-// into the shard builders, then open a fresh log whose first segment sorts
+// into the builder, then open a fresh log whose first segment sorts
 // after every snapshot attempt any previous process ever made — snapshot
 // files and segment windows both witness attempts, and the maximum of the
 // two is where this process resumes numbering. Replayed keys count as
-// accepted (they are in this process's builders and will be in its next
+// accepted (they are in this process's builder and will be in its next
 // snapshot) and dirty the summary so that snapshot actually happens. The
-// shard workers are not running yet, so the builders are pushed directly.
+// worker is not running yet, so the builder is pushed directly, in WAL
+// order.
 func (st *store) recoverWAL(ls *liveSummary, lc liveConfig, loadedSeq uint64) error {
 	segs, err := wal.List(lc.dir, ls.name)
 	if err != nil {
@@ -444,14 +391,11 @@ func (st *store) recoverWAL(ls *liveSummary, lc liveConfig, loadedSeq uint64) er
 		}
 	}
 	dec := wire.Decoder{Dims: len(ls.axes), MaxRows: maxKeysPerPush}
-	next := 0
 	stats, err := wal.Replay(lc.dir, ls.name, loadedSeq, dec, func(b *wire.Batch) error {
 		if err := validateBatch(ls.axes, b); err != nil {
 			return err
 		}
-		sh := ls.shards[next%len(ls.shards)]
-		next++
-		return sh.b.PushBatch(b.Coords, b.Weights)
+		return ls.b.PushBatch(b.Coords, b.Weights)
 	})
 	if err != nil {
 		return fmt.Errorf("live summary %q: wal replay: %w (a corrupt sealed segment, or a -live domain "+
@@ -492,22 +436,22 @@ func (st *store) closeWALs() {
 }
 
 // closeLive stops ingestion for good: no new batches are accepted, the
-// shard workers drain their queues and exit. Callers stop the listeners
-// first; when closeLive returns, every acknowledged key is in a builder,
-// which is what makes the final rotation flush complete.
+// workers drain their queues and exit. Callers stop the listeners first;
+// when closeLive returns, every acknowledged key is in a builder, which is
+// what makes the final rotation flush complete.
 func (st *store) closeLive() {
 	for _, name := range st.liveOrder {
 		ls := st.lives[name]
-		ls.qmu.Lock()
+		ls.walMu.Lock()
 		if !ls.stopped {
 			ls.stopped = true
-			for _, sh := range ls.shards {
-				close(sh.q)
-			}
+			close(ls.q)
 		}
-		ls.qmu.Unlock()
+		ls.walMu.Unlock()
 	}
-	st.liveWG.Wait()
+	for _, name := range st.liveOrder {
+		<-st.lives[name].exited
+	}
 }
 
 // recoverLive loads the newest loadable persisted snapshot of ls, if any:
@@ -539,7 +483,7 @@ func (st *store) recoverLive(ls *liveSummary) (uint64, error) {
 		}
 		e.live, e.seq = true, sn.seq
 		ls.base = e.sample().Summary()
-		ls.pub = sn.seq
+		ls.pub.Store(sn.seq)
 		st.install(e)
 		st.logf("recovered live %q from %s (snapshot %d, %d keys)", ls.name, sn.path, sn.seq, e.be.Size())
 		return sn.seq, nil
@@ -562,16 +506,16 @@ func sameDomain(want, got []structure.Axis) error {
 	return nil
 }
 
-// rotate publishes a new snapshot of ls: cut the WAL and pause the shard
-// workers at a barrier, snapshot every shard builder, release the workers,
-// merge the shard snapshots (plus the recovered base when one exists) into
-// one summary, compile the index, persist when configured, truncate the
-// WAL segments the persisted snapshot covers, and swap the serving entry.
-// Shard populations are disjoint by construction (round-robin routing
-// sends each key to exactly one shard) and the base covers the pre-restart
-// stream, so the HT merge keeps estimates unbiased for the whole stream.
-// When force is false a summary with no new keys since its last snapshot
-// is skipped (the rotation loop's idle case) and rotate returns (nil, nil).
+// rotate publishes a new snapshot of ls: cut the WAL and park the worker
+// at a barrier, snapshot the builder, release the worker, merge with the
+// recovered base when one exists, compile the index, persist when
+// configured, truncate the WAL segments the persisted snapshot covers, and
+// swap the serving entry. Without a base the published summary is exactly
+// what Finalize would return for the stream so far. The base covers the
+// pre-restart stream and the builder the post-restart one, so the HT merge
+// keeps estimates unbiased for the whole stream. When force is false a
+// summary with no new keys since its last snapshot is skipped (the
+// rotation loop's idle case) and rotate returns (nil, nil).
 //
 // Attempt sequence numbers are consumed even by failed rotations: the
 // WAL's coverage rule ("segment baseSeq B is covered exactly by snapshots
@@ -588,66 +532,36 @@ func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
 	if !ls.dirty.Swap(false) && !force {
 		return nil, nil
 	}
-
-	ls.mu.Lock()
-	base := ls.base
 	ls.seq++
 	seq := ls.seq
-	ls.mu.Unlock()
 
-	wait, release, err := ls.cutBarrier(seq)
+	pushed, parked, release, err := ls.cutBarrier(seq)
 	if err != nil {
 		st.redirty(ls)
 		return nil, err
 	}
-	released := false
-	releaseOnce := func() {
-		if !released {
-			released = true
-			release()
-		}
-	}
-	defer releaseOnce()
 	// Every record in a segment the cut sealed is ahead of the barrier
-	// markers; once the workers reach them, those records are all in the
-	// builders, and nothing newer can get in until release.
-	wait()
+	// marker; once the worker parks on it, those records are all in the
+	// builder, and nothing newer can get in until release.
+	<-parked
 	fault.Point(faultPreRotate)
+	snap, err := ls.b.Snapshot()
+	release() // ingestion resumes; the merge/index/persist work below is off the hot path
 
-	parts := make([]*core.Summary, 0, len(ls.shards)+1)
-	if base != nil {
-		parts = append(parts, base)
-	}
-	for _, sh := range ls.shards {
-		sh.mu.Lock()
-		snap, err := sh.b.Snapshot()
-		sh.mu.Unlock()
-		if errors.Is(err, core.ErrNoData) {
-			continue
+	sum := snap
+	switch {
+	case errors.Is(err, core.ErrNoData):
+		if ls.base == nil {
+			return nil, errNoLiveData
 		}
-		if err != nil {
-			st.redirty(ls)
-			return nil, err
-		}
-		parts = append(parts, snap)
-	}
-	pushed := ls.accepted.Load()
-	releaseOnce() // ingestion resumes; the merge/index/persist work below is off the hot path
-
-	var sum *core.Summary
-	switch len(parts) {
-	case 0:
-		return nil, errNoLiveData
-	case 1:
-		// One part — a single shard with data and no base (publish exactly
-		// what Finalize would), or a restart with nothing pushed yet
-		// (republish the recovered base).
-		sum = parts[0]
-	default:
-		// The parts cover pairwise disjoint slices of the stream, which is
-		// exactly the precondition of the HT merge. The seed varies per
-		// epoch but stays deterministic.
-		sum, err = core.MergeSummaries(ls.cfg.Size, ls.cfg.Seed+seq, parts...)
+		// A restart with nothing pushed yet republishes the recovered base.
+		sum = ls.base
+	case err != nil:
+		st.redirty(ls)
+		return nil, err
+	case ls.base != nil:
+		// The seed varies per epoch but stays deterministic.
+		sum, err = core.MergeSummaries(ls.cfg.Size, ls.cfg.Seed+seq, ls.base, snap)
 		if err != nil {
 			st.redirty(ls)
 			return nil, err
@@ -680,9 +594,7 @@ func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
 	// install gives the new epoch its own empty answer cache — publishing
 	// the snapshot is what invalidates every answer cached for the old one.
 	st.install(e)
-	ls.mu.Lock()
-	ls.pub = seq
-	ls.mu.Unlock()
+	ls.pub.Store(seq)
 	st.logf("snapshot %d of live %q: %d keys from %d pushed (%s)", seq, ls.name, sum.Size(), pushed, path)
 	return e, nil
 }

@@ -33,10 +33,9 @@ var liveTestCfg = core.Config{Size: 120, Seed: 7}
 const liveAxesSpec = "bittrie:10,bittrie:10"
 
 // liveStore builds a store with one live summary "net" over a 2×10-bit
-// domain (no file-backed summaries unless sources are given). A single
-// shard pins the stream order, so the bit-equality tests can reproduce the
-// server's snapshots with one offline Builder; the multi-shard behavior
-// has its own tests.
+// domain (no file-backed summaries unless sources are given). The summary
+// has one builder, so the bit-equality tests reproduce the server's
+// snapshots with one offline Builder fed the same batches in ack order.
 func liveStore(t *testing.T, dir string, sources ...serveSource) *store {
 	t.Helper()
 	st := newStore(sources, 4096, t.Logf)
@@ -45,7 +44,7 @@ func liveStore(t *testing.T, dir string, sources ...serveSource) *store {
 	}
 	err := st.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}},
-		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, dir: dir, shards: 1},
+		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, dir: dir},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +113,8 @@ func TestPushSnapshotSeqOnlyCountsPublished(t *testing.T) {
 		t.Fatalf("empty force-snapshot status %d, want 409", code)
 	}
 	ls := st.lives["net"]
-	if got := ls.snapSeq(); got != 0 {
-		t.Fatalf("snapSeq after failed rotation = %d, want 0 (attempt %d never published)", got, ls.seq)
+	if got := ls.pub.Load(); got != 0 {
+		t.Fatalf("published seq after failed rotation = %d, want 0 (attempt %d never published)", got, ls.seq)
 	}
 
 	coords, weights := genKeys(100, 3)
@@ -137,9 +136,9 @@ func TestPushSnapshotSeqOnlyCountsPublished(t *testing.T) {
 }
 
 // TestLiveIngestSnapshotQuery is the end-to-end write path: keys pushed
-// over HTTP (columnar JSON and NDJSON) become queryable after a snapshot,
-// with estimates bit-identical to an offline Builder fed the same stream
-// and snapshotted at the same point.
+// over HTTP (columnar JSON and a binary frame) become queryable after a
+// snapshot, with estimates bit-identical to an offline Builder fed the
+// same stream and snapshotted at the same point.
 func TestLiveIngestSnapshotQuery(t *testing.T) {
 	st := liveStore(t, "")
 	srv := httptest.NewServer(st.handler())
@@ -163,15 +162,12 @@ func TestLiveIngestSnapshotQuery(t *testing.T) {
 		t.Fatalf("push response %+v", pr)
 	}
 
-	// Second half as NDJSON rows.
-	var nd strings.Builder
-	for i := half; i < len(weights); i++ {
-		fmt.Fprintf(&nd, "{\"point\":[%d,%d],\"weight\":%g}\n", coords[0][i], coords[1][i], weights[i])
-	}
+	// Second half as a binary frame.
+	secondC := [][]uint64{coords[0][half:], coords[1][half:]}
 	var pr2 pushResponse
-	code := postJSON(t, srv.URL+"/v1/summaries/net/keys", "application/x-ndjson", []byte(nd.String()), &pr2)
+	code := postFrame(t, srv.URL, secondC, weights[half:], &pr2)
 	if code != http.StatusOK || pr2.TotalPushed != int64(len(weights)) {
-		t.Fatalf("ndjson push status %d response %+v", code, pr2)
+		t.Fatalf("frame push status %d response %+v", code, pr2)
 	}
 
 	// Force a snapshot and query.
@@ -276,7 +272,7 @@ func TestLiveIngestErrors(t *testing.T) {
 		{"ragged columns", "/v1/summaries/net/keys", "application/json", ok([][]uint64{{1, 2}, {3}}, []float64{1, 1}), http.StatusBadRequest},
 		{"out of domain", "/v1/summaries/net/keys", "application/json", ok([][]uint64{{5000}, {1}}, []float64{1}), http.StatusBadRequest},
 		{"negative weight", "/v1/summaries/net/keys", "application/json", ok([][]uint64{{1}, {2}}, []float64{-1}), http.StatusBadRequest},
-		{"bad ndjson dims", "/v1/summaries/net/keys", "application/x-ndjson", []byte(`{"point":[1],"weight":1}`), http.StatusBadRequest},
+		{"ndjson rows", "/v1/summaries/net/keys", "application/x-ndjson", []byte("{\"point\":[1,2],\"weight\":1}\n{\"point\":[3,4],\"weight\":2}\n"), http.StatusBadRequest},
 		{"not json", "/v1/summaries/net/keys", "application/json", []byte("nope"), http.StatusBadRequest},
 		{"snapshot without data", "/v1/summaries/net/snapshot", "application/json", nil, http.StatusConflict},
 	} {
@@ -451,10 +447,10 @@ func TestLivePersistRecover(t *testing.T) {
 }
 
 // pushDirect pushes a batch into the store's live summary without HTTP,
-// through the same validated shard queues the transports use (a later
-// rotate quiesces the queues, so the keys are in the builders by snapshot
-// time). The batch is stack-owned, not pooled, so the worker's release is
-// a no-op.
+// through the same validated ingest queue the transports use (a later
+// rotate's barrier follows it down the queue, so the keys are in the
+// builder by snapshot time). The batch is stack-owned, not pooled, so the
+// worker's release is a no-op.
 func pushDirect(st *store, coords [][]uint64, weights []float64) error {
 	ls := st.lives["net"]
 	batch := &ingestBatch{Batch: wire.Batch{Coords: coords, Weights: weights}}
@@ -682,7 +678,7 @@ func TestLiveWALRecover(t *testing.T) {
 	dir := t.TempDir()
 	walCfg := liveConfig{
 		size: liveTestCfg.Size, seed: liveTestCfg.Seed,
-		dir: dir, shards: 1, walSync: wal.PolicyInterval,
+		dir: dir, walSync: wal.PolicyInterval,
 	}
 	st1 := newStore(nil, 4096, t.Logf)
 	if err := st1.loadAll(); err != nil {

@@ -39,12 +39,10 @@
 //	-live-size n           sample size of each live snapshot (default 1000)
 //	-live-buffer n         live builder reservoir in keys (0 = 5×size)
 //	-live-seed n           construction seed for live summaries
-//	-live-shards n         partitioned builders per live summary, each with
-//	                       its own ingest queue and worker (0 = all CPUs);
-//	                       shard snapshots are merged at every rotation
-//	-ingest-queue n        queue depth per shard, in batches (0 = default);
-//	                       a full queue answers HTTP 429 + Retry-After and
-//	                       stalls the raw socket (TCP back-pressure)
+//	-ingest-queue n        ingest queue depth per live summary, in batches
+//	                       (0 = default); a full queue answers HTTP 429 +
+//	                       Retry-After and stalls the raw socket (TCP
+//	                       back-pressure)
 //	-ingest-listen addr    raw frame-stream ingest socket ("host:port" or
 //	                       "unix:/path"): hello record, then binary frames,
 //	                       then a JSON ack (see internal/wire and
@@ -90,8 +88,7 @@
 //	GET  /v1/summaries/{name}/representatives?range=...&limit=10
 //	GET  /v1/summaries/{name}/heavyhitters?range=...&k=10
 //	POST /v1/summaries/{name}/keys       {"coords": [[...],...], "weights": [...]}
-//	                                     (NDJSON {"point":[...],"weight":w} rows, or a
-//	                                     binary application/x-sas-frame body)
+//	                                     (or a binary application/x-sas-frame body)
 //	POST /v1/summaries/{name}/snapshot
 //
 // Every backend answers estimate, total, and quantile; representatives and
@@ -104,9 +101,9 @@
 // The serving summaries are immutable and shared: every request goroutine
 // queries the same compiled structure with no locks on the hot path, so
 // read throughput scales with cores; writes decode and validate on the
-// request goroutine and contend only on the bounded queue of the one
-// shard they land on. Sample estimates are bit-for-bit identical to the
-// in-process linear Summary methods.
+// request goroutine and contend only on their live summary's bounded
+// queue. Sample estimates are bit-for-bit identical to the in-process
+// linear Summary methods.
 package main
 
 import (
@@ -139,8 +136,7 @@ func main() {
 		liveSize     = flag.Int("live-size", 1000, "target sample size of live-summary snapshots")
 		liveBuffer   = flag.Int("live-buffer", 0, "live builder reservoir in keys (0 = 5×live-size)")
 		liveSeed     = flag.Uint64("live-seed", 1, "construction seed for live summaries")
-		liveShards   = flag.Int("live-shards", 0, "parallel ingest builders per live summary (0 = GOMAXPROCS)")
-		ingestQueue  = flag.Int("ingest-queue", 0, "per-shard pending-batch queue cap (0 = default)")
+		ingestQueue  = flag.Int("ingest-queue", 0, "pending-batch queue cap per live summary (0 = default)")
 		ingestListen = flag.String("ingest-listen", "", "raw binary-frame ingest socket: host:port or unix:/path (requires -live)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "automatic live snapshot period (0 = manual POST .../snapshot only)")
 		snapDir      = flag.String("snapshot-dir", "", "directory persisting live snapshots (newest recovered on startup)")
@@ -163,7 +159,6 @@ func main() {
 		cliutil.NonNegative("-cache-size", *cacheSize),
 		cliutil.Positive("-live-size", *liveSize),
 		cliutil.NonNegative("-live-buffer", *liveBuffer),
-		cliutil.NonNegative("-live-shards", *liveShards),
 		cliutil.NonNegative("-ingest-queue", *ingestQueue),
 		cliutil.NonNegativeDuration("-snapshot-interval", *snapInterval),
 		cliutil.NonNegativeDuration("-wal-sync-every", *walEvery),
@@ -279,7 +274,6 @@ func main() {
 		seed:        *liveSeed,
 		dir:         *snapDir,
 		interval:    *snapInterval,
-		shards:      *liveShards,
 		queue:       *ingestQueue,
 		walSync:     walPolicy,
 		walEvery:    *walEvery,
@@ -292,8 +286,8 @@ func main() {
 			src.name, src.path, e.be.Kind, e.be.Size(), len(e.be.Axes))
 	}
 	for _, lv := range lives {
-		logger.Printf("serving live %q over %s (snapshot size %d, %d shards, wal %s)",
-			lv.Name, lv.Value, *liveSize, lc.shardCount(), effectivePolicy(lc))
+		logger.Printf("serving live %q over %s (snapshot size %d, wal %s)",
+			lv.Name, lv.Value, *liveSize, effectivePolicy(lc))
 	}
 
 	hup := make(chan os.Signal, 1)
@@ -319,7 +313,7 @@ func main() {
 
 	serveErr := <-serveDone
 	// Stop the write plane in dependency order: listeners first (no new
-	// batches), then the shard workers (drain every accepted batch into
+	// batches), then the ingest workers (drain every accepted batch into
 	// the builders), so the final flush below covers every acknowledged
 	// key. This runs even when the drain timed out or the server failed —
 	// acknowledged keys must never be dropped on the way out. The WALs

@@ -59,8 +59,8 @@ type entry struct {
 	loadedAt time.Time
 	bytes    int64
 	// Live-snapshot provenance (zero for file-backed entries): the snapshot
-	// sequence number and the keys the live builder had accepted when this
-	// snapshot was taken.
+	// sequence number and the keys this process had accepted ahead of the
+	// snapshot's rotation barrier — exactly the keys the builder held.
 	live   bool
 	seq    uint64
 	pushed int64
@@ -158,7 +158,6 @@ type store struct {
 	lives     map[string]*liveSummary
 	liveOrder []string
 	liveCfg   liveConfig
-	liveWG    sync.WaitGroup // shard workers, joined by closeLive
 
 	// ready flips once startup recovery — snapshot loads and WAL replay —
 	// has finished and every configured summary is queryable; /readyz

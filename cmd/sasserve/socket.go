@@ -3,12 +3,12 @@ package main
 // socket.go is the raw ingest listener (-ingest-listen): a TCP or
 // unix-domain socket accepting the internal/wire stream protocol — one
 // hello record naming a live summary, then concatenated binary frames —
-// and feeding the same validated shard queues as the HTTP path.
+// and feeding the same validated ingest queues as the HTTP path.
 // Backpressure is the transport's own flow control: a frame destined for a
 // full queue blocks the connection's read loop, the kernel receive window
 // fills, and the sender's writes stall, so a slow server throttles its
 // producers instead of buffering without bound. On a clean half-close the
-// server quiesces the shard queues and answers one wire.Stats JSON line,
+// server quiesces the ingest queue and answers one wire.Stats JSON line,
 // making the client's Close an end-to-end acknowledgement that every sent
 // key is in a builder.
 
@@ -172,7 +172,7 @@ func (is *ingestServer) serveConn(conn net.Conn) {
 			return
 		}
 		rows := batch.Rows()
-		// A full shard queue blocks here — the transport's receive window
+		// A full ingest queue blocks here — the transport's receive window
 		// is the flow control; the idle deadline above still bounds a
 		// peer that stalls without sending.
 		if err := ls.enqueue(batch, true); err != nil {
@@ -184,8 +184,8 @@ func (is *ingestServer) serveConn(conn net.Conn) {
 		st.Frames++
 		st.Keys += int64(rows)
 	}
-	// Clean end of stream: flush the queues so the ack certifies that
-	// every counted key has reached a builder.
+	// Clean end of stream: flush the queue so the ack certifies that
+	// every counted key has reached the builder.
 	ls.quiesce()
 	is.reply(conn, st)
 }

@@ -108,7 +108,6 @@ func startTortureServer(t *testing.T, bin, dir string, env ...string) *serverPro
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-live", "net="+liveAxesSpec,
-		"-live-shards", "1", // pins stream order so the reference is one builder
 		"-live-size", fmt.Sprint(liveTestCfg.Size),
 		"-live-seed", fmt.Sprint(liveTestCfg.Seed),
 		"-snapshot-dir", dir,
@@ -220,7 +219,7 @@ type tortureRef struct {
 	t    *testing.T
 	axes []structure.Axis
 
-	builder *core.Builder // mirrors the live process's single shard
+	builder *core.Builder // mirrors the live process's builder
 	base    *core.Summary // mirrors ls.base: newest persisted snapshot
 	seq     uint64        // snapshot attempt sequence (consumed by failures too)
 
@@ -242,7 +241,7 @@ func newTortureRef(t *testing.T) *tortureRef {
 }
 
 func (r *tortureRef) freshBuilder() *core.Builder {
-	// Shard 0 builds with Seed+0, exactly as initLive configures it.
+	// The same config initLive gives the live builder.
 	b, err := core.NewBuilder(r.axes, liveTestCfg)
 	if err != nil {
 		r.t.Fatal(err)
@@ -268,7 +267,7 @@ func (r *tortureRef) pendingKeys() int64 {
 }
 
 // snapshot mirrors one snapshot attempt. A successful attempt publishes the
-// merge of base and the shard snapshot (seeded by the attempt sequence) and
+// merge of base and the builder snapshot (seeded by the attempt sequence) and
 // moves the WAL coverage boundary; a failed one only consumes the sequence
 // number — the coverage rule's crash-consistency depends on windows never
 // being reused, so the server burns the seq even when the rotation dies.

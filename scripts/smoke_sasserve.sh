@@ -78,10 +78,11 @@ go run ./cmd/sassample -in "$TMP/net.csv" -bits 12 -s 500 -seed 1 -dump "$TMP/ne
 echo "== start sasserve (static file + live summary + snapshot dir)"
 go build -o "$TMP/sasserve" ./cmd/sasserve
 # Two live summaries share the ingest plane: "flows" keeps the exact-sum
-# HTTP assertions below, "load" absorbs the wire flood. Two shards and a
-# 1-deep queue make the 429 back-pressure probe deterministic under flood.
+# HTTP assertions below, "load" absorbs the wire flood. A 1-deep ingest
+# queue in front of each summary's one worker makes the 429 back-pressure
+# probe deterministic under flood.
 SERVE=("$TMP/sasserve" -addr "127.0.0.1:$PORT" -live 'flows=bittrie:12,bittrie:12' \
-    -live 'load=bittrie:12,bittrie:12' -live-shards 2 -ingest-queue 1 \
+    -live 'load=bittrie:12,bittrie:12' -ingest-queue 1 \
     -ingest-listen "127.0.0.1:$INGEST_PORT" \
     -live-size 200 -live-seed 1 -snapshot-dir "$TMP/snapshots")
 "${SERVE[@]}" "net=$TMP/net.sas" &
@@ -143,10 +144,10 @@ echo "$NET_META"
 echo "$NET_META" | grep -q '"cache_hits":[1-9]' || { echo "answer cache took no hits under the hot mix" >&2; exit 1; }
 
 echo "== flood the ingest socket, probe HTTP back-pressure (want 429 + Retry-After)"
-# Maximum-size frames (131072 keys) keep each shard worker busy for ~10ms
-# per pop, so the 1-deep queues are observably full whenever the probe's
-# handler gets scheduled — on one CPU, smaller frames drain before the
-# probe runs and the 429 would be flaky.
+# Maximum-size frames (131072 keys) keep the worker busy for ~10ms per
+# pop, so the 1-deep queue is observably full whenever the probe's handler
+# gets scheduled — on one CPU, smaller frames drain before the probe runs
+# and the 429 would be flaky.
 "$TMP/sasbench" -ingest "127.0.0.1:$INGEST_PORT" -ingest-name load \
     -ingest-keys 8000000 -ingest-batch 131072 -seed 7 >"$TMP/flood.out" &
 FLOOD_PID=$!
