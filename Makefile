@@ -76,8 +76,9 @@ QUERYBENCHTIME ?= 1s
 BACKENDSCALE ?= 0.05
 BACKENDSIZE ?= 1000
 
-# Time budget for the ingest-plane benchmarks (each iteration streams 2^18
-# keys through a socket or HTTP server; 2s gives stable keys/s).
+# Time budget for the ingest-plane benchmarks (each iteration posts 2^18
+# keys to the HTTP endpoint and waits until the worker has pushed them; 2s
+# gives stable keys/s).
 INGESTBENCHTIME ?= 2s
 
 # Requests per (mix, concurrency) cell of the concurrent serving benchmark;
@@ -86,7 +87,7 @@ INGESTBENCHTIME ?= 2s
 LOADBENCHTIME ?= 3000x
 
 # Record the benchmark trajectory: run the key build/query benchmarks, the
-# ingest-plane transport benchmarks (including BenchmarkIngestWAL, which
+# HTTP ingest benchmarks (including BenchmarkIngestWAL, which
 # prices each -wal-sync durability policy against the no-WAL baseline),
 # the concurrent serving benchmark (qps + latency percentiles per query
 # mix, including the answer-cache hot/hot-nocache pair), and the

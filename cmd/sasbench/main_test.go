@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -34,7 +37,7 @@ func TestIngestHTTPHonorsRetryAfter(t *testing.T) {
 	defer func() { sleepFn = time.Sleep }()
 
 	gen := newKeyGen(1, 2, 8, 10)
-	if err := runIngestHTTP(srv.URL, "flows", 10, gen); err != nil {
+	if err := runIngest(srv.URL, "flows", 10, gen); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 3 {
@@ -46,6 +49,30 @@ func TestIngestHTTPHonorsRetryAfter(t *testing.T) {
 	for _, d := range slept {
 		if d < time.Second {
 			t.Fatalf("backoff %v below the 1s floor — hot loop", d)
+		}
+	}
+}
+
+// TestIngestRequiresHTTPURL: -ingest takes only an http:// or https://
+// base URL. Anything else, such as a bare host:port or unix:/path, is a
+// usage error: the built command exits 2 with a message naming the flag,
+// before it generates a key or opens a connection.
+func TestIngestRequiresHTTPURL(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "sasbench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, addr := range []string{"127.0.0.1:9401", "unix:/tmp/sas-ingest.sock", "ftp://127.0.0.1:9401"} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, "-ingest", addr, "-ingest-keys", "10")
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-ingest %s: %v, want exit status 2 (stderr %q)", addr, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-ingest") {
+			t.Errorf("-ingest %s: message %q does not name -ingest", addr, stderr.String())
 		}
 	}
 }

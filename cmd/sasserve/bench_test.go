@@ -1,10 +1,11 @@
 package main
 
 // Ingest-plane benchmarks: the same 2^18-key stream pushed through the
-// binary frame socket, the HTTP frame body, and the HTTP JSON body, all
-// reported in keys/s so they compare directly with the root
-// BenchmarkBuilderPushBatch ceiling (the in-process PushBatch rate the
-// transports are trying to approach). Run with
+// HTTP frame body and the HTTP JSON body, reported in keys/s so they
+// compare directly with the root BenchmarkBuilderPushBatch ceiling (the
+// in-process PushBatch rate the endpoint is trying to approach). An
+// iteration ends once the worker has pushed every acked batch, so keys/s
+// is the ingest rate, not the ack rate. Run with
 //
 //	go test -run '^$' -bench '^BenchmarkIngest' ./cmd/sasserve
 //
@@ -13,6 +14,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -53,138 +56,112 @@ func ingestFixture(b *testing.B) ([][]uint64, []float64) {
 	return ingCoords, ingWeights
 }
 
-// benchLiveStore builds a live store with the root benchmark's
-// summary size, with queue depth comfortably above the frames in flight so
-// the HTTP benchmarks measure throughput, not 429 shedding.
-func benchLiveStore(b *testing.B) *store {
+// benchBodies encodes the fixture, one body per benchPerFrame-key window.
+func benchBodies(b *testing.B, encode func(coords [][]uint64, weights []float64) ([]byte, error)) [][]byte {
 	b.Helper()
-	st := newStore(nil, 4096, func(string, ...any) {})
-	err := st.initLive(
-		[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
-		liveConfig{size: 4096, seed: 1, queue: 4096},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(st.closeLive)
-	return st
-}
-
-// frameSlices cuts the fixture into per-frame column windows.
-func frameSlices(coords [][]uint64, weights []float64) ([][][]uint64, [][]float64) {
-	var cs [][][]uint64
-	var ws [][]float64
+	coords, weights := ingestFixture(b)
+	var bodies [][]byte
 	for off := 0; off < len(weights); off += benchPerFrame {
 		end := off + benchPerFrame
-		cs = append(cs, [][]uint64{coords[0][off:end], coords[1][off:end]})
-		ws = append(ws, weights[off:end])
-	}
-	return cs, ws
-}
-
-// BenchmarkIngestWire drives the fixture over a real TCP socket as binary
-// frames, one Dial per iteration, with the end-of-stream ack inside the
-// timed region — the full wire-ingest round trip, client encode to builder
-// push.
-func BenchmarkIngestWire(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
-	st := benchLiveStore(b)
-	is, err := listenIngest(st, "127.0.0.1:0", func(string, ...any) {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(is.close)
-	addr := is.addr().String()
-	b.SetBytes(int64(wire.FrameSize(2, benchPerFrame) * len(ws)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := wire.Dial(addr, "net")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for f := range ws {
-			if err := c.Send(cs[f], ws[f]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := c.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(benchKeys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
-}
-
-// benchIngestHTTP posts one pre-encoded body per frame window through the
-// live /keys endpoint.
-func benchIngestHTTP(b *testing.B, ctype string, bodies [][]byte) {
-	st := benchLiveStore(b)
-	srv := httptest.NewServer(st.handler())
-	b.Cleanup(srv.Close)
-	url := srv.URL + "/v1/summaries/net/keys"
-	client := srv.Client()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, body := range bodies {
-			resp, err := client.Post(url, ctype, bytes.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("push status %d", resp.StatusCode)
-			}
-			_, _ = jsonDiscard(resp)
-		}
-	}
-	b.ReportMetric(float64(benchKeys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
-}
-
-// jsonDiscard drains and closes a response body (keep-alive reuse).
-func jsonDiscard(resp *http.Response) (int64, error) {
-	defer resp.Body.Close()
-	var buf [512]byte
-	n := int64(0)
-	for {
-		m, err := resp.Body.Read(buf[:])
-		n += int64(m)
-		if err != nil {
-			return n, nil
-		}
-	}
-}
-
-// BenchmarkIngestHTTPFrame: the same stream as BenchmarkIngestWire, but one
-// frame per HTTP POST — what the binary body saves before leaving HTTP
-// behind entirely.
-func BenchmarkIngestHTTPFrame(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
-	var bodies [][]byte
-	for f := range ws {
-		frame, err := wire.AppendFrame(nil, cs[f], ws[f])
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, frame)
-	}
-	benchIngestHTTP(b, frameContentType, bodies)
-}
-
-// BenchmarkIngestHTTPJSON is the pre-existing ingest path and the baseline
-// the binary paths are measured against: the same stream as columnar JSON
-// bodies.
-func BenchmarkIngestHTTPJSON(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
-	var bodies [][]byte
-	for f := range ws {
-		body, err := json.Marshal(pushRequest{Coords: cs[f], Weights: ws[f]})
+		body, err := encode([][]uint64{coords[0][off:end], coords[1][off:end]}, weights[off:end])
 		if err != nil {
 			b.Fatal(err)
 		}
 		bodies = append(bodies, body)
 	}
-	benchIngestHTTP(b, "application/json", bodies)
+	return bodies
+}
+
+func frameBodies(b *testing.B) [][]byte {
+	return benchBodies(b, func(coords [][]uint64, weights []float64) ([]byte, error) {
+		return wire.AppendFrame(nil, coords, weights)
+	})
+}
+
+func jsonBodies(b *testing.B) [][]byte {
+	return benchBodies(b, func(coords [][]uint64, weights []float64) ([]byte, error) {
+		return json.Marshal(pushRequest{Coords: coords, Weights: weights})
+	})
+}
+
+// benchLiveStore builds a live store with the root benchmark's summary
+// size and a queue deeper than the 64 frames of one iteration, so the
+// benchmarks measure throughput, not 429 shedding. A non-empty dir keeps
+// snapshots (and, unless pol is off, a write-ahead log) there.
+func benchLiveStore(b *testing.B, dir string, pol wal.Policy) *store {
+	b.Helper()
+	st := newStore(nil, 4096, func(string, ...any) {})
+	err := st.initLive(
+		[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
+		liveConfig{size: 4096, seed: 1, queue: 4096, dir: dir, walSync: pol},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(st.closeWALs)
+	b.Cleanup(st.closeLive)
+	return st
+}
+
+// benchIngestHTTP posts the bodies through the live /keys endpoint from
+// producers concurrent clients, producer p sending bodies p, p+producers,
+// and so on. Each iteration ends with a marker queued behind the last
+// acked batch, so the clock runs until the worker has pushed them all and
+// no backlog carries into the next iteration.
+func benchIngestHTTP(b *testing.B, st *store, ctype string, bodies [][]byte, producers int) {
+	srv := httptest.NewServer(st.handler())
+	b.Cleanup(srv.Close)
+	url := srv.URL + "/v1/summaries/net/keys"
+	client := srv.Client()
+	ls := st.lives["net"]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for f := p; f < len(bodies); f += producers {
+					resp, err := client.Post(url, ctype, bytes.NewReader(bodies[f]))
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						b.Errorf("push status %d", resp.StatusCode)
+						return
+					}
+				}
+			}(p)
+		}
+		wg.Wait()
+		if b.Failed() {
+			b.FailNow()
+		}
+		parkWorker(b, ls)()
+	}
+	b.ReportMetric(float64(benchKeys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+}
+
+// BenchmarkIngestHTTPFrame pushes the stream one binary frame per POST,
+// from one producer and from two: the worker serializes only PushBatch,
+// so a second producer overlaps its requests' transport and decode with
+// the first's.
+func BenchmarkIngestHTTPFrame(b *testing.B) {
+	bodies := frameBodies(b)
+	for _, producers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("producers=%d", producers), func(b *testing.B) {
+			benchIngestHTTP(b, benchLiveStore(b, "", wal.PolicyOff), frameContentType, bodies, producers)
+		})
+	}
+}
+
+// BenchmarkIngestHTTPJSON is the baseline the binary frame is measured
+// against: the same stream as columnar JSON bodies.
+func BenchmarkIngestHTTPJSON(b *testing.B) {
+	benchIngestHTTP(b, benchLiveStore(b, "", wal.PolicyOff), "application/json", jsonBodies(b), 1)
 }
 
 // BenchmarkIngestDecodeJSON isolates the server-side JSON decode +
@@ -192,17 +169,8 @@ func BenchmarkIngestHTTPJSON(b *testing.B) {
 // ingest path (run with -benchmem; the pooled buffers keep steady-state
 // allocations to what encoding/json itself needs).
 func BenchmarkIngestDecodeJSON(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
+	bodies := jsonBodies(b)
 	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
-	var bodies [][]byte
-	for f := range ws {
-		body, err := json.Marshal(pushRequest{Coords: cs[f], Weights: ws[f]})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, body)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -225,17 +193,8 @@ func BenchmarkIngestDecodeJSON(b *testing.B) {
 // from binary frames (zero steady-state allocations — the contract pinned
 // by the wire package's AllocsPerRun test).
 func BenchmarkIngestDecodeFrame(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
+	bodies := frameBodies(b)
 	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
-	var bodies [][]byte
-	for f := range ws {
-		frame, err := wire.AppendFrame(nil, cs[f], ws[f])
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, frame)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -253,53 +212,18 @@ func BenchmarkIngestDecodeFrame(b *testing.B) {
 	b.ReportMetric(float64(benchKeys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
-// BenchmarkIngestWAL prices the durability contract on the socket path:
-// the BenchmarkIngestWire stream against a store whose write-ahead log is
-// off (PR 7 behavior — the baseline the 2× acceptance bound is measured
-// from), interval (write(2) before every ack, background fsync), and
-// always (fsync before every ack). No rotation happens inside the timed
-// region, so the numbers isolate the per-append WAL cost.
+// BenchmarkIngestWAL prices the durability contract on the HTTP frame
+// path: the BenchmarkIngestHTTPFrame/producers=1 stream against a store
+// whose write-ahead log is off (the baseline), interval (write(2) before
+// every ack, background fsync), and always (fsync before every ack). No
+// rotation happens inside the timed region, so the numbers isolate the
+// per-append WAL cost.
 func BenchmarkIngestWAL(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
+	bodies := frameBodies(b)
 	for _, pol := range []wal.Policy{wal.PolicyOff, wal.PolicyInterval, wal.PolicyAlways} {
 		b.Run(pol.String(), func(b *testing.B) {
-			st := newStore(nil, 4096, func(string, ...any) {})
-			err := st.initLive(
-				[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
-				liveConfig{
-					size: 4096, seed: 1, queue: 4096,
-					dir: b.TempDir(), walSync: pol,
-				},
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(st.closeWALs)
-			b.Cleanup(st.closeLive)
-			is, err := listenIngest(st, "127.0.0.1:0", func(string, ...any) {})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(is.close)
-			addr := is.addr().String()
-			b.SetBytes(int64(wire.FrameSize(2, benchPerFrame) * len(ws)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c, err := wire.Dial(addr, "net")
-				if err != nil {
-					b.Fatal(err)
-				}
-				for f := range ws {
-					if err := c.Send(cs[f], ws[f]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := c.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(benchKeys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+			b.SetBytes(int64(wire.FrameSize(2, benchPerFrame) * len(bodies)))
+			benchIngestHTTP(b, benchLiveStore(b, b.TempDir(), pol), frameContentType, bodies, 1)
 		})
 	}
 }

@@ -26,10 +26,11 @@ import (
 	"structaware/internal/wire"
 )
 
-// maxIngestBody bounds the POST /keys body. Frames take 24 bytes per 2-D
-// key and columnar JSON roughly 40, so either carries maxKeysPerPush keys
-// in one request; heavier traffic should batch across requests or use the
-// ingest socket.
+// maxIngestBody bounds a columnar JSON POST /keys body: at roughly 40
+// bytes per 2-D key it carries maxKeysPerPush keys in one request. A frame
+// body is instead capped at wire.FrameSize(dims, maxKeysPerPush) for its
+// summary, the exact size of a max-rows frame, so every axis count can
+// send maxKeysPerPush keys per request.
 const maxIngestBody = 8 << 20
 
 // maxKeysPerPush bounds the rows of one ingest batch, mirroring
@@ -101,7 +102,7 @@ func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *live
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := ls.enqueue(batch, false); err != nil {
+	if err := ls.enqueue(batch); err != nil {
 		batch.release()
 		if err == errIngestQueueFull {
 			w.Header().Set("Retry-After", "1")
@@ -121,11 +122,10 @@ func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *live
 	fault.Point(faultPostAck)
 }
 
-// validateBatch is the single admission check every transport (HTTP frame,
-// columnar JSON, and the ingest socket) and WAL replay run before a batch
-// may enter a builder: shape, row cap, axis domains, weight validity.
-// Frame decoding already guarantees rectangularity; the JSON path and any
-// future transports get it checked here.
+// validateBatch is the single admission check both ingest bodies (frame
+// and columnar JSON) and WAL replay run before a batch may enter a
+// builder: shape, row cap, axis domains, weight validity. Frame decoding
+// already guarantees rectangularity; the JSON path gets it checked here.
 func validateBatch(axes []structure.Axis, b *wire.Batch) error {
 	rows := len(b.Weights)
 	if rows == 0 {
@@ -176,12 +176,13 @@ type pushResponse struct {
 	Snapshot uint64 `json:"snapshot"`
 }
 
-// readBody reads the capped request body into a pooled buffer. The caller
-// must return the buffer via putBody once decoding is done.
-func readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
+// readBody reads the request body, capped at limit bytes, into a pooled
+// buffer. The caller must return the buffer via putBody once decoding is
+// done.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, error) {
 	bp := bodyPool.Get().(*[]byte)
 	buf := (*bp)[:0]
-	rd := http.MaxBytesReader(w, r.Body, maxIngestBody)
+	rd := http.MaxBytesReader(w, r.Body, limit)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -210,11 +211,11 @@ func putBody(bp *[]byte) { bodyPool.Put(bp) }
 func decodePushBody(w http.ResponseWriter, r *http.Request, dims int) (*ingestBatch, bool) {
 	ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	frame := ctype == frameContentType
-	what := "columnar JSON"
+	what, limit := "columnar JSON", int64(maxIngestBody)
 	if frame {
-		what = ctype
+		what, limit = ctype, int64(wire.FrameSize(dims, maxKeysPerPush))
 	}
-	bp, err := readBody(w, r)
+	bp, err := readBody(w, r, limit)
 	if err != nil {
 		writeDecodeError(w, what, err)
 		return nil, false

@@ -1,14 +1,13 @@
 package main
 
 // live.go is the write side of sasserve: named live summaries accept
-// weighted keys — over HTTP (columnar JSON or binary frames; see ingest.go)
-// and over the raw ingest socket (socket.go) — into long-lived core.Builders
-// and periodically publish immutable snapshots into the same serving map the
-// file-backed summaries use. The read path never changes: a snapshot
-// rotation compiles a fully-formed index off to the side and swaps the whole
-// entry under the store lock, exactly like a SIGHUP reload, so concurrent
-// queries see either the previous epoch or the new one, never a partial
-// index.
+// weighted keys over HTTP (columnar JSON or binary frames; see ingest.go)
+// into long-lived core.Builders and periodically publish immutable
+// snapshots into the same serving map the file-backed summaries use. The
+// read path never changes: a snapshot rotation compiles a fully-formed
+// index off to the side and swaps the whole entry under the store lock,
+// exactly like a SIGHUP reload, so concurrent queries see either the
+// previous epoch or the new one, never a partial index.
 //
 // The snapshot write path (writeSnapshotFile) and the WAL hooks make
 // this package part of the durability contract, so the durable analyzer
@@ -18,12 +17,10 @@ package main
 //
 // Ingestion is explicitly bounded. Each live summary has one core.Builder
 // — the paper's §5 bounded stream reservoir over the whole stream — fed by
-// one worker goroutine draining a bounded batch queue. Transports decode
+// one worker goroutine draining a bounded batch queue. Requests decode
 // and validate on their own goroutines; only PushBatch is serialized. When
-// the queue is full the transport pushes back instead of buffering without
-// bound: the HTTP endpoint answers 429 with a Retry-After hint, the socket
-// listener stops reading and lets the transport's flow control stall the
-// sender.
+// the queue is full the endpoint pushes back instead of buffering without
+// bound: it answers 429 with a Retry-After hint.
 //
 // With -snapshot-dir set, every published snapshot is also persisted as a
 // numbered SAS2 file (written to a temp name, then renamed, so a crash
@@ -106,8 +103,7 @@ func (lc liveConfig) walEnabled() bool {
 // defaultIngestQueue is the per-summary pending-batch cap applied when
 // liveConfig.queue is 0: enough to keep the worker busy across transport
 // jitter, small enough that a stalled worker surfaces as backpressure
-// (429 / socket flow control) in well under a second, not as unbounded
-// memory.
+// (429) in well under a second, not as unbounded memory.
 const defaultIngestQueue = 64
 
 func (lc liveConfig) queueCap() int {
@@ -125,8 +121,8 @@ const keepSnapshots = 3
 // has been pushed (and with no recovered snapshot to fall back on).
 var errNoLiveData = errors.New("live summary has no data yet")
 
-// errIngestQueueFull reports a non-blocking enqueue against a full ingest
-// queue — the HTTP 429 case.
+// errIngestQueueFull reports an enqueue against a full ingest queue — the
+// HTTP 429 case.
 var errIngestQueueFull = errors.New("ingest queue is full")
 
 // errIngestStopped reports an enqueue after shutdown began.
@@ -174,12 +170,14 @@ type liveSummary struct {
 	// sets it; rotate clears it under rotMu and sets it again on failure.
 	dirty atomic.Bool
 
-	// walMu serializes every send on q, so the non-blocking capacity check
-	// cannot lie (only the worker consumes) and WAL order is queue order,
-	// and excludes producers across the rotation cut, so a record lands on
-	// a well-defined side of every snapshot. A send may block on a full
-	// queue while holding walMu; the worker never takes walMu, and rotate
-	// releases a parked worker without it, so the send always completes.
+	// walMu serializes every send on q, so enqueue's capacity check is
+	// exact (only the worker consumes) and WAL order is queue order, and
+	// excludes producers across the rotation cut, so a record lands on a
+	// well-defined side of every snapshot. enqueue sends only after its
+	// check passed, so it never waits; the one send that can wait while
+	// walMu is held is cutBarrier's marker on a full queue, and it waits
+	// for at most one PushBatch: the worker never takes walMu, and rotMu
+	// keeps a second barrier out until rotate has released the first.
 	walMu   sync.Mutex
 	stopped bool     // walMu: set once by closeLive; no send on q follows it
 	wal     *wal.Log // set before the worker starts; Append and Cut under walMu
@@ -198,10 +196,8 @@ type liveSummary struct {
 }
 
 // enqueue hands one validated batch to the worker, transferring ownership
-// of the batch. block selects the transport's backpressure discipline: the
-// HTTP handler passes false and maps errIngestQueueFull to a 429, the
-// socket listener passes true so a full queue stalls the read loop and the
-// transport's own flow control throttles the sender.
+// of the batch, or returns errIngestQueueFull (the handler's 429) when the
+// queue is full.
 //
 // With a WAL, the batch is appended (and made as durable as the sync
 // policy promises) before the queue handoff, all under walMu, which is
@@ -211,23 +207,13 @@ type liveSummary struct {
 // ownership to the worker. The capacity check is exact rather than
 // advisory because every sender holds walMu and only the worker consumes:
 // once it passes, the send below cannot block.
-func (ls *liveSummary) enqueue(b *ingestBatch, block bool) error {
-	// Non-blocking fast path: a full queue answers 429 without touching
-	// walMu. A blocking producer holds walMu across its channel send, so
-	// under sustained back-pressure the lock is held almost continuously —
-	// serializing this check behind it would let the shed-load signal
-	// starve exactly when it matters. The peek is racy (the queue may
-	// drain before a retry), but shedding is advisory; the locked re-check
-	// below is what the accept path actually relies on.
-	if !block && len(ls.q) == cap(ls.q) {
-		return errIngestQueueFull
-	}
+func (ls *liveSummary) enqueue(b *ingestBatch) error {
 	ls.walMu.Lock()
 	defer ls.walMu.Unlock()
 	if ls.stopped {
 		return errIngestStopped
 	}
-	if !block && len(ls.q) == cap(ls.q) {
+	if len(ls.q) == cap(ls.q) {
 		return errIngestQueueFull
 	}
 	if ls.wal != nil {
@@ -274,23 +260,6 @@ func (ls *liveSummary) cutBarrier(seq uint64) (pushed int64, parked <-chan struc
 	done, resume := make(chan struct{}), make(chan struct{})
 	ls.q <- ingestJob{done: done, resume: resume}
 	return pushed, done, func() { close(resume) }, nil
-}
-
-// quiesce blocks until every batch accepted before the call has been
-// pushed into the builder, by riding a flush marker down the FIFO queue.
-// After closeLive the worker drains the closed queue and exits, so quiesce
-// waits for that instead.
-func (ls *liveSummary) quiesce() {
-	ls.walMu.Lock()
-	if ls.stopped {
-		ls.walMu.Unlock()
-		<-ls.exited
-		return
-	}
-	done := make(chan struct{})
-	ls.q <- ingestJob{done: done}
-	ls.walMu.Unlock()
-	<-done
 }
 
 // ingestWorker is a live summary's drain loop: pop a job, push it into the
@@ -435,10 +404,11 @@ func (st *store) closeWALs() {
 	}
 }
 
-// closeLive stops ingestion for good: no new batches are accepted, the
-// workers drain their queues and exit. Callers stop the listeners first;
-// when closeLive returns, every acknowledged key is in a builder, which is
-// what makes the final rotation flush complete.
+// closeLive stops ingestion for good: no new batches are accepted (a
+// later push answers 503), the workers drain their queues and exit.
+// Callers stop the HTTP server first; when closeLive returns, every
+// acknowledged key is in a builder, which is what makes the final rotation
+// flush complete.
 func (st *store) closeLive() {
 	for _, name := range st.liveOrder {
 		ls := st.lives[name]

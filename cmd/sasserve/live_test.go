@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -289,34 +290,72 @@ func TestLiveIngestErrors(t *testing.T) {
 
 	// Oversized bodies are 413 with the limit in the message, on the ingest
 	// endpoint and on POST /estimate alike (the old behavior was a
-	// misleading "bad JSON body" 400).
-	for _, tc := range []struct {
-		url   string
-		limit int
-	}{
-		{"/v1/summaries/net/keys", maxIngestBody},
-		{"/v1/summaries/files/estimate", maxEstimateBody},
-	} {
-		// The body must be valid JSON that only reveals its size by being
-		// read: syntactically invalid input fails as a 400 at the first
-		// token, long before the byte cap.
+	// misleading "bad JSON body" 400). A frame body's cap is the size of a
+	// max-rows frame for its summary's axis count, so an 8-axis summary
+	// takes maxKeysPerPush keys in one frame, and not one byte more.
+	wide := newStore(nil, 4096, t.Logf)
+	err := wide.initLive(
+		[]cliutil.Assignment{{Name: "wide", Value: strings.Repeat("bittrie:8,", 7) + "bittrie:8"}},
+		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(wide.closeLive)
+	wideSrv := httptest.NewServer(wide.handler())
+	defer wideSrv.Close()
+	wideCoords, wideWeights := make([][]uint64, 8), make([]float64, maxKeysPerPush)
+	for d := range wideCoords {
+		wideCoords[d] = make([]uint64, maxKeysPerPush) // every key at the origin
+	}
+	for i := range wideWeights {
+		wideWeights[i] = 1
+	}
+	maxFrame, err := wire.AppendFrame(nil, wideCoords, wideWeights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An oversized JSON body must be valid JSON that only reveals its size
+	// by being read: syntactically invalid input fails as a 400 at the
+	// first token, long before the byte cap.
+	hugeJSON := func(limit int) []byte {
 		var huge bytes.Buffer
 		huge.WriteString(`{"weights":[`)
-		for huge.Len() <= tc.limit {
+		for huge.Len() <= limit {
 			huge.WriteString("0,")
 		}
 		huge.WriteString("0]}")
-		resp, err := http.Post(srv.URL+tc.url, "application/json", &huge)
+		return huge.Bytes()
+	}
+	for _, tc := range []struct {
+		name   string
+		url    string
+		ctype  string
+		body   []byte
+		status int
+		limit  int // the byte limit a 413 must state
+	}{
+		{"columnar JSON", srv.URL + "/v1/summaries/net/keys", "application/json", hugeJSON(maxIngestBody),
+			http.StatusRequestEntityTooLarge, maxIngestBody},
+		{"estimate", srv.URL + "/v1/summaries/files/estimate", "application/json", hugeJSON(maxEstimateBody),
+			http.StatusRequestEntityTooLarge, maxEstimateBody},
+		{"max-rows frame, 8 axes", wideSrv.URL + "/v1/summaries/wide/keys", frameContentType, maxFrame,
+			http.StatusOK, 0},
+		{"frame one byte over the 8-axis cap", wideSrv.URL + "/v1/summaries/wide/keys", frameContentType,
+			append(maxFrame[:len(maxFrame):len(maxFrame)], 0),
+			http.StatusRequestEntityTooLarge, wire.FrameSize(8, maxKeysPerPush)},
+	} {
+		resp, err := http.Post(tc.url, tc.ctype, bytes.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: oversized body status %d, want 413", tc.url, resp.StatusCode)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, raw)
 		}
-		if want := fmt.Sprintf("%d-byte limit", tc.limit); !strings.Contains(string(raw), want) {
-			t.Fatalf("%s: 413 body %q does not state the limit %q", tc.url, raw, want)
+		if want := fmt.Sprintf("%d-byte limit", tc.limit); tc.limit > 0 && !strings.Contains(string(raw), want) {
+			t.Fatalf("%s: 413 body %q does not state the limit %q", tc.name, raw, want)
 		}
 	}
 }
@@ -447,9 +486,10 @@ func TestLivePersistRecover(t *testing.T) {
 }
 
 // pushDirect pushes a batch into the store's live summary without HTTP,
-// through the same validated ingest queue the transports use (a later
+// through the same validated ingest queue the handler uses (a later
 // rotate's barrier follows it down the queue, so the keys are in the
-// builder by snapshot time). The batch is stack-owned, not pooled, so the
+// builder by snapshot time). A full queue is retried after a pause, as an
+// HTTP client retries a 429. The batch is stack-owned, not pooled, so the
 // worker's release is a no-op.
 func pushDirect(st *store, coords [][]uint64, weights []float64) error {
 	ls := st.lives["net"]
@@ -457,7 +497,13 @@ func pushDirect(st *store, coords [][]uint64, weights []float64) error {
 	if err := validateBatch(ls.axes, &batch.Batch); err != nil {
 		return err
 	}
-	return ls.enqueue(batch, true)
+	for {
+		err := ls.enqueue(batch)
+		if !errors.Is(err, errIngestQueueFull) {
+			return err
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestRotateSkipsClean: the interval rotation is a no-op when nothing was
@@ -536,9 +582,10 @@ func TestConcurrentLiveServing(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			// Yield between rotations: the enqueue→quiesce handoffs keep
-			// the rotation chain in the scheduler's next slot, and an
-			// unthrottled loop starves the reader goroutines on one core.
+			// Yield between rotations: the handoffs to and from the worker
+			// (each push's send, each rotation's barrier marker) keep the
+			// pair in the scheduler's next slot, and an unthrottled loop
+			// starves the reader goroutines on one core.
 			// ~1k entry swaps/s is still far beyond any real rotation rate.
 			time.Sleep(time.Millisecond)
 		}
