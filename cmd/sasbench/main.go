@@ -21,8 +21,9 @@
 // same element budget (-backend-size) over the network and tickets
 // datasets and scored on uniform-area and uniform-weight batteries — mean
 // and max relative error against exact answers plus single-threaded query
-// throughput — written as JSON (see internal/expt.BackendsReport).
-// `make bench-json` embeds this document in the recorded trajectory.
+// throughput — written as JSON (see internal/expt.BackendsReport). The
+// sketch keeps at least one counter per row per dyadic level pair, so on a
+// fine grid it can exceed the budget.
 //
 // -ingest floods a sasserve's HTTP ingest endpoint (an http:// or https://
 // base URL) with binary frames of seeded synthetic keys, one frame per

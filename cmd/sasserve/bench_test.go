@@ -9,7 +9,8 @@ package main
 //
 //	go test -run '^$' -bench '^BenchmarkIngest' ./cmd/sasserve
 //
-// `make bench-json` records them into the benchmark trajectory.
+// These are layer numbers for local comparison; perfbench measures the
+// served ingest path end to end.
 
 import (
 	"bytes"

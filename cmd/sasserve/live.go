@@ -80,19 +80,17 @@ const (
 
 // liveConfig is the configuration shared by every live summary.
 type liveConfig struct {
-	size     int           // target sample size of each published snapshot
-	buffer   int           // builder reservoir in keys (0 = 5×size)
+	size     int           // target sample size of each published snapshot (reservoir: 5×size keys)
 	seed     uint64        // construction seed
 	dir      string        // snapshot persistence directory ("" = in-memory only)
 	interval time.Duration // automatic rotation period (0 = manual snapshots only)
 	queue    int           // pending-batch queue cap per summary (0 = defaultIngestQueue)
 
 	// Write-ahead log of acknowledged batches (-wal-sync); effective only
-	// with dir set. The zero value (wal.PolicyOff) keeps the snapshot-only
-	// durability of PR 7.
-	walSync     wal.Policy
-	walEvery    time.Duration // background fsync period under PolicyInterval (0 = wal default)
-	walSegBytes int64         // segment roll threshold (0 = wal default)
+	// with dir set. The zero value (wal.PolicyOff) keeps snapshot-only
+	// durability. The log runs at wal's default fsync period and segment
+	// size.
+	walSync wal.Policy
 }
 
 // walEnabled reports whether live summaries keep a write-ahead log.
@@ -309,7 +307,7 @@ func (st *store) initLive(specs []cliutil.Assignment, lc liveConfig) error {
 		if err != nil {
 			return fmt.Errorf("live summary %q: %w", sp.Name, err)
 		}
-		cfg := core.Config{Size: lc.size, Seed: lc.seed, Buffer: lc.buffer}
+		cfg := core.Config{Size: lc.size, Seed: lc.seed}
 		b, err := core.NewBuilder(axes, cfg)
 		if err != nil {
 			return fmt.Errorf("live summary %q: %w", sp.Name, err)
@@ -377,8 +375,7 @@ func (st *store) recoverWAL(ls *liveSummary, lc liveConfig, loadedSeq uint64) er
 			ls.name, stats.Keys, stats.Records, stats.Segments, loadedSeq, stats.Torn)
 	}
 	ls.wal, err = wal.Open(wal.Options{
-		Dir: lc.dir, Name: ls.name, BaseSeq: ls.seq, Policy: lc.walSync,
-		SegmentBytes: lc.walSegBytes, SyncEvery: lc.walEvery, Logf: st.logf,
+		Dir: lc.dir, Name: ls.name, BaseSeq: ls.seq, Policy: lc.walSync, Logf: st.logf,
 	})
 	if err != nil {
 		return fmt.Errorf("live summary %q: open wal: %w", ls.name, err)

@@ -36,8 +36,8 @@
 //	                       GET may append &cache=off to bypass the cache.
 //	-live name=axes        writable summary over the given key domain
 //	                       (axes like "bittrie:32,bittrie:32"; repeatable)
-//	-live-size n           sample size of each live snapshot (default 1000)
-//	-live-buffer n         live builder reservoir in keys (0 = 5×size)
+//	-live-size n           sample size of each live snapshot (default 1000);
+//	                       each live builder holds a 5×n-key reservoir
 //	-live-seed n           construction seed for live summaries
 //	-ingest-queue n        ingest queue depth per live summary, in batches
 //	                       (0 = default); a push against a full queue
@@ -53,12 +53,12 @@
 //	                       the ack and fsyncs in the background, so acks
 //	                       survive kill -9/OOM/panic; "always" fsyncs before
 //	                       every ack, so acks survive power loss; "off"
-//	                       restores snapshot-only durability. On startup the
-//	                       WAL tail is replayed on top of the recovered
-//	                       snapshot, so no acknowledged key is lost.
-//	-wal-sync-every d      background fsync period under -wal-sync=interval
-//	                       (default 100ms; the power-loss exposure window)
-//	-wal-segment-bytes n   WAL segment roll threshold (default 64MiB)
+//	                       restores snapshot-only durability. Under
+//	                       "interval" the log fsyncs every 100ms, the
+//	                       power-loss exposure window, and rolls 64MiB
+//	                       segments. On startup the WAL tail is replayed on
+//	                       top of the recovered snapshot, so no acknowledged
+//	                       key is lost.
 //
 // A bare path names its summary after the file ("data/net.sas" → "net").
 // SIGHUP re-reads every source in place (hot reload): each summary swaps
@@ -129,14 +129,11 @@ func main() {
 		addr         = flag.String("addr", ":8337", "HTTP listen address")
 		cacheSize    = flag.Int("cache-size", 4096, "per-summary answer-cache capacity in responses (0 disables)")
 		liveSize     = flag.Int("live-size", 1000, "target sample size of live-summary snapshots")
-		liveBuffer   = flag.Int("live-buffer", 0, "live builder reservoir in keys (0 = 5×live-size)")
 		liveSeed     = flag.Uint64("live-seed", 1, "construction seed for live summaries")
 		ingestQueue  = flag.Int("ingest-queue", 0, "pending-batch queue cap per live summary (0 = default)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "automatic live snapshot period (0 = manual POST .../snapshot only)")
 		snapDir      = flag.String("snapshot-dir", "", "directory persisting live snapshots (newest recovered on startup)")
 		walSyncFlag  = flag.String("wal-sync", "interval", "ingest write-ahead-log sync policy: always, interval, or off (effective with -snapshot-dir)")
-		walEvery     = flag.Duration("wal-sync-every", 0, "background WAL fsync period under -wal-sync=interval (0 = 100ms)")
-		walSegBytes  = flag.Int64("wal-segment-bytes", 0, "WAL segment roll threshold in bytes (0 = 64MiB)")
 	)
 	flag.Func("live", "live summary as name=axes (axes like bittrie:32,bittrie:32; repeatable)", func(v string) error {
 		liveSpecs = append(liveSpecs, v)
@@ -152,17 +149,12 @@ func main() {
 		cliutil.Required("-addr", *addr),
 		cliutil.NonNegative("-cache-size", *cacheSize),
 		cliutil.Positive("-live-size", *liveSize),
-		cliutil.NonNegative("-live-buffer", *liveBuffer),
 		cliutil.NonNegative("-ingest-queue", *ingestQueue),
 		cliutil.NonNegativeDuration("-snapshot-interval", *snapInterval),
-		cliutil.NonNegativeDuration("-wal-sync-every", *walEvery),
 	))
 	walPolicy, err := wal.ParsePolicy(*walSyncFlag)
 	if err != nil {
 		tool.Usagef("-wal-sync: %v", err)
-	}
-	if *walSegBytes < 0 {
-		tool.Usagef("-wal-segment-bytes must be >= 0, got %d", *walSegBytes)
 	}
 	if *snapDir == "" {
 		// The WAL lives in -snapshot-dir and only makes sense alongside the
@@ -260,15 +252,12 @@ func main() {
 
 	tool.Check(st.loadAll())
 	lc := liveConfig{
-		size:        *liveSize,
-		buffer:      *liveBuffer,
-		seed:        *liveSeed,
-		dir:         *snapDir,
-		interval:    *snapInterval,
-		queue:       *ingestQueue,
-		walSync:     walPolicy,
-		walEvery:    *walEvery,
-		walSegBytes: *walSegBytes,
+		size:     *liveSize,
+		seed:     *liveSeed,
+		dir:      *snapDir,
+		interval: *snapInterval,
+		queue:    *ingestQueue,
+		walSync:  walPolicy,
 	}
 	tool.Check(st.initLive(lives, lc))
 	for _, src := range sources {

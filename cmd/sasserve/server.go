@@ -418,12 +418,20 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledEncodeBuf = 1 << 16
 
+// writeJSON answers status with v as its JSON body. A value the encoder
+// refuses — a NaN or ±Inf estimate from a poisoned summary — fails closed:
+// a 500 with an errorResponse, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		// Encode writes nothing when it fails, so buf is still empty, and
+		// an errorResponse (one string) always encodes.
+		status = http.StatusInternalServerError
+		_ = enc.Encode(errorResponse{Error: "cannot render response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
@@ -667,7 +675,8 @@ func jsonPlain(s string) bool {
 // once, and caches the body keyed on the literal range text (so a hit also
 // skips parsing). Cached and uncached answers are byte-identical by
 // construction: both are produced by the same renderer, and the entry (and
-// with it the cache) is immutable for its whole epoch.
+// with it the cache) is immutable for its whole epoch. A non-finite
+// estimate or bound is a 500, and nothing is cached for it.
 func serveSingleEstimate(w http.ResponseWriter, e *entry, text string, useCache bool) {
 	if e.bodyPrefix == nil || !jsonPlain(text) {
 		// Names or texts the pre-renderer cannot emit verbatim go through
@@ -694,7 +703,11 @@ func serveSingleEstimate(w http.ResponseWriter, e *entry, text string, useCache 
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body := renderSingleEstimate(e, text, box)
+	body, err := renderSingleEstimate(e, text, box)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	if useCache {
 		e.cache.Put(text, body)
 	}
@@ -706,8 +719,12 @@ func serveSingleEstimate(w http.ResponseWriter, e *entry, text string, useCache 
 // estimateResponse — field order, float formatting (see appendJSONFloat),
 // omitempty behavior, and the encoder's trailing newline — without the
 // reflection walk. The equivalence is pinned by TestSingleRangeRenderParity.
-func renderSingleEstimate(e *entry, text string, box structure.Range) []byte {
+// Like the encoder, it refuses a NaN or ±Inf, which JSON cannot carry.
+func renderSingleEstimate(e *entry, text string, box structure.Range) ([]byte, error) {
 	est := e.be.EstimateRange(box)
+	if !finite(est) {
+		return nil, fmt.Errorf("cannot render response: estimate %v is not finite", est)
+	}
 	b := make([]byte, 0, len(e.bodyPrefix)+len(text)+112)
 	b = append(b, e.bodyPrefix...)
 	b = append(b, text...)
@@ -717,6 +734,9 @@ func renderSingleEstimate(e *entry, text string, box structure.Range) []byte {
 	b = appendJSONFloat(b, est)
 	if bd, ok := e.be.Estimator.(backend.Bounder); ok {
 		bound := bd.EstimateBound(est, 1-serveConfidence)
+		if !finite(bound) {
+			return nil, fmt.Errorf("cannot render response: bound %v is not finite", bound)
+		}
 		b = append(b, `,"confidence":`...)
 		b = appendJSONFloat(b, serveConfidence)
 		b = append(b, `,"bounds":[`...)
@@ -728,8 +748,10 @@ func renderSingleEstimate(e *entry, text string, box structure.Range) []byte {
 		}
 	}
 	b = append(b, '}', '\n')
-	return b
+	return b, nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // appendJSONFloat appends f exactly as encoding/json renders a float64:
 // shortest decimal form, 'f' format except for magnitudes below 1e-6 or at

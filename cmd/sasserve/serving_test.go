@@ -4,8 +4,9 @@ package main
 // render fast path (byte parity with the reflective encoder), the
 // epoch-keyed answer cache (correctness across snapshot rotations, hit/miss
 // accounting, cached == uncached bytes), the low-allocation contract of a
-// warm-cache GET, the 400 table of the fast parser, and the soak gauntlet
-// of concurrent readers against live ingest and entry rotations.
+// warm-cache GET, the 400 table of the fast parser, the 500s for answers
+// JSON cannot carry, and the soak gauntlet of concurrent readers against
+// live ingest and entry rotations.
 
 import (
 	"bytes"
@@ -16,10 +17,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"structaware/internal/backend"
 	"structaware/internal/structure"
 	"structaware/internal/xmath"
 )
@@ -66,7 +69,10 @@ func TestSingleRangeRenderParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := renderSingleEstimate(e, text, box)
+		got, err := renderSingleEstimate(e, text, box)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rec := httptest.NewRecorder()
 		writeJSON(rec, http.StatusOK, estimate(e, []string{text}, []structure.Range{box}))
 		if want := rec.Body.Bytes(); !bytes.Equal(got, want) {
@@ -281,6 +287,89 @@ func TestEstimateBadRanges(t *testing.T) {
 	// Sanity: a valid single range still answers 200 through the fast path.
 	if _, code := getRaw(t, srv.URL+"/v1/summaries/net/estimate?range=0:511,0:1023&cache=off"); code != http.StatusOK {
 		t.Fatalf("valid range status %d", code)
+	}
+}
+
+// poisonedEstimator answers every estimate with est and every bound with
+// bound: with NaN or ±Inf, the state overflowing weights leave a summary
+// in. It stands in for hostile ingest, so the tests below hold whatever
+// admission refuses.
+type poisonedEstimator struct{ est, bound float64 }
+
+func (p poisonedEstimator) EstimateRange(structure.Range) float64 { return p.est }
+func (p poisonedEstimator) EstimateQuery(structure.Query) float64 { return p.est }
+func (p poisonedEstimator) EstimateTotal() float64                { return p.est }
+func (p poisonedEstimator) Size() int                             { return 1 }
+func (p poisonedEstimator) EstimateBound(float64, float64) float64 {
+	return p.bound
+}
+
+// TestNonFiniteAnswersFail500 is the fail-closed contract of the renderers:
+// an estimate or bound JSON cannot carry is a 500 with a JSON error body on
+// every read endpoint — never a 200 with a NaN or an empty body — and the
+// single-range fast path caches nothing for it.
+func TestNonFiniteAnswersFail500(t *testing.T) {
+	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
+	for _, tc := range []struct {
+		name       string
+		est, bound float64
+		// The metadata carries the total estimate but no bound.
+		metaFails bool
+	}{
+		{"nan-estimate", math.NaN(), math.NaN(), true},
+		{"inf-estimate", math.Inf(1), math.Inf(1), true},
+		{"inf-bound", 5, math.Inf(1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newStore([]serveSource{{name: "bad"}}, 4096, t.Logf)
+			st.install(&entry{name: "bad", be: &backend.Backend{
+				Kind: backend.KindSample, Axes: axes, Estimator: poisonedEstimator{tc.est, tc.bound},
+			}})
+			srv := httptest.NewServer(st.handler())
+			defer srv.Close()
+			base := srv.URL + "/v1/summaries/bad"
+			single := base + "/estimate?range=0:511,0:1023"
+			reqs := []struct{ method, url, body string }{
+				{"GET", single, ""},
+				// A cached body would answer the repeat with a 200.
+				{"GET", single, ""},
+				{"POST", base + "/estimate", `{"ranges":["0:511,0:1023"]}`},
+				{"GET", single + "&range=512:1023,0:1023", ""},
+				{"GET", base + "/total", ""},
+			}
+			if tc.metaFails {
+				reqs = append(reqs,
+					struct{ method, url, body string }{"GET", base, ""},
+					struct{ method, url, body string }{"GET", srv.URL + "/v1/summaries", ""})
+			}
+			for _, rq := range reqs {
+				req, err := http.NewRequest(rq.method, rq.url, strings.NewReader(rq.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusInternalServerError {
+					t.Errorf("%s %s: status %d body %q, want 500", rq.method, rq.url, resp.StatusCode, body)
+					continue
+				}
+				var er errorResponse
+				if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+					t.Errorf("%s %s: 500 body %q is not a JSON error", rq.method, rq.url, body)
+				}
+			}
+			e, _ := st.get("bad")
+			if n := e.cache.Len(); n != 0 {
+				t.Errorf("answer cache holds %d bodies, want 0", n)
+			}
+		})
 	}
 }
 

@@ -140,12 +140,6 @@ func FromQDigest(d *qdigest.Digest2D, axes []structure.Axis) (*Backend, error) {
 	return newDeterministic(KindQDigest, d, axes, d.BitsX, d.BitsY)
 }
 
-// FromQDigestStream adapts a stream-built 2-D q-digest. Compact it to its
-// budget first; Insert must not be called after adaptation.
-func FromQDigestStream(d *qdigest.Stream2D, axes []structure.Axis) (*Backend, error) {
-	return newDeterministic(KindQDigest, d, axes, d.BitsX, d.BitsY)
-}
-
 // FromWavelet adapts a thresholded 2-D Haar synopsis.
 func FromWavelet(w *wavelet.Summary2D, axes []structure.Axis) (*Backend, error) {
 	return newDeterministic(KindWavelet, w, axes, w.BitsX, w.BitsY)

@@ -336,7 +336,3 @@ func (s *Summary) RepresentativeKeys(r structure.Range, limit int) ([][]uint64, 
 	}
 	return keys, ws
 }
-
-// MemoryFootprint returns the summary's size in "elements of the original
-// data" (keys plus weights), the unit the paper's space axis uses.
-func (s *Summary) MemoryFootprint() int { return s.Size() }

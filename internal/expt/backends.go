@@ -14,16 +14,17 @@ import (
 // The backends comparison (sasbench -backends) builds every backend kind at
 // one matched element budget over the evaluation datasets and scores them
 // head-to-head on the same query batteries: accuracy against exact answers
-// and query throughput. The result is a JSON document recorded alongside
-// the benchmark trajectory (BENCH_PR<n>.json), so the repo carries its own
+// and query throughput. The result is a JSON document: the repo's own
 // cross-backend evidence for the paper's central comparison.
 
 // BackendStats is one backend's score on one query battery.
 type BackendStats struct {
 	// Kind is the backend family (sample, qdigest, wavelet, sketch).
 	Kind string `json:"kind"`
-	// Elements is the realized summary footprint (≤ the requested budget:
-	// thresholding and compaction may retain fewer elements).
+	// Elements is the realized summary footprint: at most the requested
+	// budget (thresholding and compaction may retain fewer elements),
+	// except for the sketch, which keeps at least one counter per row per
+	// dyadic level pair and so exceeds budgets below that floor.
 	Elements int `json:"elements"`
 	// BuildMillis is the construction time for this dataset.
 	BuildMillis float64 `json:"build_ms"`

@@ -87,8 +87,9 @@ type Dyadic2D struct {
 }
 
 // NewDyadic2D builds the structure with a total budget of `size` counters
-// split evenly across the (bitsX+1)(bitsY+1) level pairs. rows defaults to 5
-// when 0.
+// split evenly across the (bitsX+1)(bitsY+1) level pairs. Every level pair
+// keeps at least one column, so a budget below (bitsX+1)(bitsY+1)·rows
+// counters is exceeded. rows defaults to 5 when 0.
 func NewDyadic2D(bitsX, bitsY, size, rows int, seed uint64) (*Dyadic2D, error) {
 	if bitsX < 1 || bitsX > 31 || bitsY < 1 || bitsY > 31 {
 		return nil, fmt.Errorf("sketch: bits (%d,%d) out of range", bitsX, bitsY)
