@@ -467,9 +467,10 @@ func BenchmarkKDLocate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	pt := make([]uint64, ds.Dims())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.LocateItem(ds, i%ds.Len())
+		tree.Locate(ds.Point(i%ds.Len(), pt))
 	}
 }
 
@@ -520,7 +521,7 @@ func BenchmarkTwoPassStreamCSVScale(b *testing.B) {
 	src := &twopass.SliceSource{Points: pts, Weights: ds.Weights}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := twopass.ProductStream(src, ds.Axes, 1000, twopass.Config{}, xmath.NewRand(uint64(i+1))); err != nil {
+		if _, err := twopass.Product(src, ds.Axes, 1000, twopass.Config{}, xmath.NewRand(uint64(i+1))); err != nil {
 			b.Fatal(err)
 		}
 	}

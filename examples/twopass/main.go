@@ -1,6 +1,9 @@
 // Twopass: the I/O-efficient construction of §5 on a dataset too large to
-// summarize comfortably with full in-memory sorting — two sequential scans,
-// working state of O(s') beyond the input itself. The example reports the
+// summarize comfortably with full in-memory sorting — two sequential reads
+// of a rewindable twopass.Source, working state of O(s') beyond the input
+// itself. The example reads the dataset in place through the zero-copy
+// twopass.DatasetSource, exactly as Build(AwareTwoPass) does; a CSVSource
+// over a file on disk runs the same construction. It reports the
 // guide-sample size, partition cell count, and accuracy parity with the
 // main-memory construction.
 //
@@ -27,7 +30,7 @@ func main() {
 
 	const s = 2000
 	start := time.Now()
-	res, err := twopass.Product(ds, s, twopass.Config{Oversample: 5}, xmath.NewRand(1))
+	res, err := twopass.Product(&twopass.DatasetSource{DS: ds}, ds.Axes, s, twopass.Config{Oversample: 5}, xmath.NewRand(1))
 	if err != nil {
 		log.Fatal(err)
 	}

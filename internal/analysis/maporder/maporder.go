@@ -9,12 +9,20 @@
 // The analyzer runs only in packages annotated //sasvet:deterministic.
 // A map range there is flagged when its body is order-sensitive —
 // floating-point accumulation, a serialization/encoding call, or an
-// append whose slice is never sorted later in the function — or when
-// the loop sits anywhere on a call path from an Estimate* or Marshal*
-// function of the package, unless the body is one of the blessed
+// append whose slice is not sorted by its elements later in the function —
+// or when the loop sits anywhere on a call path from an Estimate* or
+// Marshal* function of the package, unless the body is one of the blessed
 // order-insensitive shapes (collect-keys-then-sort, map-to-map rebuild,
 // integer counting). The escape hatch is //sasvet:ok <reason>, reason
 // required.
+//
+// Collect-then-sort is blessed only when the sort orders the collected
+// elements themselves: a natural-order sort (sort.Ints, slices.Sort,
+// xsort.Ints, ...) or a sort.Slice, sort.SliceStable or slices.SortFunc
+// comparator that compares the two elements, possibly after derived keys.
+// A sort by a derived key alone (a depth, a relevance score) leaves tied
+// elements in map order, which is how two-pass hierarchy sampling drew a
+// different sample on every run.
 package maporder
 
 import (
@@ -109,8 +117,17 @@ func orderSensitive(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) st
 			}
 			for _, rhs := range n.Rhs {
 				if call, ok := rhs.(*ast.CallExpr); ok && isAppend(pass, call) {
-					if target := assignTarget(pass, n); target != nil && !sortedLater(pass, fd, rs, target) {
+					target := assignTarget(pass, n)
+					if target == nil {
+						continue
+					}
+					switch sortedLater(pass, fd, rs, target) {
+					case unsorted:
 						reason = "appends to " + target.Name() + " which is never sorted afterwards"
+					case sortedByDerivedKey:
+						reason = "appends to " + target.Name() + " which is sorted by a derived key that can tie"
+					}
+					if reason != "" {
 						return false
 					}
 				}
@@ -214,21 +231,27 @@ func exprObj(pass *analysis.Pass, e ast.Expr) types.Object {
 	return nil
 }
 
-// sortedLater reports whether, after the range loop, the function calls
-// a sort (sort.*, slices.*, xsort.*, or any *Sort* function) that
-// mentions v, or returns/passes v to a function whose name says it
-// sorts. An unsorted escape (plain return) does not count.
-func sortedLater(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, v *types.Var) bool {
-	found := false
+// sortKind is how a function orders a slice collected from a map range.
+type sortKind int
+
+const (
+	unsorted           sortKind = iota
+	sortedByDerivedKey          // a sort whose ties keep map order
+	sortedByElements            // a total order on the elements themselves
+)
+
+// sortedLater reports how, after the range loop, the function sorts v: the
+// best order among the sorting calls (sort.*, slices.*, xsort.*, or any
+// *Sort* method) that mention v. An unsorted escape (plain return) does
+// not count.
+func sortedLater(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, v *types.Var) sortKind {
+	best := unsorted
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found || n == nil || n.Pos() <= rs.End() {
+		if best == sortedByElements || n == nil || n.Pos() <= rs.End() {
 			return true
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if !sortingCall(call) {
+		if !ok || !sortingCall(call) {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -240,13 +263,13 @@ func sortedLater(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, v *ty
 				return !mentioned
 			})
 			if mentioned {
-				found = true
+				best = max(best, sortOrder(pass, call, v))
 				return false
 			}
 		}
 		return true
 	})
-	return found
+	return best
 }
 
 // sortingCall matches sort.X(...), slices.SortX(...), xsort.X(...) and
@@ -263,6 +286,73 @@ func sortingCall(call *ast.CallExpr) bool {
 		}
 	}
 	return strings.Contains(sel.Sel.Name, "Sort")
+}
+
+// sortOrder classifies a sorting call that mentions v: natural-order sorts
+// of v, and comparator sorts of v whose comparator compares the two
+// elements, order by elements; every other sort orders by a derived key.
+func sortOrder(pass *analysis.Pass, call *ast.CallExpr, v *types.Var) sortKind {
+	sel := call.Fun.(*ast.SelectorExpr)
+	pkg, _ := sel.X.(*ast.Ident)
+	if pkg == nil || exprObj(pass, ast.Unparen(call.Args[0])) != v {
+		return sortedByDerivedKey
+	}
+	switch pkg.Name + "." + sel.Sel.Name {
+	case "sort.Ints", "sort.Strings", "sort.Float64s", "slices.Sort", "xsort.Ints":
+		return sortedByElements
+	case "sort.Slice", "sort.SliceStable", "slices.SortFunc", "slices.SortStableFunc":
+		// sort.Slice's less(i, j) compares v[i] and v[j]; slices.SortFunc's
+		// cmp(a, b) compares a and b themselves.
+		lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
+		if !ok {
+			break
+		}
+		var params []types.Object
+		for _, f := range lit.Type.Params.List {
+			for _, id := range f.Names {
+				params = append(params, pass.TypesInfo.Defs[id])
+			}
+		}
+		elem := func(e ast.Expr, param types.Object) bool {
+			e = ast.Unparen(e)
+			if pkg.Name == "sort" {
+				ix, ok := e.(*ast.IndexExpr)
+				if !ok || exprObj(pass, ast.Unparen(ix.X)) != v {
+					return false
+				}
+				e = ast.Unparen(ix.Index)
+			}
+			return exprObj(pass, e) == param
+		}
+		if len(params) == 2 && comparesPair(lit, func(x, y ast.Expr) bool {
+			return elem(x, params[0]) && elem(y, params[1]) || elem(x, params[1]) && elem(y, params[0])
+		}) {
+			return sortedByElements
+		}
+	}
+	return sortedByDerivedKey
+}
+
+// comparesPair reports whether lit's body orders one element against the
+// other: an ordering comparison (<, <=, >, >=) or a Compare/Less call whose
+// operands are the pair.
+func comparesPair(lit *ast.FuncLit, pair func(x, y ast.Expr) bool) bool {
+	found := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			switch n.Op {
+			case token.LSS, token.GTR, token.LEQ, token.GEQ:
+				found = found || pair(n.X, n.Y)
+			}
+		case *ast.CallExpr:
+			if name := calleeName(n); (name == "Compare" || name == "Less") && len(n.Args) == 2 {
+				found = found || pair(n.Args[0], n.Args[1])
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // benignBody reports whether a map-range body is one of the blessed
@@ -296,7 +386,7 @@ func benignBody(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) bool {
 					// keys = append(keys, k) is fine iff sorted later.
 					if i < len(n.Rhs) {
 						if call, ok := n.Rhs[i].(*ast.CallExpr); ok && isAppend(pass, call) {
-							if v := assignTarget(pass, n); v == nil || !sortedLater(pass, fd, rs, v) {
+							if v := assignTarget(pass, n); v == nil || sortedLater(pass, fd, rs, v) != sortedByElements {
 								benign = false
 							}
 							break

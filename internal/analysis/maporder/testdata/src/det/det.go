@@ -1,14 +1,19 @@
 // Package det replays the PR 6 wavelet estimate bug: coefficient
 // contributions were accumulated by ranging over a map, so float
 // addition order followed Go's randomized map iteration and two servers
-// holding bit-identical summaries disagreed on the same query.
+// holding bit-identical summaries disagreed on the same query. It also
+// replays the two-pass hierarchy bug: cells collected from a set of
+// selected nodes and sorted by depth alone kept map order among nodes of
+// equal depth, so the sampler drew a different sample on every run.
 //
 //sasvet:deterministic
 package det
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -87,4 +92,51 @@ func DebugDump(s *summary) {
 	for k, v := range s.coeff {
 		fmt.Printf("%d=%g\n", k, v)
 	}
+}
+
+// CellsByDepth replays the two-pass hierarchy bug: the sort's only key is
+// derived from the element, so nodes of equal depth keep map order.
+func CellsByDepth(selected map[int32]bool, depth func(int32) int) []int32 {
+	nodes := make([]int32, 0, len(selected))
+	for v := range selected { // want "sorted by a derived key that can tie"
+		nodes = append(nodes, v)
+	}
+	sort.Slice(nodes, func(a, b int) bool { return depth(nodes[a]) > depth(nodes[b]) })
+	return nodes
+}
+
+// CellsByDepthThenID is the fix: depth ties fall back to the node id, so
+// the comparator is a total order on the collected elements.
+func CellsByDepthThenID(selected map[int32]bool, depth func(int32) int) []int32 {
+	nodes := make([]int32, 0, len(selected))
+	for v := range selected {
+		nodes = append(nodes, v)
+	}
+	sort.Slice(nodes, func(a, b int) bool {
+		if da, db := depth(nodes[a]), depth(nodes[b]); da != db {
+			return da > db
+		}
+		return nodes[a] < nodes[b]
+	})
+	return nodes
+}
+
+// SortedIDs compares the elements themselves through cmp.Compare.
+func SortedIDs(selected map[int32]bool) []int32 {
+	ids := make([]int32, 0, len(selected))
+	for v := range selected {
+		ids = append(ids, v)
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(a, b) })
+	return ids
+}
+
+// ByDepth sorts with slices.SortFunc on a derived key alone.
+func ByDepth(selected map[int32]bool, depth func(int32) int) []int32 {
+	ids := make([]int32, 0, len(selected))
+	for v := range selected { // want "sorted by a derived key that can tie"
+		ids = append(ids, v)
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(depth(a), depth(b)) })
+	return ids
 }

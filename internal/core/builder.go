@@ -238,11 +238,12 @@ func (b *Builder) reservoirDataset(ing *ingest.Ingester, items []varopt.StreamIt
 // unbiased for arbitrary subset sums.
 //
 // The merge re-samples the union of the summaries' adjusted weights
-// (varopt.MergeAll semantics: a fresh threshold over a_i = max(w_i, Tau_j),
-// candidate probabilities closed by the structure-aware pass, or the
-// oblivious one when every input is an Oblivious summary). Every summary
+// (varopt.MergeThreshold semantics: a fresh threshold over
+// a_i = max(w_i, Tau_j), candidate probabilities closed by the
+// structure-aware pass, or the oblivious one when every input is an
+// Oblivious summary). Every summary
 // must have been built with target size >= size (the threshold-dominance
-// precondition of varopt.MergeAll); violations are reported as errors
+// precondition of varopt.MergeThreshold); violations are reported as errors
 // rather than silently biasing estimates. All summaries must describe the
 // same key domain. seed makes the merge deterministic; 0 means seed 1.
 func MergeSummaries(size int, seed uint64, summaries ...*Summary) (*Summary, error) {

@@ -134,7 +134,7 @@ func Build(ds *structure.Dataset, cfg Config) (*Summary, error) {
 		if err != nil {
 			return nil, mapErr(err)
 		}
-		return fromIndices(ds, res.Indices, res.Tau, cfg.Method), nil
+		return &Summary{Axes: ds.Axes, Coords: res.Coords, Weights: res.Weights, Tau: res.Tau, Method: cfg.Method}, nil
 	case Aware, Oblivious, Systematic:
 		kept, tau, err := engine.Close(ds, nil, make([]float64, ds.Len()), cfg.Size, closeMode(cfg.Method), r, engine.NewArena())
 		if err != nil {
@@ -208,17 +208,20 @@ func mapErr(err error) error {
 	return err
 }
 
+// buildTwoPass runs the out-of-core §5 construction over the dataset's
+// columns, read in place through a zero-copy source.
 func buildTwoPass(ds *structure.Dataset, cfg Config, r *xmath.SplitMix) (*twopass.Result, error) {
+	src := &twopass.DatasetSource{DS: ds}
 	tc := twopass.Config{Oversample: cfg.Oversample}
 	if ds.Dims() == 1 {
 		if ds.Axes[0].Kind == structure.Explicit {
 			// §5's ancestor partition: ∆ < 1 w.h.p. on hierarchy nodes,
 			// strictly better than linearizing to an order (∆ < 2).
-			return twopass.Hierarchy(ds, 0, cfg.Size, tc, r)
+			return twopass.Hierarchy(src, ds.Axes, 0, cfg.Size, tc, r)
 		}
-		return twopass.Order(ds, 0, cfg.Size, tc, r)
+		return twopass.Order(src, ds.Axes, 0, cfg.Size, tc, r)
 	}
-	return twopass.Product(ds, cfg.Size, tc, r)
+	return twopass.Product(src, ds.Axes, cfg.Size, tc, r)
 }
 
 // fromIndices materializes a Summary from sampled dataset indices.

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"structaware/internal/hierarchy"
 	"structaware/internal/structure"
 	"structaware/internal/xmath"
 )
@@ -33,6 +34,51 @@ func goldenDataset(t *testing.T) *structure.Dataset {
 	return ds
 }
 
+// golden1D is the 1-D input of the two-pass order and hierarchy goldens:
+// 3000 draws over the axis's domain with the golden dataset's weight law
+// (repeated keys merge), derived from a fixed seed.
+func golden1D(t *testing.T, axis structure.Axis) *structure.Dataset {
+	t.Helper()
+	const n = 3000
+	r := xmath.NewRand(2025)
+	dom := axis.DomainSize()
+	pts := make([][]uint64, n)
+	ws := make([]float64, n)
+	for i := range pts {
+		pts[i] = []uint64{r.Uint64() % dom}
+		ws[i] = math.Pow(1-r.Float64(), -0.5)
+	}
+	ds, err := structure.NewDataset([]structure.Axis{axis}, pts, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// goldenTree is the complete hierarchy of fanout 8 and depth 4 (4096
+// leaves) behind the two-pass hierarchy golden. Every level holds many
+// nodes of equal depth, so the golden pins how the construction orders
+// them.
+func goldenTree(t *testing.T) *hierarchy.Tree {
+	t.Helper()
+	b := hierarchy.NewBuilder()
+	level := []int32{0}
+	for depth := 0; depth < 4; depth++ {
+		var next []int32
+		for _, v := range level {
+			for k := 0; k < 8; k++ {
+				next = append(next, b.AddChild(v))
+			}
+		}
+		level = next
+	}
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
 // sas2Hash serializes the summary to SAS2 bytes and hashes them.
 func sas2Hash(t *testing.T, s *Summary) string {
 	t.Helper()
@@ -45,7 +91,8 @@ func sas2Hash(t *testing.T, s *Summary) string {
 }
 
 // goldenHashes pins the exact SAS2 bytes each construction path emits at
-// Seed 7 on the golden dataset, locking the determinism contract of
+// Seed 7 on the golden dataset (the two-pass order and hierarchy paths on
+// golden1D over their own axes), locking the determinism contract of
 // DESIGN.md §7: any change to sort order, RNG consumption, or aggregation
 // order on a construction path shows up here as a hash change and must be
 // deliberate. On mismatch the test failure prints the observed hash — copy
@@ -60,9 +107,14 @@ var goldenHashes = map[string]string{
 	"build-systematic": "9b42cb21df30c6f8b9ebe6b29c6a6457671d74e16c9d0257be73424d94914189",
 	"parallel-w3":      "d2bb23d94fc659f8b803f69db73066be2595f3f45f929e0fc5368fcceea5be7e",
 	"builder-stream":   "05297e85ce09b8389c8287e2119bd25d0fe10364eb49380a8531b37cd1b6d5c2",
+
+	"build-twopass-product":   "693160302cf588c27c1b34bcdcfe7d11a268f62ce34223cb0fdf6fb233fd87c8",
+	"build-twopass-order":     "4286647a868a92cfbec49be4841cfc03116c4352185231290aeae01acc7c46e7",
+	"build-twopass-hierarchy": "91a60677dc93811cd4fe22ed801f126290fd8bea188c393042ff15e8f4116b23",
 }
 
-// goldenBuild runs one named construction path over the golden dataset.
+// goldenBuild runs one named construction path over the golden dataset, or
+// over its 1-D counterpart for the two-pass order and hierarchy paths.
 func goldenBuild(t *testing.T, ds *structure.Dataset, path string) *Summary {
 	t.Helper()
 	const size, seed = 400, 7
@@ -77,6 +129,12 @@ func goldenBuild(t *testing.T, ds *structure.Dataset, path string) *Summary {
 		sum, err = Build(ds, Config{Size: size, Seed: seed, Method: Oblivious})
 	case "build-systematic":
 		sum, err = Build(ds, Config{Size: size, Seed: seed, Method: Systematic})
+	case "build-twopass-product":
+		sum, err = Build(ds, Config{Size: size, Seed: seed, Method: AwareTwoPass})
+	case "build-twopass-order":
+		sum, err = Build(golden1D(t, structure.OrderedAxis(12)), Config{Size: size, Seed: seed, Method: AwareTwoPass})
+	case "build-twopass-hierarchy":
+		sum, err = Build(golden1D(t, structure.ExplicitAxis(goldenTree(t))), Config{Size: size, Seed: seed, Method: AwareTwoPass})
 	case "parallel-w3":
 		sum, err = SampleParallel(ds, Config{Size: size, Seed: seed, Method: Aware}, 3)
 	case "builder-stream":

@@ -160,9 +160,9 @@ func closePass(ds *structure.Dataset, items []int, p []float64, mode CloseMode, 
 // the merged candidates with the selected pass. It is the finalization
 // shared by the parallel engine, the streaming Builder (one reservoir
 // shard), and summary merging (one shard per summary); the shard thresholds
-// must obey the dominance precondition of varopt.MergeAll (each positive-
-// threshold shard drawn with target size >= size). a supplies the build's
-// scratch; nil uses a call-local arena.
+// must obey the dominance precondition of varopt.MergeThreshold (each
+// positive-threshold shard drawn with target size >= size). a supplies the
+// build's scratch; nil uses a call-local arena.
 func MergeClose(ds *structure.Dataset, shards []varopt.Shard, size int, mode CloseMode, r xmath.Rand, a *Arena) (*Result, error) {
 	return mergeShards(ds, make([]float64, ds.Len()), shards, size, mode, r, a)
 }
@@ -173,13 +173,6 @@ func MergeClose(ds *structure.Dataset, shards []varopt.Shard, size int, mode Clo
 func mergeShards(ds *structure.Dataset, p []float64, shards []varopt.Shard, size int, mode CloseMode, r xmath.Rand, a *Arena) (*Result, error) {
 	if a == nil {
 		a = NewArena()
-	}
-	if mode == CloseOblivious {
-		sm, _, err := varopt.MergeAll(shards, size, r)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Indices: sm.Indices, Tau: sm.Tau}, nil
 	}
 	adj, tau, keepAll, err := varopt.MergeThreshold(shards, size)
 	if err != nil {

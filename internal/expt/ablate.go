@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"structaware/internal/core"
 	"structaware/internal/structure"
 	"structaware/internal/twopass"
 	"structaware/internal/workload"
@@ -45,43 +46,18 @@ func A1(o Options) error {
 		var guide, cells int
 		const reps = 3
 		for k := 0; k < reps; k++ {
-			res, err := twopass.Product(ds, s, twopass.Config{Oversample: factor}, xmath.NewRand(o.Seed+uint64(31*k+factor)))
+			res, err := twopass.Product(&twopass.DatasetSource{DS: ds}, ds.Axes, s, twopass.Config{Oversample: factor}, xmath.NewRand(o.Seed+uint64(31*k+factor)))
 			if err != nil {
 				return err
 			}
 			guide, cells = res.GuideSize, res.Cells
-			sum := summaryFromResult(ds, res)
+			sum := &core.Summary{Axes: ds.Axes, Coords: res.Coords, Weights: res.Weights, Tau: res.Tau, Method: core.AwareTwoPass}
 			acc += MeanAbsError(sum, queries, exact, total)
 		}
 		fmt.Fprintf(o.Out, "%d\t%.6g\t%d\t%d\n", factor, acc/reps, guide, cells)
 	}
 	return nil
 }
-
-// summaryFromResult adapts a twopass.Result to the Summary interface.
-func summaryFromResult(ds *structure.Dataset, res *twopass.Result) Summary {
-	return resultSummary{ds: ds, res: res}
-}
-
-type resultSummary struct {
-	ds  *structure.Dataset
-	res *twopass.Result
-}
-
-func (rs resultSummary) EstimateQuery(q structure.Query) float64 {
-	var sum float64
-	for _, i := range rs.res.Indices {
-		for _, r := range q {
-			if rs.ds.InRange(i, r) {
-				sum += rs.res.AdjustedWeight(rs.ds.Weights[i])
-				break
-			}
-		}
-	}
-	return sum
-}
-
-func (rs resultSummary) Size() int { return rs.res.Size() }
 
 // A2 — sampling-method ablation: all five sampling schemes (main-memory
 // aware, two-pass aware, oblivious, Poisson, systematic) on the same range

@@ -172,48 +172,6 @@ func TestArenaFollowsAdmissions(t *testing.T) {
 	}
 }
 
-// TestPushWeightsMatchesPush: the weight-only batch must match scalar pushes.
-func TestPushWeightsMatchesPush(t *testing.T) {
-	const n, capacity = 3000, 64
-	_, ws := batchFixture(n)
-	one, err := New(Config{Capacity: capacity, ThresholdSize: 16}, xmath.NewRand(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range ws {
-		if err := one.Push(nil, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bat, err := New(Config{Capacity: capacity, ThresholdSize: 16}, xmath.NewRand(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bat.PushWeights(ws); err != nil {
-		t.Fatal(err)
-	}
-	itemsOne, tauOne := one.Guide()
-	itemsBat, tauBat := bat.Guide()
-	if tauOne != tauBat || len(itemsOne) != len(itemsBat) {
-		t.Fatalf("tau0 %v/%v sizes %d/%d", tauOne, tauBat, len(itemsOne), len(itemsBat))
-	}
-	for k := range itemsOne {
-		if itemsOne[k] != itemsBat[k] {
-			t.Fatalf("item %d: %+v vs %+v", k, itemsOne[k], itemsBat[k])
-		}
-	}
-}
-
-func TestPushWeightsRejectsCoordinateTracking(t *testing.T) {
-	g, err := New(Config{Capacity: 4, Dims: 1}, xmath.NewRand(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.PushWeights([]float64{1}); err == nil {
-		t.Fatal("PushWeights on a coordinate-tracking ingester must error")
-	}
-}
-
 func TestBatchErrors(t *testing.T) {
 	g, err := New(Config{Capacity: 4, Dims: 2}, xmath.NewRand(1))
 	if err != nil {
@@ -228,9 +186,6 @@ func TestBatchErrors(t *testing.T) {
 	g.Guide()
 	if err := g.PushBatch([][]uint64{{1}, {2}}, []float64{1}); err != ErrFinalized {
 		t.Fatalf("batch after Guide: %v want ErrFinalized", err)
-	}
-	if err := g.PushWeights(nil); err != ErrFinalized {
-		t.Fatalf("weights after Guide: %v want ErrFinalized", err)
 	}
 }
 

@@ -1,19 +1,21 @@
 // Package ingest is the repository's single streaming ingestion pipeline:
-// a bounded-memory front end that every construction path pushes weighted
-// keys through, whether the keys come from an in-memory Dataset, a CSV
-// stream, stdin, or a shard of a partitioned population.
+// a bounded-memory front end for keys that arrive as a stream, whether from
+// a CSV file, stdin, an HTTP ingest batch, or a column of an in-memory
+// Dataset read through a two-pass source.
 //
-// An Ingester combines the three things pass 1 of every construction needs:
+// An Ingester combines the three things a streaming first pass needs:
 //
 //   - a stream VarOpt reservoir (internal/varopt) of fixed capacity that
 //     retains a mergeable sample of everything pushed so far, with its own
 //     IPPS threshold τ₀ (0 until the reservoir overflows);
-//   - optionally, the retained items' coordinates, kept in a flat columnar
-//     slot arena that holds coordinates of admitted keys only: a key the
-//     reservoir drops on arrival is never copied. The arena is swept of
-//     rows the reservoir has since dropped once every 3×capacity
-//     admissions, so memory stays O(capacity) regardless of stream length
-//     and sweeps are paced by admissions, not by pushes; and
+//   - the retained items' coordinates, always: every consumer reads the
+//     reservoir's keys back by coordinates, never by a row index into
+//     resident data. They are kept in a flat columnar slot arena that holds
+//     coordinates of admitted keys only: a key the reservoir drops on
+//     arrival is never copied. The arena is swept of rows the reservoir has
+//     since dropped once every 3×capacity admissions, so memory stays
+//     O(capacity) regardless of stream length and sweeps are paced by
+//     admissions, not by pushes; and
 //   - optionally, the streaming IPPS threshold τ_s for a separate target
 //     size (the paper's Algorithm 4), which the two-pass construction of §5
 //     needs alongside its guide sample.
@@ -22,19 +24,20 @@
 // recycled through a free list, compaction reuses persistent radix-sort
 // scratch, and weight validation is scalar. Once the reservoir has
 // overflowed, most arrivals are dropped on arrival and cost only the
-// reservoir's O(1) small-item check. Columnar batches (PushBatch,
-// PushWeights) avoid even the per-key point materialization, which is how
-// the dataset-backed and batch-file paths feed the pipeline.
+// reservoir's O(1) small-item check. Columnar batches (PushBatch) avoid
+// even the per-key point materialization, which is how the dataset-backed
+// and batch-file paths feed the pipeline.
 //
-// Consumers: core.Builder (streaming public API), the two-pass constructions
-// (guide-sample pass), and — via the dataset-backed fast path in
-// internal/core and internal/engine — the serial and sharded builders.
+// Consumers: core.Builder (the streaming public API, behind every live
+// sasserve summary) and the two-pass constructions of internal/twopass
+// (guide-sample pass). The resident Build and SampleParallel paths close
+// over the dataset in internal/engine instead.
 package ingest
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"structaware/internal/ipps"
 	"structaware/internal/varopt"
@@ -46,18 +49,14 @@ import (
 // whose reservoir has been handed off.
 var ErrFinalized = errors.New("ingest: ingester already finalized")
 
-// errNoCoords rejects weight-only batches on a coordinate-tracking Ingester.
-var errNoCoords = errors.New("ingest: coordinate-tracking ingester needs coordinates (use PushBatch)")
-
 // Config configures an Ingester.
 type Config struct {
 	// Capacity is the reservoir size: the number of candidate keys retained.
 	// Must be positive.
 	Capacity int
-	// Dims, when positive, makes the Ingester retain each reservoir item's
-	// coordinates (copied on Push); Point then recovers them. Zero means
-	// coordinates are not tracked (the caller can look items up by index,
-	// e.g. in a Dataset).
+	// Dims is the number of coordinates per key; the Ingester retains each
+	// reservoir item's coordinates and Point recovers them. Must be
+	// positive.
 	Dims int
 	// ThresholdSize, when positive, additionally tracks the streaming IPPS
 	// threshold τ_s for that target sample size over the full stream.
@@ -74,11 +73,11 @@ type Ingester struct {
 	rows   int
 	done   bool
 
-	// Columnar coordinate retention (dims > 0 only). Slot s holds the
-	// coordinates of one admitted key at coords[s*dims : (s+1)*dims] and
-	// its row index in slotRows[s] (-1 when free). Slots are recycled
-	// through freeSlots; when live slots reach maxSlots the non-reservoir
-	// ones are swept back to the free list. sweeps counts those sweeps.
+	// Columnar coordinate retention. Slot s holds the coordinates of one
+	// admitted key at coords[s*dims : (s+1)*dims] and its row index in
+	// slotRows[s] (-1 when free). Slots are recycled through freeSlots; when
+	// live slots reach maxSlots the non-reservoir ones are swept back to the
+	// free list. sweeps counts those sweeps.
 	slotRows  []int
 	coords    []uint64
 	freeSlots []int32
@@ -91,7 +90,7 @@ type Ingester struct {
 	keepBuf  []int
 	sortScr  xsort.Scratch
 
-	// Row directory over live slots, built by Guide for Point lookups.
+	// Row directory over the reservoir's slots, built by Guide for Point.
 	dirRows  []uint64
 	dirSlots []int32
 }
@@ -100,6 +99,9 @@ type Ingester struct {
 func New(cfg Config, r xmath.Rand) (*Ingester, error) {
 	if cfg.Capacity <= 0 {
 		return nil, ipps.ErrBadSize
+	}
+	if cfg.Dims < 1 {
+		return nil, fmt.Errorf("ingest: dims %d, want at least 1", cfg.Dims)
 	}
 	stream, err := varopt.NewStream(cfg.Capacity, r)
 	if err != nil {
@@ -111,12 +113,10 @@ func New(cfg Config, r xmath.Rand) (*Ingester, error) {
 			return nil, err
 		}
 	}
-	if cfg.Dims > 0 {
-		slots := g.maxSlots()
-		g.slotRows = make([]int, 0, slots)
-		g.coords = make([]uint64, 0, slots*cfg.Dims)
-		g.freeSlots = make([]int32, 0, slots)
-	}
+	slots := g.maxSlots()
+	g.slotRows = make([]int, 0, slots)
+	g.coords = make([]uint64, 0, slots*cfg.Dims)
+	g.freeSlots = make([]int32, 0, slots)
 	return g, nil
 }
 
@@ -129,17 +129,16 @@ func (g *Ingester) maxSlots() int { return 4 * g.cap }
 
 // Push consumes one weighted key. The row index assigned to the key is the
 // number of prior Push calls, so dataset-backed callers pushing rows in
-// order can use dataset positions as reservoir indices. When coordinates
-// are tracked, pt is copied only if the reservoir admits the key; it may be
-// nil otherwise. Zero-weight keys advance the row index but never enter the
-// reservoir. Steady-state pushes do not allocate.
+// order can use dataset positions as reservoir indices. pt is copied only
+// if the reservoir admits the key. Zero-weight keys advance the row index
+// but never enter the reservoir. Steady-state pushes do not allocate.
 //
 //sasvet:hotpath
 func (g *Ingester) Push(pt []uint64, w float64) error {
 	if g.done {
 		return ErrFinalized
 	}
-	if g.dims > 0 && len(pt) != g.dims {
+	if len(pt) != g.dims {
 		//sasvet:ok rejection path; a malformed point never reaches the per-row loop
 		return fmt.Errorf("ingest: point has %d dims, want %d", len(pt), g.dims)
 	}
@@ -160,7 +159,7 @@ func (g *Ingester) PushBatch(cols [][]uint64, weights []float64) error {
 	if g.done {
 		return ErrFinalized
 	}
-	if g.dims > 0 && len(cols) != g.dims {
+	if len(cols) != g.dims {
 		//sasvet:ok rejection path; a malformed batch never reaches the per-row loop
 		return fmt.Errorf("ingest: batch has %d columns, want %d", len(cols), g.dims)
 	}
@@ -184,33 +183,13 @@ func (g *Ingester) PushBatch(cols [][]uint64, weights []float64) error {
 	return nil
 }
 
-// PushWeights consumes a batch of weight-only keys. It is only valid on an
-// Ingester that does not track coordinates (Config.Dims == 0), e.g. the
-// dataset-backed two-pass guide scan, where keys are recovered by row index.
-//
-//sasvet:hotpath
-func (g *Ingester) PushWeights(weights []float64) error {
-	if g.done {
-		return ErrFinalized
-	}
-	if g.dims > 0 {
-		return errNoCoords
-	}
-	for _, w := range weights {
-		if _, err := g.admit(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // admit is the per-key step of every push path: it assigns the next row
 // index and runs the weight through the threshold tracker and the
-// reservoir. When the reservoir admits the key and coordinates are
-// tracked, admit claims an arena slot for the row and returns the offset
-// of its coordinates in g.coords for the caller to fill; otherwise it
-// returns -1. Keys dropped on arrival thus cost no slot and no copy, and
-// the arena fills, and is swept, at the rate of admissions.
+// reservoir. When the reservoir admits the key, admit claims an arena
+// slot for the row and returns the offset of its coordinates in g.coords
+// for the caller to fill; otherwise it returns -1. Keys dropped on arrival
+// thus cost no slot and no copy, and the arena fills, and is swept, at the
+// rate of admissions.
 //
 //sasvet:hotpath
 func (g *Ingester) admit(w float64) (int, error) {
@@ -222,7 +201,7 @@ func (g *Ingester) admit(w float64) (int, error) {
 		}
 	}
 	kept, err := g.stream.Process(index, w)
-	if err != nil || !kept || g.dims == 0 {
+	if err != nil || !kept {
 		return -1, err
 	}
 	return g.takeSlot(index) * g.dims, nil
@@ -265,19 +244,13 @@ func (g *Ingester) compact() {
 	xsort.Ints(keep, &g.sortScr)
 	g.keepBuf = keep[:0]
 	for s, row := range g.slotRows {
-		if row < 0 || sortedContains(keep, row) {
+		if _, kept := slices.BinarySearch(keep, row); row < 0 || kept {
 			continue
 		}
 		g.slotRows[s] = -1
 		g.freeSlots = append(g.freeSlots, int32(s))
 		g.live--
 	}
-}
-
-// sortedContains reports whether x occurs in the ascending slice a.
-func sortedContains(a []int, x int) bool {
-	i := sort.SearchInts(a, x)
-	return i < len(a) && a[i] == x
 }
 
 // Snapshot returns a deep copy of the ingestion state — reservoir,
@@ -301,11 +274,9 @@ func (g *Ingester) Snapshot(r xmath.Rand) (*Ingester, error) {
 	if g.thr != nil {
 		cl.thr = g.thr.Clone()
 	}
-	if g.dims > 0 {
-		cl.slotRows = append(make([]int, 0, len(g.slotRows)), g.slotRows...)
-		cl.coords = append(make([]uint64, 0, len(g.coords)), g.coords...)
-		cl.freeSlots = append(make([]int32, 0, cap(g.freeSlots)), g.freeSlots...)
-	}
+	cl.slotRows = append(make([]int, 0, len(g.slotRows)), g.slotRows...)
+	cl.coords = append(make([]uint64, 0, len(g.coords)), g.coords...)
+	cl.freeSlots = append(make([]int32, 0, cap(g.freeSlots)), g.freeSlots...)
 	return cl, nil
 }
 
@@ -331,39 +302,47 @@ func (g *Ingester) Tau() (float64, bool) {
 // pushes are rejected once Guide has been called.
 func (g *Ingester) Guide() (items []varopt.StreamItem, tau0 float64) {
 	g.done = true
-	if g.dims > 0 {
-		g.compact()
-		g.buildDirectory()
-	}
 	sm, items := g.stream.Result()
+	g.buildDirectory(items)
 	return items, sm.Tau
 }
 
-// buildDirectory indexes the live slots by row for Point lookups.
-func (g *Ingester) buildDirectory() {
-	n := g.live
-	rows := make([]uint64, 0, n)
-	slots := make([]int32, 0, n)
+// buildDirectory indexes the slots of the reservoir items (ascending by
+// row) for Point lookups and frees every other slot. It is the final sweep:
+// the live slots, radix-sorted by row, are merged against the items, so it
+// costs O(live) with no per-slot search.
+func (g *Ingester) buildDirectory(items []varopt.StreamItem) {
+	rows := make([]uint64, 0, g.live)
+	slots := make([]int32, 0, g.live)
 	for s, row := range g.slotRows {
 		if row >= 0 {
 			rows = append(rows, uint64(row))
 			slots = append(slots, int32(s))
 		}
 	}
-	tmpRows := make([]uint64, len(rows))
-	tmpSlots := make([]int32, len(slots))
 	var counts [256]int
-	xsort.SortPairs(rows, slots, tmpRows, tmpSlots, &counts)
-	g.dirRows, g.dirSlots = rows, slots
+	xsort.SortPairs(rows, slots, make([]uint64, len(rows)), make([]int32, len(slots)), &counts)
+	n := 0
+	for k, row := range rows {
+		if n < len(items) && uint64(items[n].Index) == row {
+			rows[n], slots[n] = row, slots[k]
+			n++
+			continue
+		}
+		g.slotRows[slots[k]] = -1
+		g.freeSlots = append(g.freeSlots, slots[k])
+		g.live--
+	}
+	g.dirRows, g.dirSlots = rows[:n], slots[:n]
 }
 
 // Point returns the retained coordinates of the reservoir item with the
-// given row index. It is only valid for indices of items returned by Guide
-// on a coordinate-tracking Ingester. The returned slice aliases the
-// Ingester's coordinate arena and must not be mutated.
+// given row index. It is only valid for indices of items returned by Guide.
+// The returned slice aliases the Ingester's coordinate arena and must not
+// be mutated.
 func (g *Ingester) Point(index int) ([]uint64, bool) {
-	i := sort.Search(len(g.dirRows), func(k int) bool { return g.dirRows[k] >= uint64(index) })
-	if i == len(g.dirRows) || g.dirRows[i] != uint64(index) {
+	i, ok := slices.BinarySearch(g.dirRows, uint64(index))
+	if !ok {
 		return nil, false
 	}
 	slot := int(g.dirSlots[i])

@@ -37,6 +37,9 @@ func TestSmallStreamKeptExactly(t *testing.T) {
 	if err := g.Push([]uint64{1, 1}, 1); err != ErrFinalized {
 		t.Fatalf("push after Guide: %v want ErrFinalized", err)
 	}
+	if _, ok := g.Tau(); ok {
+		t.Fatal("Tau must report absence when no threshold size was configured")
+	}
 }
 
 func TestOverflowBoundsMemoryAndThreshold(t *testing.T) {
@@ -82,30 +85,18 @@ func TestOverflowBoundsMemoryAndThreshold(t *testing.T) {
 	}
 }
 
+// TestNoCoordinateTracking: an Ingester always keeps its reservoir keys'
+// coordinates, so a configuration without them is refused.
 func TestNoCoordinateTracking(t *testing.T) {
-	g, err := New(Config{Capacity: 8}, xmath.NewRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := g.Push(nil, 1); err != nil {
-			t.Fatal(err)
+	for _, dims := range []int{0, -1} {
+		if _, err := New(Config{Capacity: 8, Dims: dims}, xmath.NewRand(3)); err == nil {
+			t.Fatalf("dims %d must error: every key carries coordinates", dims)
 		}
-	}
-	items, tau0 := g.Guide()
-	if len(items) != 8 || tau0 <= 0 {
-		t.Fatalf("items %d tau0 %v", len(items), tau0)
-	}
-	if _, ok := g.Point(items[0].Index); ok {
-		t.Fatal("Point must report absence when coordinates are not tracked")
-	}
-	if _, ok := g.Tau(); ok {
-		t.Fatal("Tau must report absence when no threshold size was configured")
 	}
 }
 
 func TestPushErrors(t *testing.T) {
-	if _, err := New(Config{Capacity: 0}, xmath.NewRand(1)); err == nil {
+	if _, err := New(Config{Capacity: 0, Dims: 1}, xmath.NewRand(1)); err == nil {
 		t.Fatal("capacity 0 must error")
 	}
 	g, err := New(Config{Capacity: 4, Dims: 2}, xmath.NewRand(1))
@@ -118,11 +109,11 @@ func TestPushErrors(t *testing.T) {
 	if err := g.Push([]uint64{1, 2}, -1); err == nil {
 		t.Fatal("negative weight must error")
 	}
-	g2, err := New(Config{Capacity: 4}, xmath.NewRand(1))
+	g2, err := New(Config{Capacity: 4, Dims: 1}, xmath.NewRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.Push(nil, -1); err == nil {
+	if err := g2.Push([]uint64{1}, -1); err == nil {
 		t.Fatal("negative weight must error without threshold tracking")
 	}
 }

@@ -240,20 +240,6 @@ func (t *Tree) Locate(pt []uint64) int {
 	return n.LeafID
 }
 
-// LocateItem routes item i of ds to its leaf cell without materializing the
-// point.
-func (t *Tree) LocateItem(ds *structure.Dataset, i int) int {
-	n := t.Root
-	for !n.IsLeaf() {
-		if ds.Coords[n.Axis][i] <= n.Split {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n.LeafID
-}
-
 // LeafRegions returns the axis-parallel box of every leaf, indexed by
 // LeafID. full is the bounding box of the whole domain.
 func (t *Tree) LeafRegions(full structure.Range) []structure.Range {

@@ -120,25 +120,6 @@ func randomDataset(t *testing.T, r *xmath.SplitMix, n, bits int) *structure.Data
 	return ds
 }
 
-func TestLocateItemMatchesLocate(t *testing.T) {
-	r := xmath.NewRand(2)
-	ds := randomDataset(t, r, 500, 12)
-	p := make([]float64, ds.Len())
-	for i := range p {
-		p[i] = 0.5
-	}
-	tree, err := Build(ds, allItems(ds.Len()), p, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]uint64, ds.Dims())
-	for i := 0; i < ds.Len(); i++ {
-		if tree.LocateItem(ds, i) != tree.Locate(ds.Point(i, buf)) {
-			t.Fatalf("LocateItem disagrees with Locate for item %d", i)
-		}
-	}
-}
-
 func TestMassBalancedSplits(t *testing.T) {
 	// At every internal node whose children are both internal, the mass
 	// imbalance should be bounded by the largest single item mass under it

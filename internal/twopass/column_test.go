@@ -1,15 +1,16 @@
 package twopass
 
 import (
+	"reflect"
 	"testing"
 
 	"structaware/internal/xmath"
 )
 
-// TestProductStreamColumnarMatchesRowPath: pass 1 over a ColumnSource must
+// TestProductColumnarMatchesRowPath: pass 1 over a ColumnSource must
 // produce exactly the sample that the row-at-a-time path produces at the
 // same seed — the batch path is a fast path, not a different construction.
-func TestProductStreamColumnarMatchesRowPath(t *testing.T) {
+func TestProductColumnarMatchesRowPath(t *testing.T) {
 	r := xmath.NewRand(31)
 	ds := random2D(t, r, 4000, 16)
 
@@ -19,34 +20,20 @@ func TestProductStreamColumnarMatchesRowPath(t *testing.T) {
 		pts[i] = ds.Point(i, nil)
 	}
 	rowSrc := &SliceSource{Points: pts, Weights: ds.Weights}
-	rowRes, err := ProductStream(rowSrc, ds.Axes, 100, Config{}, xmath.NewRand(77))
+	rowRes, err := Product(rowSrc, ds.Axes, 100, Config{}, xmath.NewRand(77))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Column path: DatasetSource upgrades to ColumnSource.
 	colSrc := &DatasetSource{DS: ds}
-	colRes, err := ProductStream(colSrc, ds.Axes, 100, Config{}, xmath.NewRand(77))
+	colRes, err := Product(colSrc, ds.Axes, 100, Config{}, xmath.NewRand(77))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if rowRes.Tau != colRes.Tau || rowRes.GuideSize != colRes.GuideSize || rowRes.Cells != colRes.Cells {
-		t.Fatalf("tau/guide/cells %v/%d/%d vs %v/%d/%d",
-			rowRes.Tau, rowRes.GuideSize, rowRes.Cells, colRes.Tau, colRes.GuideSize, colRes.Cells)
-	}
-	if len(rowRes.Items) != len(colRes.Items) {
-		t.Fatalf("sizes %d vs %d", len(rowRes.Items), len(colRes.Items))
-	}
-	for k := range rowRes.Items {
-		a, b := rowRes.Items[k], colRes.Items[k]
-		if a.Weight != b.Weight || len(a.Point) != len(b.Point) {
-			t.Fatalf("item %d: %+v vs %+v", k, a, b)
-		}
-		for d := range a.Point {
-			if a.Point[d] != b.Point[d] {
-				t.Fatalf("item %d axis %d: %d vs %d", k, d, a.Point[d], b.Point[d])
-			}
-		}
+	if !reflect.DeepEqual(rowRes, colRes) {
+		t.Fatalf("row path (%d keys, τ=%v, %d cells) and column path (%d keys, τ=%v, %d cells) differ",
+			rowRes.Size(), rowRes.Tau, rowRes.Cells, colRes.Size(), colRes.Tau, colRes.Cells)
 	}
 }

@@ -6,82 +6,76 @@ import (
 
 	"structaware/internal/hierarchy"
 	"structaware/internal/structure"
-	"structaware/internal/varopt"
 	"structaware/internal/xmath"
 )
 
 // Hierarchy builds a two-pass structure-aware sample over an explicit
-// one-dimensional hierarchy using §5's ancestor partition: the cells are the
+// hierarchy axis using §5's ancestor partition: the cells are the
 // ancestors of the guide keys S′, each key routing to the lowest selected
 // ancestor of its leaf. With s′ = Ω(s log s) every hierarchy range of mass
 // ≥ 1 is hit by S′ w.h.p., giving maximum node discrepancy ∆ < 1 w.h.p. —
 // the stronger alternative to linearizing the hierarchy (∆ < 2), best for
 // shallow hierarchies since the number of cells grows with the depth.
 //
-// axis must be an Explicit axis of ds.
-func Hierarchy(ds *structure.Dataset, axis, s int, cfg Config, r xmath.Rand) (*Result, error) {
-	if axis < 0 || axis >= ds.Dims() {
-		return nil, fmt.Errorf("twopass: axis %d out of range", axis)
+// axis must be an Explicit axis of axes.
+func Hierarchy(src Source, axes []structure.Axis, axis, s int, cfg Config, r xmath.Rand) (*Result, error) {
+	if err := checkAxis(axes, axis); err != nil {
+		return nil, err
 	}
-	ax := ds.Axes[axis]
+	ax := axes[axis]
 	if ax.Kind != structure.Explicit || ax.Tree == nil {
 		return nil, fmt.Errorf("twopass: axis %d is not an explicit hierarchy", axis)
 	}
 	tree := ax.Tree
-	return run(ds, s, cfg, r, func(guide []varopt.StreamItem, tau float64) (locator, error) {
-		loc := &ancestorLocator{ds: ds, axis: axis, tree: tree, cellOf: map[int32]int{}}
+	return build(src, axes, s, cfg, r, func(g guide) (partition, error) {
 		// Select every ancestor of every guide key's leaf.
-		selected := map[int32]bool{}
-		for _, it := range guide {
-			leaf := tree.LeafAt(ds.Coords[axis][it.Index])
-			for v := leaf; v != -1; v = tree.Parent(v) {
-				if selected[v] {
-					break
-				}
+		selected := map[int32]bool{tree.Root(): true}
+		for _, x := range g.coords[axis] {
+			for v := tree.LeafAt(x); v != -1 && !selected[v]; v = tree.Parent(v) {
 				selected[v] = true
 			}
 		}
-		if !selected[tree.Root()] {
-			selected[tree.Root()] = true
-		}
-		// Number the cells; remember each cell's selected parent cell for
-		// the final carry-up.
+		// Number the cells deepest first, ties by node id, so the carry-up
+		// order (and with it the sample) is a function of the guide alone;
+		// remember each cell's selected parent cell for the final carry-up.
 		nodes := make([]int32, 0, len(selected))
 		for v := range selected {
 			nodes = append(nodes, v)
 		}
-		sort.Slice(nodes, func(a, b int) bool { return tree.Depth(nodes[a]) > tree.Depth(nodes[b]) })
-		for _, v := range nodes {
-			loc.cellOf[v] = len(loc.nodes)
-			loc.nodes = append(loc.nodes, v)
+		sort.Slice(nodes, func(a, b int) bool {
+			if da, db := tree.Depth(nodes[a]), tree.Depth(nodes[b]); da != db {
+				return da > db
+			}
+			return nodes[a] < nodes[b]
+		})
+		l := &ancestorPartition{axis: axis, tree: tree, cellOf: make(map[int32]int, len(nodes)), parentCell: make([]int, len(nodes))}
+		for c, v := range nodes {
+			l.cellOf[v] = c
 		}
-		loc.parentCell = make([]int, len(loc.nodes))
-		for i, v := range loc.nodes {
-			loc.parentCell[i] = -1
+		for c, v := range nodes {
+			l.parentCell[c] = -1
 			for p := tree.Parent(v); p != -1; p = tree.Parent(p) {
-				if c, ok := loc.cellOf[p]; ok {
-					loc.parentCell[i] = c
+				if pc, ok := l.cellOf[p]; ok {
+					l.parentCell[c] = pc
 					break
 				}
 			}
 		}
-		return loc, nil
+		return l, nil
 	})
 }
 
-// ancestorLocator routes a key to the lowest selected ancestor of its leaf.
-type ancestorLocator struct {
-	ds         *structure.Dataset
+// ancestorPartition routes a key to the lowest selected ancestor of its
+// leaf.
+type ancestorPartition struct {
 	axis       int
 	tree       *hierarchy.Tree
-	cellOf     map[int32]int
-	nodes      []int32 // cell id -> tree node, deepest first
-	parentCell []int   // cell id -> enclosing cell id (-1 for the root cell)
+	cellOf     map[int32]int // selected node -> cell id
+	parentCell []int         // cell id -> enclosing cell id (-1 for the root cell)
 }
 
-func (l *ancestorLocator) locate(ds *structure.Dataset, i int) int {
-	leaf := l.tree.LeafAt(ds.Coords[l.axis][i])
-	for v := leaf; v != -1; v = l.tree.Parent(v) {
+func (l *ancestorPartition) locate(pt []uint64) int {
+	for v := l.tree.LeafAt(pt[l.axis]); v != -1; v = l.tree.Parent(v) {
 		if c, ok := l.cellOf[v]; ok {
 			return c
 		}
@@ -89,29 +83,25 @@ func (l *ancestorLocator) locate(ds *structure.Dataset, i int) int {
 	return l.cellOf[l.tree.Root()]
 }
 
-func (l *ancestorLocator) numCells() int { return len(l.nodes) }
+func (l *ancestorPartition) numCells() int { return len(l.parentCell) }
 
 // finalize aggregates active keys bottom-up along the selected-ancestor
 // tree: each cell's active meets its enclosing cell's active, so probability
 // mass only ever moves to the nearest enclosing hierarchy range.
-func (l *ancestorLocator) finalize(st *state, r xmath.Rand) int {
-	// Cells are ordered deepest-first already.
-	carry := make([]int, len(l.nodes))
-	for i := range carry {
-		carry[i] = st.activeIdx[i]
+func (l *ancestorPartition) finalize(st *state, r xmath.Rand) int {
+	// Cells are numbered deepest first, so a cell's carry is complete
+	// before its enclosing cell is visited.
+	carry := make([]int, len(l.parentCell))
+	for c := range carry {
+		carry[c] = st.activeCell(c)
 	}
 	last := -1
-	for c := 0; c < len(l.nodes); c++ {
+	for c, p := range l.parentCell {
 		if carry[c] < 0 {
 			continue
 		}
-		p := l.parentCell[c]
 		if p < 0 {
 			last = st.aggregatePair(last, carry[c], r)
-			continue
-		}
-		if carry[p] < 0 {
-			carry[p] = carry[c]
 			continue
 		}
 		carry[p] = st.aggregatePair(carry[p], carry[c], r)
@@ -126,9 +116,9 @@ func (l *ancestorLocator) finalize(st *state, r xmath.Rand) int {
 // into single cells, exactly as §5 prescribes ("a cell for each union of
 // ranges which lies between two consecutive ranges represented in the
 // sample").
-func Disjoint(ds *structure.Dataset, axis, s int, ranges []structure.Interval, cfg Config, r xmath.Rand) (*Result, error) {
-	if axis < 0 || axis >= ds.Dims() {
-		return nil, fmt.Errorf("twopass: axis %d out of range", axis)
+func Disjoint(src Source, axes []structure.Axis, axis, s int, ranges []structure.Interval, cfg Config, r xmath.Rand) (*Result, error) {
+	if err := checkAxis(axes, axis); err != nil {
+		return nil, err
 	}
 	for i := 1; i < len(ranges); i++ {
 		if ranges[i].Lo <= ranges[i-1].Hi {
@@ -138,10 +128,10 @@ func Disjoint(ds *structure.Dataset, axis, s int, ranges []structure.Interval, c
 	if len(ranges) == 0 {
 		return nil, fmt.Errorf("twopass: no ranges")
 	}
-	return run(ds, s, cfg, r, func(guide []varopt.StreamItem, tau float64) (locator, error) {
+	return build(src, axes, s, cfg, r, func(g guide) (partition, error) {
 		hit := make([]bool, len(ranges))
-		for _, it := range guide {
-			if ri, ok := findRange(ranges, ds.Coords[axis][it.Index]); ok {
+		for _, x := range g.coords[axis] {
+			if ri, ok := findRange(ranges, x); ok {
 				hit[ri] = true
 			}
 		}
@@ -163,11 +153,11 @@ func Disjoint(ds *structure.Dataset, axis, s int, ranges []structure.Interval, c
 				cellOfRange[i] = cells - 1
 			}
 		}
-		return &disjointLocator{axis: axis, ranges: ranges, cellOfRange: cellOfRange, cells: cells}, nil
+		return &disjointPartition{axis: axis, ranges: ranges, cellOfRange: cellOfRange, cells: cells}, nil
 	})
 }
 
-type disjointLocator struct {
+type disjointPartition struct {
 	axis        int
 	ranges      []structure.Interval
 	cellOfRange []int
@@ -182,8 +172,8 @@ func findRange(ranges []structure.Interval, x uint64) (int, bool) {
 	return 0, false
 }
 
-func (l *disjointLocator) locate(ds *structure.Dataset, i int) int {
-	ri, ok := findRange(l.ranges, ds.Coords[l.axis][i])
+func (l *disjointPartition) locate(pt []uint64) int {
+	ri, ok := findRange(l.ranges, pt[l.axis])
 	if !ok {
 		// Keys outside every range share the first cell (they belong to no
 		// queryable range, so their placement cannot hurt discrepancy).
@@ -192,14 +182,8 @@ func (l *disjointLocator) locate(ds *structure.Dataset, i int) int {
 	return l.cellOfRange[ri]
 }
 
-func (l *disjointLocator) numCells() int { return l.cells }
+func (l *disjointPartition) numCells() int { return l.cells }
 
-// finalize aggregates the leftovers arbitrarily (the paper allows any
+// finalize aggregates the leftovers left to right (the paper allows any
 // order for disjoint ranges).
-func (l *disjointLocator) finalize(st *state, r xmath.Rand) int {
-	active := -1
-	for cell := 0; cell < len(st.activeIdx); cell++ {
-		active = st.aggregatePair(active, st.activeIdx[cell], r)
-	}
-	return active
-}
+func (l *disjointPartition) finalize(st *state, r xmath.Rand) int { return scanCells(st, r) }

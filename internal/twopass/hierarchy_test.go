@@ -34,7 +34,7 @@ func hierarchyDataset(t *testing.T, leaves, n int, seed uint64) *structure.Datas
 func TestHierarchyTwoPassSizeAndTau(t *testing.T) {
 	ds := hierarchyDataset(t, 800, 2500, 1)
 	s := 120
-	res, err := Hierarchy(ds, 0, s, Config{}, xmath.NewRand(7))
+	res, err := Hierarchy(&DatasetSource{DS: ds}, ds.Axes, 0, s, Config{}, xmath.NewRand(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func TestHierarchyTwoPassNodeDiscrepancy(t *testing.T) {
 	}
 	p := ipps.Probabilities(ds.Weights, tau)
 
-	res, err := Hierarchy(ds, 0, s, Config{}, xmath.NewRand(3))
+	res, err := Hierarchy(&DatasetSource{DS: ds}, ds.Axes, 0, s, Config{}, xmath.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := make([]bool, ds.Len())
-	for _, i := range res.Indices {
+	for _, i := range res.Rows {
 		in[i] = true
 	}
 	worst := 0.0
@@ -106,7 +106,7 @@ func TestDisjointTwoPassPerRangeDiscrepancy(t *testing.T) {
 		ranges = append(ranges, structure.Interval{Lo: k * width, Hi: (k+1)*width - 1})
 	}
 	s := 250
-	res, err := Disjoint(ds, 0, s, ranges, Config{}, xmath.NewRand(5))
+	res, err := Disjoint(&DatasetSource{DS: ds}, ds.Axes, 0, s, ranges, Config{}, xmath.NewRand(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDisjointTwoPassPerRangeDiscrepancy(t *testing.T) {
 	}
 	p := ipps.Probabilities(ds.Weights, tau)
 	in := make([]bool, ds.Len())
-	for _, i := range res.Indices {
+	for _, i := range res.Rows {
 		in[i] = true
 	}
 	worst := 0.0
@@ -145,14 +145,14 @@ func TestDisjointTwoPassPerRangeDiscrepancy(t *testing.T) {
 func TestDisjointTwoPassValidation(t *testing.T) {
 	r := xmath.NewRand(6)
 	ds := random1D(t, r, 100, 10)
-	if _, err := Disjoint(ds, 3, 10, []structure.Interval{{Lo: 0, Hi: 1}}, Config{}, r); err == nil {
+	if _, err := Disjoint(&DatasetSource{DS: ds}, ds.Axes, 3, 10, []structure.Interval{{Lo: 0, Hi: 1}}, Config{}, r); err == nil {
 		t.Fatal("bad axis must error")
 	}
-	if _, err := Disjoint(ds, 0, 10, nil, Config{}, r); err == nil {
+	if _, err := Disjoint(&DatasetSource{DS: ds}, ds.Axes, 0, 10, nil, Config{}, r); err == nil {
 		t.Fatal("no ranges must error")
 	}
 	bad := []structure.Interval{{Lo: 0, Hi: 10}, {Lo: 5, Hi: 20}}
-	if _, err := Disjoint(ds, 0, 10, bad, Config{}, r); err == nil {
+	if _, err := Disjoint(&DatasetSource{DS: ds}, ds.Axes, 0, 10, bad, Config{}, r); err == nil {
 		t.Fatal("overlapping ranges must error")
 	}
 }
@@ -160,11 +160,11 @@ func TestDisjointTwoPassValidation(t *testing.T) {
 func TestHierarchyTwoPassValidation(t *testing.T) {
 	r := xmath.NewRand(7)
 	ds := random1D(t, r, 100, 10)
-	if _, err := Hierarchy(ds, 0, 10, Config{}, r); err == nil {
+	if _, err := Hierarchy(&DatasetSource{DS: ds}, ds.Axes, 0, 10, Config{}, r); err == nil {
 		t.Fatal("ordered axis must be rejected")
 	}
 	hds := hierarchyDataset(t, 50, 200, 8)
-	if _, err := Hierarchy(hds, 2, 10, Config{}, r); err == nil {
+	if _, err := Hierarchy(&DatasetSource{DS: hds}, hds.Axes, 2, 10, Config{}, r); err == nil {
 		t.Fatal("bad axis index must error")
 	}
 }
@@ -175,11 +175,11 @@ func TestHierarchyTwoPassUnbiased(t *testing.T) {
 	var acc float64
 	const trials = 150
 	for k := 0; k < trials; k++ {
-		res, err := Hierarchy(ds, 0, 80, Config{}, xmath.NewRand(uint64(k+1)))
+		res, err := Hierarchy(&DatasetSource{DS: ds}, ds.Axes, 0, 80, Config{}, xmath.NewRand(uint64(k+1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, i := range res.Indices {
+		for _, i := range res.Rows {
 			acc += res.AdjustedWeight(ds.Weights[i])
 		}
 	}

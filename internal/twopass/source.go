@@ -171,7 +171,7 @@ func (s *ReaderSource) Next() ([]uint64, float64, bool, error) {
 // stream is yielded as column batches (coords[d][i], weights[i]), letting
 // scan loops skip the per-key point materialization entirely. Batches
 // concatenate to exactly the row stream Next would yield. Consumers that
-// receive a Source should type-assert for it, as ProductStream's pass 1
+// receive a Source should type-assert for it, as the two-pass guide scan
 // does.
 type ColumnSource interface {
 	Source

@@ -2,6 +2,7 @@ package twopass
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"structaware/internal/ipps"
@@ -49,7 +50,7 @@ func TestProductSizeWithinOne(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds := random2D(t, r, 2000, 16)
 		s := 50 + r.Intn(100)
-		res, err := Product(ds, s, Config{}, r)
+		res, err := Product(&DatasetSource{DS: ds}, ds.Axes, s, Config{}, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestProductTauMatchesBatchThreshold(t *testing.T) {
 	r := xmath.NewRand(2)
 	ds := random2D(t, r, 3000, 16)
 	s := 100
-	res, err := Product(ds, s, Config{}, r)
+	res, err := Product(&DatasetSource{DS: ds}, ds.Axes, s, Config{}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +90,12 @@ func TestProductHeavyKeysAlwaysIncluded(t *testing.T) {
 	for k := 0; k < 5; k++ {
 		ds.Weights[k*100] = 1e6
 	}
-	res, err := Product(ds, 40, Config{}, r)
+	res, err := Product(&DatasetSource{DS: ds}, ds.Axes, 40, Config{}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := map[int]bool{}
-	for _, i := range res.Indices {
+	for _, i := range res.Rows {
 		in[i] = true
 	}
 	for k := 0; k < 5; k++ {
@@ -111,11 +112,11 @@ func TestProductUnbiasedTotal(t *testing.T) {
 	const trials = 300
 	var acc float64
 	for k := 0; k < trials; k++ {
-		res, err := Product(ds, 60, Config{}, r)
+		res, err := Product(&DatasetSource{DS: ds}, ds.Axes, 60, Config{}, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, i := range res.Indices {
+		for _, i := range res.Rows {
 			acc += res.AdjustedWeight(ds.Weights[i])
 		}
 	}
@@ -164,11 +165,11 @@ func TestProductBoxDiscrepancyBeatsOblivious(t *testing.T) {
 	const trials = 15
 	var awareSum, oblivSum float64
 	for k := 0; k < trials; k++ {
-		res, err := Product(ds, s, Config{}, r)
+		res, err := Product(&DatasetSource{DS: ds}, ds.Axes, s, Config{}, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		awareSum += meanDisc(res.Indices)
+		awareSum += meanDisc(res.Rows)
 
 		// Oblivious baseline: random-order pair aggregation.
 		ob, err := obliviousSample(ds, s, r)
@@ -214,12 +215,12 @@ func TestOrderPrefixDiscrepancy(t *testing.T) {
 	}
 	p := ipps.Probabilities(ds.Weights, tau)
 
-	res, err := Order(ds, 0, s, Config{}, r)
+	res, err := Order(&DatasetSource{DS: ds}, ds.Axes, 0, s, Config{}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := make([]bool, ds.Len())
-	for _, i := range res.Indices {
+	for _, i := range res.Rows {
 		in[i] = true
 	}
 	// Order items by coordinate, compute worst prefix discrepancy.
@@ -255,7 +256,7 @@ func sortByCoord(order []int, coords []uint64) {
 func TestSmallPopulationKeptExactly(t *testing.T) {
 	r := xmath.NewRand(7)
 	ds := random2D(t, r, 20, 10)
-	res, err := Product(ds, 100, Config{}, r)
+	res, err := Product(&DatasetSource{DS: ds}, ds.Axes, 100, Config{}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,22 +268,104 @@ func TestSmallPopulationKeptExactly(t *testing.T) {
 func TestBadArguments(t *testing.T) {
 	r := xmath.NewRand(8)
 	ds := random2D(t, r, 50, 10)
-	if _, err := Product(ds, 0, Config{}, r); err == nil {
+	src := &DatasetSource{DS: ds}
+	if _, err := Product(src, ds.Axes, 0, Config{}, r); err == nil {
 		t.Fatal("s=0 must error")
 	}
-	if _, err := Order(ds, 5, 10, Config{}, r); err == nil {
+	if _, err := Order(src, ds.Axes, 5, 10, Config{}, r); err == nil {
 		t.Fatal("bad axis must error")
+	}
+	if _, err := Product(&ReaderSource{}, ds.Axes, 5, Config{}, r); err == nil {
+		t.Fatal("a source that cannot rewind must error")
 	}
 }
 
 func TestOversampleConfig(t *testing.T) {
 	r := xmath.NewRand(9)
 	ds := random2D(t, r, 2000, 14)
-	res, err := Product(ds, 50, Config{Oversample: 3}, r)
+	res, err := Product(&DatasetSource{DS: ds}, ds.Axes, 50, Config{Oversample: 3}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.GuideSize != 150 {
 		t.Fatalf("guide size %d want 150", res.GuideSize)
+	}
+}
+
+// TestProductSampleMatchesSourceRows: every sampled key carries the
+// coordinates and weight of the source row it names, and rows ascend.
+func TestProductSampleMatchesSourceRows(t *testing.T) {
+	r := xmath.NewRand(1)
+	ds := random2D(t, r, 3000, 16)
+	const s = 120
+	res, err := Product(sliceSourceFrom(ds), ds.Axes, s, Config{}, xmath.NewRand(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Size() - s; d < -1 || d > 1 {
+		t.Fatalf("size %d want %d±1", res.Size(), s)
+	}
+	for k, i := range res.Rows {
+		if k > 0 && i <= res.Rows[k-1] {
+			t.Fatalf("rows not ascending at %d: %d after %d", k, i, res.Rows[k-1])
+		}
+		if res.Weights[k] != ds.Weights[i] || res.Coords[0][k] != ds.Coords[0][i] || res.Coords[1][k] != ds.Coords[1][i] {
+			t.Fatalf("sampled key %d does not match source row %d", k, i)
+		}
+		if res.AdjustedWeight(res.Weights[k]) < res.Weights[k] {
+			t.Fatal("adjusted weight below original")
+		}
+	}
+}
+
+// TestEachConstructionRewindsItsSource: every construction rewinds its
+// source before each pass, so a second call on the same, already read
+// source draws the same sample as the first instead of silently keeping
+// the whole population.
+func TestEachConstructionRewindsItsSource(t *testing.T) {
+	r := xmath.NewRand(10)
+	flat := random2D(t, r, 3000, 16)
+	line := random1D(t, r, 3000, 16)
+	tree := hierarchyDataset(t, 400, 3000, 11)
+	var ranges []structure.Interval
+	for k := uint64(0); k < 32; k++ {
+		ranges = append(ranges, structure.Interval{Lo: k << 11, Hi: (k+1)<<11 - 1})
+	}
+	const s = 100
+	for _, tc := range []struct {
+		name string
+		ds   *structure.Dataset
+		run  func(src Source, axes []structure.Axis) (*Result, error)
+	}{
+		{"product", flat, func(src Source, axes []structure.Axis) (*Result, error) {
+			return Product(src, axes, s, Config{}, xmath.NewRand(3))
+		}},
+		{"order", line, func(src Source, axes []structure.Axis) (*Result, error) {
+			return Order(src, axes, 0, s, Config{}, xmath.NewRand(3))
+		}},
+		{"hierarchy", tree, func(src Source, axes []structure.Axis) (*Result, error) {
+			return Hierarchy(src, axes, 0, s, Config{}, xmath.NewRand(3))
+		}},
+		{"disjoint", line, func(src Source, axes []structure.Axis) (*Result, error) {
+			return Disjoint(src, axes, 0, s, ranges, Config{}, xmath.NewRand(3))
+		}},
+	} {
+		for _, src := range []Source{sliceSourceFrom(tc.ds), &DatasetSource{DS: tc.ds}} {
+			first, err := tc.run(src, tc.ds.Axes)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			second, err := tc.run(src, tc.ds.Axes)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if first.Tau <= 0 || first.Size() > s+1 {
+				t.Fatalf("%s %T: first call kept %d keys at τ=%v", tc.name, src, first.Size(), first.Tau)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("%s %T: second call drew %d keys at τ=%v, first %d keys at τ=%v",
+					tc.name, src, second.Size(), second.Tau, first.Size(), first.Tau)
+			}
+		}
 	}
 }

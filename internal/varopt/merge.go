@@ -4,79 +4,44 @@ import (
 	"fmt"
 
 	"structaware/internal/ipps"
-	"structaware/internal/paggr"
-	"structaware/internal/xmath"
 )
 
 // Shard is one mergeable VarOpt sample: the items it retained (with their
 // original weights, Index being a caller-global identifier) and the IPPS
 // threshold it was drawn with. Shards are produced independently over
 // disjoint slices of a population — by worker goroutines, by separate
-// machines, or by separate time windows — and combined with MergeAll.
+// machines, or by separate time windows — and combined with
+// engine.MergeClose (see MergeThreshold).
 type Shard struct {
 	Items []StreamItem
 	Tau   float64
 }
 
-// Merge merges two VarOpt samples over disjoint populations into a single
-// sample of size (at most) s. See MergeAll for semantics and preconditions.
-func Merge(a, b Shard, s int, r xmath.Rand) (*Sample, []StreamItem, error) {
-	return MergeAll([]Shard{a, b}, s, r)
-}
-
-// MergeAll merges VarOpt samples drawn over pairwise-disjoint populations
-// into a single sample of size exactly min(s, union size), with one IPPS
-// threshold Tau valid for every retained item.
+// MergeThreshold is the threshold step of merging VarOpt samples drawn
+// over pairwise-disjoint populations into a single sample of size exactly
+// min(s, union size), with one IPPS threshold valid for every retained
+// item. engine.MergeClose runs the whole merge: it closes the candidate
+// probabilities this threshold defines with the shared closing pass.
 //
 // The merge re-samples the union of the shards' Horvitz–Thompson adjusted
 // weights a_i = max(w_i, Tau_j): a fresh threshold τ' solving
-// Σ min(1, a_i/τ') = s is computed over the union and the candidate
-// probabilities are closed by randomly-ordered pair aggregation. An item's
-// overall inclusion probability is then min(1, w_i/Tau_j)·min(1, a_i/τ') and
-// its HT adjusted weight max(w_i, Tau_j, τ'), so subset-sum estimates from
-// the merged sample stay unbiased.
+// Σ min(1, a_i/τ') = s is computed over the union. An item's overall
+// inclusion probability is then min(1, w_i/Tau_j)·min(1, a_i/τ') and its HT
+// adjusted weight max(w_i, Tau_j, τ'), so subset-sum estimates from the
+// merged sample stay unbiased.
 //
 // Returning a single threshold requires τ' to dominate every shard
 // threshold. That holds whenever each shard with Tau_j > 0 was drawn with
 // target size ≥ s (a full shard contributes ≥ s expected samples at its own
 // threshold, so the union's threshold can only be higher); violating the
 // precondition is reported as an error rather than silently biasing
-// estimates.
+// estimates, and an ULP-level tie snaps to the shard threshold (the exact
+// one).
 //
-// The returned items carry the original weights and are sorted ascending by
-// Index (parallel to Sample.Indices).
-func MergeAll(shards []Shard, s int, r xmath.Rand) (*Sample, []StreamItem, error) {
-	adj, tau, keepAll, err := MergeThreshold(shards, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	items := make([]StreamItem, 0, len(adj))
-	for _, sh := range shards {
-		items = append(items, sh.Items...)
-	}
-	if keepAll {
-		return packMerged(items, tau), items, nil
-	}
-	p := ipps.Probabilities(adj, tau)
-	ipps.NormalizeToInteger(p, 1e-6)
-	order := xmath.Perm(r, len(p))
-	left := paggr.AggregateSequence(p, order, r)
-	paggr.ResolveLeftover(p, left, r)
-	kept := make([]StreamItem, 0, s)
-	for _, i := range paggr.SampleIndices(p) {
-		kept = append(kept, items[i])
-	}
-	return packMerged(kept, tau), kept, nil
-}
-
-// MergeThreshold computes the single IPPS threshold for merging the shards'
-// samples down to target size s. It returns the union's HT adjusted weights
-// a_i = max(w_i, Tau_j) in shard-then-item order and the merged threshold;
-// keepAll reports that the union already fits in s, in which case the
-// returned threshold is the max shard threshold and every item is kept
-// verbatim. It enforces the dominance precondition documented on MergeAll:
-// a merged threshold below a shard threshold is an error, and an ULP-level
-// tie snaps to the shard threshold (the exact one).
+// MergeThreshold returns the union's adjusted weights in shard-then-item
+// order and the merged threshold; keepAll reports that the union already
+// fits in s, in which case the returned threshold is the max shard
+// threshold and every item is kept verbatim.
 func MergeThreshold(shards []Shard, s int) (adj []float64, tau float64, keepAll bool, err error) {
 	if s <= 0 {
 		return nil, 0, false, ipps.ErrBadSize
@@ -123,15 +88,4 @@ func MergeThreshold(shards []Shard, s int) (adj []float64, tau float64, keepAll 
 		tau = maxTau
 	}
 	return adj, tau, false, nil
-}
-
-// packMerged sorts items ascending by Index in place and assembles the
-// merged Sample over them.
-func packMerged(items []StreamItem, tau float64) *Sample {
-	sortByIndex(items)
-	out := &Sample{Tau: tau, Indices: make([]int, len(items))}
-	for i, it := range items {
-		out.Indices[i] = it.Index
-	}
-	return out
 }

@@ -1,25 +1,49 @@
-package varopt
+package varopt_test
 
 import (
 	"errors"
 	"math"
 	"testing"
 
+	"structaware/internal/engine"
 	"structaware/internal/ipps"
+	"structaware/internal/structure"
+	"structaware/internal/varopt"
 	"structaware/internal/xmath"
 )
 
-// drawShard Batch-samples the weight slice and lifts the result to global
-// indices offset..offset+len-1.
-func drawShard(t *testing.T, weights []float64, offset, s int, r xmath.Rand) Shard {
+// The merge of VarOpt shards runs in engine.MergeClose: MergeThreshold sets
+// the union's threshold and the shared closing pass settles the candidates.
+// These tests drive the oblivious merge, whose semantics MergeThreshold
+// documents.
+
+// mergeOblivious merges shards whose item indices address a population of
+// n keys and returns the merged sample.
+func mergeOblivious(t *testing.T, n int, shards []varopt.Shard, s int, r xmath.Rand) (*engine.Result, error) {
 	t.Helper()
-	sm, err := Batch(weights, s, r)
+	pts := make([][]uint64, n)
+	ws := make([]float64, n)
+	for i := range pts {
+		pts[i], ws[i] = []uint64{uint64(i)}, 1
+	}
+	ds, err := structure.NewDataset([]structure.Axis{structure.OrderedAxis(16)}, pts, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := Shard{Tau: sm.Tau}
+	return engine.MergeClose(ds, shards, s, engine.CloseOblivious, r, nil)
+}
+
+// drawShard Batch-samples the weight slice and lifts the result to global
+// indices offset..offset+len-1.
+func drawShard(t *testing.T, weights []float64, offset, s int, r xmath.Rand) varopt.Shard {
+	t.Helper()
+	sm, err := varopt.Batch(weights, s, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := varopt.Shard{Tau: sm.Tau}
 	for _, i := range sm.Indices {
-		sh.Items = append(sh.Items, StreamItem{Index: offset + i, Weight: weights[i]})
+		sh.Items = append(sh.Items, varopt.StreamItem{Index: offset + i, Weight: weights[i]})
 	}
 	return sh
 }
@@ -33,7 +57,7 @@ func testWeights(n int) []float64 {
 	return ws
 }
 
-func TestMergeAllExactSizeAndTauDominance(t *testing.T) {
+func TestObliviousMergeExactSizeAndTauDominance(t *testing.T) {
 	const (
 		n      = 300
 		shards = 3
@@ -41,50 +65,49 @@ func TestMergeAllExactSizeAndTauDominance(t *testing.T) {
 	)
 	ws := testWeights(n)
 	r := xmath.NewRand(11)
-	var in []Shard
+	var in []varopt.Shard
+	member := map[int]bool{}
 	for j := 0; j < shards; j++ {
 		lo, hi := j*n/shards, (j+1)*n/shards
-		in = append(in, drawShard(t, ws[lo:hi], lo, s, r))
+		sh := drawShard(t, ws[lo:hi], lo, s, r)
+		for _, it := range sh.Items {
+			member[it.Index] = true
+		}
+		in = append(in, sh)
 	}
-	sm, items, err := MergeAll(in, s, r)
+	sm, err := mergeOblivious(t, n, in, s, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sm.Size() != s {
-		t.Fatalf("merged size %d want %d", sm.Size(), s)
+	if len(sm.Indices) != s {
+		t.Fatalf("merged size %d want %d", len(sm.Indices), s)
 	}
 	for _, sh := range in {
 		if sm.Tau < sh.Tau {
 			t.Fatalf("merged Tau %v below shard Tau %v", sm.Tau, sh.Tau)
 		}
 	}
-	if len(items) != s {
-		t.Fatalf("items %d want %d", len(items), s)
-	}
-	for k, it := range items {
-		if it.Index != sm.Indices[k] {
-			t.Fatalf("items[%d].Index %d != Indices[%d] %d", k, it.Index, k, sm.Indices[k])
-		}
-		if k > 0 && sm.Indices[k] <= sm.Indices[k-1] {
+	for k, i := range sm.Indices {
+		if k > 0 && i <= sm.Indices[k-1] {
 			t.Fatalf("indices not strictly ascending at %d: %v", k, sm.Indices)
 		}
-		if it.Weight != ws[it.Index] {
-			t.Fatalf("item %d weight %v want %v", it.Index, it.Weight, ws[it.Index])
+		if !member[i] {
+			t.Fatalf("merged index %d is in no shard", i)
 		}
 	}
 }
 
-func TestMergeAllKeepsSmallUnion(t *testing.T) {
+func TestObliviousMergeKeepsSmallUnion(t *testing.T) {
 	r := xmath.NewRand(7)
 	// Union of 3 exact items fits in s=10: everything kept, Tau stays 0.
-	a := Shard{Items: []StreamItem{{Index: 2, Weight: 1}, {Index: 0, Weight: 3}}}
-	b := Shard{Items: []StreamItem{{Index: 5, Weight: 2}}}
-	sm, _, err := MergeAll([]Shard{a, b}, 10, r)
+	a := varopt.Shard{Items: []varopt.StreamItem{{Index: 2, Weight: 1}, {Index: 0, Weight: 3}}}
+	b := varopt.Shard{Items: []varopt.StreamItem{{Index: 5, Weight: 2}}}
+	sm, err := mergeOblivious(t, 6, []varopt.Shard{a, b}, 10, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sm.Size() != 3 || sm.Tau != 0 {
-		t.Fatalf("size %d tau %v, want 3 and 0", sm.Size(), sm.Tau)
+	if len(sm.Indices) != 3 || sm.Tau != 0 {
+		t.Fatalf("size %d tau %v, want 3 and 0", len(sm.Indices), sm.Tau)
 	}
 	if sm.Indices[0] != 0 || sm.Indices[1] != 2 || sm.Indices[2] != 5 {
 		t.Fatalf("indices %v not sorted", sm.Indices)
@@ -97,19 +120,19 @@ func TestMergeAllKeepsSmallUnion(t *testing.T) {
 	if full.Tau <= 0 {
 		t.Fatal("fixture must overflow")
 	}
-	sm, _, err = MergeAll([]Shard{full, {}}, 8, r)
+	sm, err = mergeOblivious(t, len(ws), []varopt.Shard{full, {}}, 8, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sm.Size() != 8 || sm.Tau != full.Tau {
-		t.Fatalf("size %d tau %v, want 8 and %v", sm.Size(), sm.Tau, full.Tau)
+	if len(sm.Indices) != 8 || sm.Tau != full.Tau {
+		t.Fatalf("size %d tau %v, want 8 and %v", len(sm.Indices), sm.Tau, full.Tau)
 	}
 }
 
-// TestMergeAllUnbiasedSubsetSum mirrors the statistical style of
+// TestObliviousMergeUnbiasedSubsetSum mirrors the statistical style of
 // inclusion_test.go: over repeated shard-then-merge trials the
 // Horvitz–Thompson estimate of a fixed subset's weight is unbiased.
-func TestMergeAllUnbiasedSubsetSum(t *testing.T) {
+func TestObliviousMergeUnbiasedSubsetSum(t *testing.T) {
 	const (
 		n      = 60
 		s      = 8
@@ -128,16 +151,16 @@ func TestMergeAllUnbiasedSubsetSum(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		a := drawShard(t, ws[:n/2], 0, s, r)
 		b := drawShard(t, ws[n/2:], n/2, s, r)
-		sm, items, err := Merge(a, b, s, r)
+		sm, err := mergeOblivious(t, n, []varopt.Shard{a, b}, s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sm.Size() != s {
-			t.Fatalf("trial %d: size %d want %d", trial, sm.Size(), s)
+		if len(sm.Indices) != s {
+			t.Fatalf("trial %d: size %d want %d", trial, len(sm.Indices), s)
 		}
-		for _, it := range items {
-			if subset(it.Index) {
-				acc.Add(sm.AdjustedWeight(it.Weight))
+		for _, i := range sm.Indices {
+			if subset(i) {
+				acc.Add(ipps.AdjustedWeight(ws[i], sm.Tau))
 			}
 		}
 	}
@@ -147,7 +170,7 @@ func TestMergeAllUnbiasedSubsetSum(t *testing.T) {
 	}
 }
 
-func TestMergeAllSizeGuard(t *testing.T) {
+func TestObliviousMergeSizeGuard(t *testing.T) {
 	r := xmath.NewRand(17)
 	heavy := make([]float64, 10)
 	light := make([]float64, 10)
@@ -156,33 +179,33 @@ func TestMergeAllSizeGuard(t *testing.T) {
 	}
 	// Shards drawn at size 3, merged at size 5: the merged threshold lands
 	// below the heavy shard's threshold, so the single-Tau representation
-	// would bias estimates — MergeAll must refuse.
+	// would bias estimates — the merge must refuse.
 	a := drawShard(t, heavy, 0, 3, r)
 	b := drawShard(t, light, 10, 3, r)
 	if a.Tau <= 0 || b.Tau <= 0 {
 		t.Fatal("fixture shards must overflow")
 	}
-	if _, _, err := MergeAll([]Shard{a, b}, 5, r); err == nil {
+	if _, err := mergeOblivious(t, 20, []varopt.Shard{a, b}, 5, r); err == nil {
 		t.Fatal("undersized shards must be rejected")
 	}
 
 	// Same violation, but with the union fitting in s: the keepAll path
 	// must also refuse, or items from the threshold-0 shard would inherit
 	// the other shard's threshold as their adjusted weight.
-	small := Shard{Tau: 5, Items: []StreamItem{{Index: 0, Weight: 1}, {Index: 1, Weight: 1}, {Index: 2, Weight: 1}}}
-	exact := Shard{Items: []StreamItem{{Index: 3, Weight: 1}, {Index: 4, Weight: 1}, {Index: 5, Weight: 1}, {Index: 6, Weight: 1}}}
-	if _, _, err := MergeAll([]Shard{small, exact}, 10, r); err == nil {
+	small := varopt.Shard{Tau: 5, Items: []varopt.StreamItem{{Index: 0, Weight: 1}, {Index: 1, Weight: 1}, {Index: 2, Weight: 1}}}
+	exact := varopt.Shard{Items: []varopt.StreamItem{{Index: 3, Weight: 1}, {Index: 4, Weight: 1}, {Index: 5, Weight: 1}, {Index: 6, Weight: 1}}}
+	if _, err := mergeOblivious(t, 7, []varopt.Shard{small, exact}, 10, r); err == nil {
 		t.Fatal("keepAll merge with mismatched shard thresholds must be rejected")
 	}
 }
 
-func TestMergeAllArgErrors(t *testing.T) {
+func TestObliviousMergeArgErrors(t *testing.T) {
 	r := xmath.NewRand(1)
-	if _, _, err := MergeAll(nil, 5, r); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("empty merge: %v want ErrEmpty", err)
+	if _, err := mergeOblivious(t, 1, nil, 5, r); !errors.Is(err, varopt.ErrEmpty) {
+		t.Fatalf("empty merge: %v want varopt.ErrEmpty", err)
 	}
-	sh := Shard{Items: []StreamItem{{Index: 0, Weight: 1}}}
-	if _, _, err := MergeAll([]Shard{sh}, 0, r); !errors.Is(err, ipps.ErrBadSize) {
+	sh := varopt.Shard{Items: []varopt.StreamItem{{Index: 0, Weight: 1}}}
+	if _, err := mergeOblivious(t, 1, []varopt.Shard{sh}, 0, r); !errors.Is(err, ipps.ErrBadSize) {
 		t.Fatalf("zero size: %v want ErrBadSize", err)
 	}
 }

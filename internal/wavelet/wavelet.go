@@ -402,68 +402,3 @@ func (s *Summary2D) dyadicRectSum(cx, cy structure.DyadicCell) float64 {
 	}
 	return sum
 }
-
-// Summary1D is the thresholded 1-D Haar transform (kept for completeness
-// and for testing the shared basis machinery).
-type Summary1D struct {
-	Bits   int
-	Coeffs map[CoeffID]float64 // LY/KY unused (zero)
-}
-
-// Build1D computes the sparse 1-D Haar transform and keeps the top `keep`
-// coefficients.
-func Build1D(xs []uint64, ws []float64, bits, keep int) (*Summary1D, error) {
-	if bits < 1 || bits > 30 {
-		return nil, fmt.Errorf("wavelet: bits %d out of range", bits)
-	}
-	if len(xs) != len(ws) {
-		return nil, fmt.Errorf("wavelet: length mismatch")
-	}
-	all := make(map[CoeffID]float64)
-	for i, x := range xs {
-		if ws[i] == 0 {
-			continue
-		}
-		for l := 0; l <= bits; l++ {
-			k, u := basis1D(x, l, bits)
-			all[CoeffID{LX: uint8(l), KX: k}] += ws[i] * u
-		}
-	}
-	s := &Summary1D{Bits: bits}
-	if len(all) <= keep {
-		s.Coeffs = all
-		return s, nil
-	}
-	type kv struct {
-		id  CoeffID
-		v   float64
-		rel float64
-	}
-	list := make([]kv, 0, len(all))
-	for id, v := range all {
-		list = append(list, kv{id, v, math.Abs(v) * math.Sqrt(support1D(int(id.LX), bits))})
-	}
-	sort.Slice(list, func(a, b int) bool { return list[a].rel > list[b].rel })
-	s.Coeffs = make(map[CoeffID]float64, keep)
-	for _, e := range list[:keep] {
-		s.Coeffs[e.id] = e.v
-	}
-	return s, nil
-}
-
-// EstimateInterval estimates the weight in [lo, hi].
-func (s *Summary1D) EstimateInterval(lo, hi uint64) float64 {
-	ids := make([]CoeffID, 0, len(s.Coeffs))
-	for id := range s.Coeffs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].pack() < ids[b].pack() })
-	var sum float64
-	for _, id := range ids {
-		sum += s.Coeffs[id] * integral1D(lo, hi, int(id.LX), id.KX, s.Bits)
-	}
-	return sum
-}
-
-// Size returns the number of retained coefficients.
-func (s *Summary1D) Size() int { return len(s.Coeffs) }

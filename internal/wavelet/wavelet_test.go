@@ -8,41 +8,6 @@ import (
 	"structaware/internal/xmath"
 )
 
-func TestBuild1DExactWithAllCoefficients(t *testing.T) {
-	r := xmath.NewRand(1)
-	bits := 6
-	n := uint64(1) << uint(bits)
-	xs := make([]uint64, 40)
-	ws := make([]float64, 40)
-	for i := range xs {
-		xs[i] = r.Uint64() % n
-		ws[i] = 1 + 10*r.Float64()
-	}
-	s, err := Build1D(xs, ws, bits, 1<<20) // keep everything
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every interval reconstructed exactly.
-	exact := func(lo, hi uint64) float64 {
-		var sum float64
-		for i, x := range xs {
-			if x >= lo && x <= hi {
-				sum += ws[i]
-			}
-		}
-		return sum
-	}
-	for trial := 0; trial < 300; trial++ {
-		lo := r.Uint64() % n
-		hi := lo + r.Uint64()%(n-lo)
-		got := s.EstimateInterval(lo, hi)
-		want := exact(lo, hi)
-		if !xmath.AlmostEqual(got, want, 1e-6) {
-			t.Fatalf("interval [%d,%d]: got %v want %v", lo, hi, got, want)
-		}
-	}
-}
-
 func TestBuild2DExactWithAllCoefficients(t *testing.T) {
 	r := xmath.NewRand(2)
 	bits := 4
@@ -169,12 +134,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := Build2D([]uint64{1}, []uint64{1}, []float64{1}, 4, 4, 0); err == nil {
 		t.Fatal("keep=0 must error")
-	}
-	if _, err := Build1D([]uint64{1}, []float64{1, 2}, 4, 10); err == nil {
-		t.Fatal("1D length mismatch must error")
-	}
-	if _, err := Build1D([]uint64{1}, []float64{1}, 40, 10); err == nil {
-		t.Fatal("1D bits too large must error")
 	}
 }
 

@@ -164,3 +164,51 @@ func TestFacadeHierarchyBuilder(t *testing.T) {
 		t.Fatal("hierarchy node estimate outside τ")
 	}
 }
+
+// TestFacadeTwoPassHierarchyDeterministic: the two-pass construction over
+// an explicit hierarchy, where many selected ancestors share a depth, emits
+// the same bytes on every call.
+func TestFacadeTwoPassHierarchyDeterministic(t *testing.T) {
+	b := structaware.NewHierarchyBuilder()
+	level := []int32{0}
+	for depth := 0; depth < 4; depth++ {
+		var next []int32
+		for _, v := range level {
+			for k := 0; k < 6; k++ {
+				next = append(next, b.AddChild(v))
+			}
+		}
+		level = next
+	}
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := uint64(tree.NumLeaves())
+	pts := make([][]uint64, 2500)
+	ws := make([]float64, len(pts))
+	for i := range pts {
+		pts[i] = []uint64{uint64(i) * 2654435761 % leaves}
+		ws[i] = 1 + float64(i*7919%97)
+	}
+	ds, err := structaware.NewDataset([]structaware.Axis{structaware.ExplicitAxis(tree)}, pts, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for run := 0; run < 10; run++ {
+		sum, err := structaware.Build(ds, structaware.Config{Size: 120, Method: structaware.AwareTwoPass, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := sum.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = blob
+		} else if !bytes.Equal(blob, first) {
+			t.Fatalf("run %d emitted different bytes than run 0", run)
+		}
+	}
+}
