@@ -34,6 +34,30 @@ func goldenDataset(t *testing.T) *structure.Dataset {
 	return ds
 }
 
+// golden3D is the 3-axis input of the kd closing-pass golden: 4000 draws
+// on two 6-bit bit-trie axes and one 6-bit ordered axis with the golden
+// dataset's weight law (repeated keys merge), derived from a fixed seed.
+// With 64 values per axis every coordinate is shared by dozens of keys, so
+// the kd-hierarchy breaks many ties on each axis.
+func golden3D(t *testing.T) *structure.Dataset {
+	t.Helper()
+	const n, bits = 4000, 6
+	r := xmath.NewRand(2026)
+	mask := uint64(1)<<bits - 1
+	pts := make([][]uint64, n)
+	ws := make([]float64, n)
+	for i := range pts {
+		pts[i] = []uint64{r.Uint64() & mask, r.Uint64() & mask, r.Uint64() & mask}
+		ws[i] = math.Pow(1-r.Float64(), -0.5)
+	}
+	axes := []structure.Axis{structure.BitTrieAxis(bits), structure.BitTrieAxis(bits), structure.OrderedAxis(bits)}
+	ds, err := structure.NewDataset(axes, pts, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 // golden1D is the 1-D input of the two-pass order and hierarchy goldens:
 // 3000 draws over the axis's domain with the golden dataset's weight law
 // (repeated keys merge), derived from a fixed seed.
@@ -92,17 +116,22 @@ func sas2Hash(t *testing.T, s *Summary) string {
 
 // goldenHashes pins the exact SAS2 bytes each construction path emits at
 // Seed 7 on the golden dataset (the two-pass order and hierarchy paths on
-// golden1D over their own axes), locking the determinism contract of
-// DESIGN.md §7: any change to sort order, RNG consumption, or aggregation
-// order on a construction path shows up here as a hash change and must be
-// deliberate. On mismatch the test failure prints the observed hash — copy
-// it here when the change is intended.
+// golden1D over their own axes, build-aware-3d on golden3D), locking the
+// determinism contract of DESIGN.md §7: a change to sort order, RNG
+// consumption, or aggregation order on a construction path shows up here
+// as a hash change and must be deliberate. One exception: over distinct
+// keys split to one-key leaves, the order of equal coordinates inside the
+// kd-hierarchy only changes how its median's mass sums round, which these
+// inputs do not reach; internal/kd's reference tests pin that order. On
+// mismatch the test failure prints the observed hash — copy it here when
+// the change is intended.
 //
 // The comparison runs on amd64 only: Go may fuse a*b+c into FMA on other
 // architectures, which can legitimately flip low-order float bits. The
 // run-twice and Push≡PushBatch equalities below hold everywhere.
 var goldenHashes = map[string]string{
 	"build-aware":      "67cb8675bb79391072cacb3362450bba95223e5a06345287c2b3639cf8aa5786",
+	"build-aware-3d":   "f3b16bf29842827b0e00a1bbe8f4b1b4f411460afd9ba1b612ab950a7d770676",
 	"build-oblivious":  "1f4dcd150ea9fdf17463fb140555d79476fda87fdf57b4a676d34233d4be3963",
 	"build-systematic": "9b42cb21df30c6f8b9ebe6b29c6a6457671d74e16c9d0257be73424d94914189",
 	"parallel-w3":      "d2bb23d94fc659f8b803f69db73066be2595f3f45f929e0fc5368fcceea5be7e",
@@ -113,8 +142,9 @@ var goldenHashes = map[string]string{
 	"build-twopass-hierarchy": "91a60677dc93811cd4fe22ed801f126290fd8bea188c393042ff15e8f4116b23",
 }
 
-// goldenBuild runs one named construction path over the golden dataset, or
-// over its 1-D counterpart for the two-pass order and hierarchy paths.
+// goldenBuild runs one named construction path over the golden dataset, over
+// its 1-D counterpart for the two-pass order and hierarchy paths, or over
+// its 3-axis counterpart for build-aware-3d.
 func goldenBuild(t *testing.T, ds *structure.Dataset, path string) *Summary {
 	t.Helper()
 	const size, seed = 400, 7
@@ -125,6 +155,8 @@ func goldenBuild(t *testing.T, ds *structure.Dataset, path string) *Summary {
 	switch path {
 	case "build-aware":
 		sum, err = Build(ds, Config{Size: size, Seed: seed, Method: Aware})
+	case "build-aware-3d":
+		sum, err = Build(golden3D(t), Config{Size: size, Seed: seed, Method: Aware})
 	case "build-oblivious":
 		sum, err = Build(ds, Config{Size: size, Seed: seed, Method: Oblivious})
 	case "build-systematic":

@@ -38,19 +38,15 @@ import (
 )
 
 // Arena is the per-build scratch pool threaded through the closing passes:
-// radix-sort buffers, the kd node allocator, and reusable index/weight
-// gather buffers. One build allocates one arena (per worker, for the
-// sharded pipeline — arenas are not safe for concurrent use) and every
-// sort, kd construction, and candidate gather inside the build then reuses
-// its memory. Ownership rule (DESIGN.md §7): buffers obtained from an arena
-// are valid only until the next call that takes the same arena; anything
-// that outlives the build step is copied out.
+// radix-sort buffers and reusable index/weight gather buffers. One build
+// allocates one arena (per worker, for the sharded pipeline — arenas are
+// not safe for concurrent use) and every sort and candidate gather inside
+// the build then reuses its memory. Ownership rule (DESIGN.md §7): buffers
+// obtained from an arena are valid only until the next call that takes the
+// same arena; anything that outlives the build step is copied out.
 type Arena struct {
 	// Sort is the radix-sort scratch shared by every sort in the build.
 	Sort xsort.Scratch
-	// KD is the node allocator for the closing pass's kd-hierarchies; it is
-	// Reset before each tree construction.
-	KD kd.NodeArena
 
 	order []int     // coordinate-order / fractional-item buffer
 	ws    []float64 // candidate-weight gather buffer
@@ -239,12 +235,7 @@ func Summarize(ds *structure.Dataset, items []int, p []float64, r xmath.Rand, a 
 	}
 	switch {
 	case len(fractional) > 1:
-		a.KD.Reset()
-		tree, err := kd.Build(ds, fractional, p, kd.Config{Sort: &a.Sort, Arena: &a.KD})
-		if err != nil {
-			return err
-		}
-		tree.Summarize(p, r)
+		return kd.Summarize(ds, fractional, p, kd.Config{}, r)
 	case len(fractional) == 1:
 		paggr.ResolveLeftover(p, fractional[0], r)
 	}

@@ -6,6 +6,19 @@
 // every axis-parallel box R gets error concentrated around
 // √min{p(R), 2d·s^((d-1)/d)}.
 //
+// One recursion builds the hierarchy, and it has two consumers. Build keeps
+// the nodes as a Tree, for the query index, the two-pass construction and
+// the workloads. Summarize pair-aggregates in post-order as the recursion
+// returns, so the closing pass never materializes a node.
+//
+// The recursion sorts once: at the root it stably sorts the items once per
+// axis, and at each split it stably partitions every axis's list into the
+// two children (Wald and Havran, "On building fast kd-trees for ray
+// tracing, and on doing that in O(N log N)", IEEE RT 2006). Each list then
+// holds a node's items in exactly the order a stable sort of the node's
+// items by that axis would give them, so the hierarchy is the one a per-node
+// sort builds, down to the order of equal coordinates.
+//
 // The same tree doubles as the space partition of the I/O-efficient two-pass
 // construction (§5): built over the pass-1 sample S′, its leaves induce the
 // cells that guide pass-2 aggregation, and Locate routes an arbitrary key to
@@ -37,8 +50,6 @@ type Node struct {
 	Split uint64
 	// Items holds the item indices at a leaf (nil for internal nodes).
 	Items []int
-	// Mass is the total probability mass under the node at build time.
-	Mass float64
 	// LeafID numbers leaves consecutively (leaves only, -1 otherwise).
 	LeafID int
 }
@@ -51,59 +62,12 @@ type Config struct {
 	// MaxLeafItems stops splitting when a node holds at most this many
 	// items. Default (0) means 1: split to single keys, as Algorithm 2 does.
 	MaxLeafItems int
-	// MaxLeafMass, when positive, additionally stops splitting once the
-	// probability mass under a node is at most this value (the "s-leaf"
-	// truncation of Appendix E). Zero disables mass-based stopping.
-	MaxLeafMass float64
-	// Sort, when non-nil, supplies reusable radix-sort scratch so repeated
-	// builds (one per shard close) do no sorting allocation. Nil uses a
-	// build-local scratch.
-	Sort *xsort.Scratch
-	// Arena, when non-nil, supplies the node allocator; Reset it between
-	// builds to reuse the memory. Nil allocates a build-local arena. Trees
-	// built from an arena are invalidated by its Reset.
-	Arena *NodeArena
-}
-
-// NodeArena block-allocates Nodes so that building a tree of m nodes costs
-// O(m / arenaBlock) allocations instead of m, and a Reset arena rebuilds
-// for free. Node pointers handed out stay valid until Reset (blocks are
-// never moved or shrunk).
-type NodeArena struct {
-	blocks [][]Node
-	cur    int // block currently being filled
-	used   int // nodes used in blocks[cur]
-}
-
-// arenaBlock is the node-allocation granularity.
-const arenaBlock = 1024
-
-// Reset recycles every node for the next build. Trees previously built from
-// this arena must no longer be used.
-func (a *NodeArena) Reset() { a.cur, a.used = 0, 0 }
-
-// alloc returns a zeroed node.
-func (a *NodeArena) alloc() *Node {
-	if a.cur >= len(a.blocks) {
-		a.blocks = append(a.blocks, make([]Node, arenaBlock))
-	}
-	if a.used == arenaBlock {
-		a.cur++
-		a.used = 0
-		if a.cur == len(a.blocks) {
-			a.blocks = append(a.blocks, make([]Node, arenaBlock))
-		}
-	}
-	n := &a.blocks[a.cur][a.used]
-	*n = Node{}
-	a.used++
-	return n
 }
 
 // Tree is the built kd-hierarchy.
 type Tree struct {
 	Root     *Node
-	dims     int
+	nodes    []Node // every node; capacity fixed at build, so pointers stay valid
 	leaves   []*Node
 	maxDepth int
 }
@@ -125,89 +89,204 @@ func (t *Tree) MaxDepth() int { return t.maxDepth }
 // are consulted, so a columnar view over sampled keys works as well as a
 // full dataset.
 //
-// The items slice is reordered in place during construction and RETAINED:
-// leaves alias sub-slices of it rather than copying, so the caller must not
-// mutate it while the tree is in use. Node splits use a stable radix sort,
-// so the built tree is a deterministic function of (ds, items order, p) —
-// part of the determinism contract of DESIGN.md §7.
+// The items slice is overwritten with the leaves' items, leaf after leaf,
+// and RETAINED: each leaf's Items aliases its sub-slice of items, so the
+// caller must not mutate items while the tree is in use. The built tree is
+// a deterministic function of (ds, items order, p) — part of the
+// determinism contract of DESIGN.md §7. Each node orders its items by their
+// coordinate on its split axis, breaking ties by the order its parent gave
+// them (at the root, the order of items), and a leaf lists its items in the
+// order its parent gave them.
 func Build(ds *structure.Dataset, items []int, p []float64, cfg Config) (*Tree, error) {
-	if ds.Dims() == 0 {
-		return nil, fmt.Errorf("kd: dataset has no axes")
+	if err := check(ds, items); err != nil {
+		return nil, err
 	}
-	if len(items) == 0 {
-		return nil, fmt.Errorf("kd: no items to build over")
-	}
-	if cfg.MaxLeafItems <= 0 {
-		cfg.MaxLeafItems = 1
-	}
-	if cfg.Sort == nil {
-		cfg.Sort = new(xsort.Scratch)
-	}
-	if cfg.Arena == nil {
-		cfg.Arena = new(NodeArena)
-	}
-	t := &Tree{dims: ds.Dims()}
-	t.Root = t.build(ds, items, p, cfg, 0)
+	// At most len(items) leaves, so at most 2·len(items)−1 nodes.
+	t := &Tree{nodes: make([]Node, 0, 2*len(items)-1)}
+	root, depth := construct(ds, items, p, cfg, t)
+	t.Root, t.maxDepth = &t.nodes[root], depth
 	return t, nil
 }
 
-func (t *Tree) build(ds *structure.Dataset, items []int, p []float64, cfg Config, depth int) *Node {
-	if depth > t.maxDepth {
-		t.maxDepth = depth
+// Summarize drives the probability vector p to 0/1 by pair-aggregating
+// along the kd-hierarchy that Build(ds, items, p, cfg) would return, with
+// lowest-LCA pair selection (post-order carry-up), exactly as the hierarchy
+// summarization of §3 applied to this tree. Any final fractional leftover
+// is resolved unbiasedly. Each node aggregates as soon as its children
+// have, so no node is kept. Like Build, it overwrites items with the
+// leaves' items.
+func Summarize(ds *structure.Dataset, items []int, p []float64, cfg Config, r xmath.Rand) error {
+	if err := check(ds, items); err != nil {
+		return err
 	}
-	mass := 0.0
-	for _, i := range items {
-		mass += p[i]
+	left, _ := construct(ds, items, p, cfg, closer{p: p, r: r})
+	paggr.ResolveLeftover(p, left, r)
+	return nil
+}
+
+// check rejects the inputs no hierarchy can be built over.
+func check(ds *structure.Dataset, items []int) error {
+	if ds.Dims() == 0 {
+		return fmt.Errorf("kd: dataset has no axes")
 	}
-	if len(items) <= cfg.MaxLeafItems || (cfg.MaxLeafMass > 0 && mass <= cfg.MaxLeafMass) {
-		return t.newLeaf(items, mass, cfg.Arena)
+	if len(items) == 0 {
+		return fmt.Errorf("kd: no items to build over")
 	}
-	// Try axes starting at depth mod d until one admits a split (identical
-	// coordinates on an axis make it unsplittable there).
-	for attempt := 0; attempt < t.dims; attempt++ {
-		axis := (depth + attempt) % t.dims
-		k, split, ok := weightedMedianSplit(ds.Coords[axis], items, p, cfg.Sort)
-		if !ok {
-			continue
+	return nil
+}
+
+// visitor consumes the hierarchy as the recursion returns: leaves in
+// left-to-right order, and each internal node after its two children.
+// Every call returns the handle the node's parent receives.
+type visitor interface {
+	leaf(items []int) int
+	join(axis int, split uint64, left, right int) int
+}
+
+// leaf appends a leaf node and returns its position in t.nodes.
+func (t *Tree) leaf(items []int) int {
+	t.nodes = append(t.nodes, Node{Items: items, LeafID: len(t.leaves)})
+	t.leaves = append(t.leaves, &t.nodes[len(t.nodes)-1])
+	return len(t.nodes) - 1
+}
+
+// join appends an internal node over the nodes at positions left and right.
+func (t *Tree) join(axis int, split uint64, left, right int) int {
+	t.nodes = append(t.nodes, Node{Left: &t.nodes[left], Right: &t.nodes[right], Axis: axis, Split: split, LeafID: -1})
+	return len(t.nodes) - 1
+}
+
+// closer pair-aggregates p along the hierarchy. Its handles are the
+// subtree's leftover fractional item, or -1 when every item is settled.
+type closer struct {
+	p []float64
+	r xmath.Rand
+}
+
+func (c closer) leaf(items []int) int { return paggr.AggregateSequence(c.p, items, c.r) }
+
+func (c closer) join(_ int, _ uint64, a, b int) int {
+	if a < 0 {
+		return b
+	}
+	if b < 0 {
+		return a
+	}
+	return paggr.PairAggregate(c.p, a, b, c.r).Leftover
+}
+
+// rec is one item's entry in an axis list: its coordinate on the list's own
+// axis, its coordinate on the axis the node being split splits (the key of
+// the partition and of the run sort), its mass and its index.
+type rec struct {
+	own, key uint64
+	p        float64
+	item     int
+}
+
+// builder is the state of one construction. Every node owns the positions
+// [lo, hi) of every list, and each list holds the node's items ordered by
+// its own axis's coordinate, equal coordinates in the node's order.
+type builder struct {
+	coords   [][]uint64
+	lists    [][]rec
+	items    []int // receives each leaf's items at its positions
+	maxLeaf  int
+	maxDepth int
+
+	tmp           []rec // partition overflow and sort ping-pong buffer
+	keys, tmpKeys []uint64
+	counts        [256]int
+}
+
+// construct runs the recursion over items, which check has accepted, and
+// returns the root's handle and the deepest level reached.
+func construct(ds *structure.Dataset, items []int, p []float64, cfg Config, v visitor) (root, depth int) {
+	b := builder{coords: ds.Coords, items: items, maxLeaf: cfg.MaxLeafItems}
+	if b.maxLeaf <= 0 {
+		b.maxLeaf = 1
+	}
+	if len(items) <= b.maxLeaf {
+		return v.leaf(items[:len(items):len(items)]), 0
+	}
+	b.sortLists(p)
+	root = b.node(0, len(items), 0, -1, -1, v)
+	return root, b.maxDepth
+}
+
+// sortLists fills one list per axis with the items in their input order
+// and stably sorts each by its own coordinate. With two axes a list's key
+// is always the other axis's coordinate; with more, partition refills it.
+func (b *builder) sortLists(p []float64) {
+	n, dims := len(b.items), len(b.coords)
+	b.tmp = make([]rec, n)
+	b.keys, b.tmpKeys = make([]uint64, n), make([]uint64, n)
+	b.lists = make([][]rec, dims)
+	for a := range b.lists {
+		l := make([]rec, n)
+		own, key := b.coords[a], b.coords[(a+1)%dims]
+		for k, i := range b.items {
+			l[k] = rec{own: own[i], key: key[i], p: p[i], item: i}
+			b.keys[k] = own[i]
 		}
-		n := cfg.Arena.alloc()
-		n.Axis, n.Split, n.Mass, n.LeafID = axis, split, mass, -1
-		n.Left = t.build(ds, items[:k], p, cfg, depth+1)
-		n.Right = t.build(ds, items[k:], p, cfg, depth+1)
-		return n
+		xsort.SortPairs(b.keys, l, b.tmpKeys, b.tmp, &b.counts)
+		b.lists[a] = l
 	}
-	// All axes degenerate: co-located keys (deduplication upstream makes
-	// this unreachable for distinct keys, but stay robust).
-	return t.newLeaf(items, mass, cfg.Arena)
 }
 
-// newLeaf makes a leaf aliasing the (already recursively ordered) items
-// sub-slice. Sibling recursions only touch their own disjoint sub-slices, so
-// the aliased region is stable once the leaf is created.
-func (t *Tree) newLeaf(items []int, mass float64, a *NodeArena) *Node {
-	leaf := a.alloc()
-	leaf.Items, leaf.Mass, leaf.LeafID = items[:len(items):len(items)], mass, len(t.leaves)
-	t.leaves = append(t.leaves, leaf)
-	return leaf
+// node builds the node over positions [lo, hi) at the given depth and
+// returns its handle. order is the parent's split axis, whose list holds
+// the items in the node's order, or -1 at the root, whose order is that of
+// items; grand is the grandparent's split axis, or -1.
+func (b *builder) node(lo, hi, depth, order, grand int, v visitor) int {
+	if depth > b.maxDepth {
+		b.maxDepth = depth
+	}
+	if hi-lo > b.maxLeaf {
+		// Try axes starting at depth mod d until one admits a split
+		// (identical coordinates on an axis make it unsplittable there).
+		dims := len(b.lists)
+		for attempt := 0; attempt < dims; attempt++ {
+			axis := (depth + attempt) % dims
+			k, split, ok := weightedMedian(b.lists[axis][lo:hi])
+			if !ok {
+				continue
+			}
+			mid := lo + k
+			b.partition(lo, mid, hi, axis, split, order, grand)
+			left := b.node(lo, mid, depth+1, axis, order, v)
+			right := b.node(mid, hi, depth+1, axis, order, v)
+			return v.join(axis, split, left, right)
+		}
+		// All axes degenerate: co-located keys (deduplication upstream
+		// makes this unreachable for distinct keys, but stay robust).
+	}
+	out := b.items[lo:hi:hi]
+	if order >= 0 {
+		for k, r := range b.lists[order][lo:hi] {
+			out[k] = r.item
+		}
+	}
+	return v.leaf(out)
 }
 
-// weightedMedianSplit sorts items by their coordinate on the given axis
-// (stable radix: equal coordinates keep their current order) and returns the
-// split position k (items[:k] left, items[k:] right) and the inclusive
-// left-side coordinate bound, choosing the coordinate boundary that best
-// balances probability mass. ok is false when every item shares one
-// coordinate.
-func weightedMedianSplit(coords []uint64, items []int, p []float64, s *xsort.Scratch) (k int, split uint64, ok bool) {
-	xsort.SortBy(items, coords, s)
+// weightedMedian returns the split position k (l[:k] left, l[k:] right)
+// of a list sorted by its own coordinate, and the inclusive left-side
+// coordinate bound, choosing the coordinate boundary that best balances
+// probability mass. ok is false when every item shares one coordinate.
+func weightedMedian(l []rec) (k int, split uint64, ok bool) {
+	if l[0].own == l[len(l)-1].own {
+		return 0, 0, false
+	}
 	total := 0.0
-	for _, i := range items {
-		total += p[i]
+	for i := range l {
+		total += l[i].p
 	}
 	bestK, bestGap := -1, 0.0
 	prefix := 0.0
-	for idx := 0; idx < len(items)-1; idx++ {
-		prefix += p[items[idx]]
-		if coords[items[idx]] == coords[items[idx+1]] {
+	for idx := 0; idx < len(l)-1; idx++ {
+		prefix += l[idx].p
+		if l[idx].own == l[idx+1].own {
 			continue // not a coordinate boundary: a hyperplane cannot separate
 		}
 		gap := prefix - (total - prefix)
@@ -218,10 +297,85 @@ func weightedMedianSplit(coords []uint64, items []int, p []float64, s *xsort.Scr
 			bestK, bestGap = idx+1, gap
 		}
 	}
-	if bestK == -1 {
-		return 0, 0, false
+	return bestK, l[bestK-1].own, true
+}
+
+// partition splits the node [lo, hi) at mid on axis: in every other list
+// the records whose coordinate on axis is at most split move, in order, to
+// [lo, mid), and the rest to [mid, hi). The split axis's own list is
+// already in place.
+//
+// A child orders equal coordinates by the split axis first, so each list
+// must then re-sort the runs of equal own coordinate that the split axis
+// orders differently. Within a run, list a is ordered by the splits of the
+// node's ancestors, nearest first, those on axis a aside: by the parent's
+// axis (order) when that is not a, and otherwise by the grandparent's
+// (grand) when that is not a either. A list whose runs the split axis
+// already leads needs no re-sort: with two axes that alternate, every list
+// from the root's grandchildren down.
+func (b *builder) partition(lo, mid, hi, axis int, split uint64, order, grand int) {
+	for a, l := range b.lists {
+		if a == axis {
+			continue
+		}
+		lead := order
+		if a == order {
+			lead = grand
+		}
+		seg := l[lo:hi]
+		if len(b.lists) > 2 {
+			c := b.coords[axis]
+			for k := range seg {
+				seg[k].key = c[seg[k].item]
+			}
+		}
+		w := splitRecords(seg, b.tmp, split)
+		if lead != axis {
+			b.sortRuns(seg[:w])
+			b.sortRuns(seg[w:])
+		}
 	}
-	return bestK, coords[items[bestK-1]], true
+}
+
+// splitRecords stably moves the records of l whose key is at most split to
+// its front and the rest behind them, through tmp (at least as long as l),
+// and returns how many went to the front. Each record is written to both
+// sides and one side keeps it, so the loop does not branch on the split.
+func splitRecords(l, tmp []rec, split uint64) int {
+	tmp = tmp[:len(l)]
+	w, j := 0, 0
+	for _, r := range l {
+		l[w], tmp[j] = r, r
+		left := 0
+		if r.key <= split {
+			left = 1
+		}
+		w += left
+		j += 1 - left
+	}
+	copy(l[w:], tmp[:j])
+	return w
+}
+
+// sortRuns stably sorts by key each run of equal own coordinate in l whose
+// keys are out of order.
+func (b *builder) sortRuns(l []rec) {
+	for s := 0; s < len(l); {
+		e, sorted := s+1, true
+		for ; e < len(l) && l[e].own == l[s].own; e++ {
+			if l[e].key < l[e-1].key {
+				sorted = false
+			}
+		}
+		if !sorted {
+			run := l[s:e]
+			for k := range run {
+				b.keys[k] = run[k].key
+			}
+			xsort.SortPairs(b.keys[:len(run)], run, b.tmpKeys, b.tmp, &b.counts)
+		}
+		s = e
+	}
 }
 
 // Locate descends the tree with the given point (one coordinate per axis)
@@ -259,31 +413,6 @@ func (t *Tree) LeafRegions(full structure.Range) []structure.Range {
 	}
 	walk(t.Root, full)
 	return out
-}
-
-// Summarize drives the probability vector p to 0/1 by pair-aggregating along
-// the kd-hierarchy with lowest-LCA pair selection (post-order carry-up),
-// exactly as the hierarchy summarization of §3 applied to this tree. Any
-// final fractional leftover is resolved unbiasedly.
-func (t *Tree) Summarize(p []float64, r xmath.Rand) {
-	left := summarizeNode(t.Root, p, r)
-	paggr.ResolveLeftover(p, left, r)
-}
-
-func summarizeNode(n *Node, p []float64, r xmath.Rand) int {
-	if n.IsLeaf() {
-		return paggr.AggregateSequence(p, n.Items, r)
-	}
-	a := summarizeNode(n.Left, p, r)
-	b := summarizeNode(n.Right, p, r)
-	if a < 0 {
-		return b
-	}
-	if b < 0 {
-		return a
-	}
-	out := paggr.PairAggregate(p, a, b, r)
-	return out.Leftover
 }
 
 // CutLeaves counts how many leaf cells an axis-parallel hyperplane

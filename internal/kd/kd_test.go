@@ -58,10 +58,22 @@ func TestKDUniformPartition(t *testing.T) {
 	}
 	// Each leaf holds exactly one item and mass 0.5.
 	for _, leaf := range tree.Leaves() {
-		if len(leaf.Items) != 1 || !xmath.AlmostEqual(leaf.Mass, 0.5, 1e-12) {
+		if len(leaf.Items) != 1 || !xmath.AlmostEqual(subtreeMass(leaf, p), 0.5, 1e-12) {
 			t.Fatalf("leaf %v", leaf)
 		}
 	}
+}
+
+// subtreeMass is the probability mass of the items in n's leaves.
+func subtreeMass(n *Node, p []float64) float64 {
+	if n.IsLeaf() {
+		m := 0.0
+		for _, i := range n.Items {
+			m += p[i]
+		}
+		return m
+	}
+	return subtreeMass(n.Left, p) + subtreeMass(n.Right, p)
 }
 
 func TestLeafRegionsPartitionDomain(t *testing.T) {
@@ -143,36 +155,15 @@ func TestMassBalancedSplits(t *testing.T) {
 		if n.IsLeaf() {
 			return
 		}
-		gap := math.Abs(n.Left.Mass - n.Right.Mass)
-		if gap > maxP+1e-9 && n.Left.Mass+n.Right.Mass > 2*maxP {
-			t.Fatalf("imbalanced split: left %v right %v (max item %v)", n.Left.Mass, n.Right.Mass, maxP)
+		left, right := subtreeMass(n.Left, p), subtreeMass(n.Right, p)
+		gap := math.Abs(left - right)
+		if gap > maxP+1e-9 && left+right > 2*maxP {
+			t.Fatalf("imbalanced split: left %v right %v (max item %v)", left, right, maxP)
 		}
 		walk(n.Left)
 		walk(n.Right)
 	}
 	walk(tree.Root)
-}
-
-func TestMaxLeafMassStopsSplitting(t *testing.T) {
-	r := xmath.NewRand(4)
-	ds := randomDataset(t, r, 600, 12)
-	p := make([]float64, ds.Len())
-	for i := range p {
-		p[i] = 0.1
-	}
-	tree, err := Build(ds, allItems(ds.Len()), p, Config{MaxLeafMass: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, leaf := range tree.Leaves() {
-		if leaf.Mass > 1.0+1e-9 {
-			t.Fatalf("leaf mass %v exceeds cap", leaf.Mass)
-		}
-	}
-	// s-leaves should be far fewer than single-key leaves.
-	if tree.NumLeaves() >= ds.Len() {
-		t.Fatalf("mass capping did not coarsen: %d leaves for %d items", tree.NumLeaves(), ds.Len())
-	}
 }
 
 func TestSummarizeExactSizeAndBoxDiscrepancy(t *testing.T) {
@@ -192,11 +183,9 @@ func TestSummarizeExactSizeAndBoxDiscrepancy(t *testing.T) {
 			p[i] *= scale
 		}
 		p0 := append([]float64(nil), p...)
-		tree, err := Build(ds, allItems(n), p, Config{})
-		if err != nil {
+		if err := Summarize(ds, allItems(n), p, Config{}, r); err != nil {
 			t.Fatal(err)
 		}
-		tree.Summarize(p, r)
 		if got := len(paggr.SampleIndices(p)); got != int(target) {
 			t.Fatalf("trial %d: size %d want %d", trial, got, int(target))
 		}
@@ -266,6 +255,9 @@ func TestBuildErrors(t *testing.T) {
 	r := xmath.NewRand(6)
 	ds := randomDataset(t, r, 10, 8)
 	if _, err := Build(ds, nil, nil, Config{}); err == nil {
+		t.Fatal("empty items must error")
+	}
+	if err := Summarize(ds, nil, nil, Config{}, r); err == nil {
 		t.Fatal("empty items must error")
 	}
 }

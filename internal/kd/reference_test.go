@@ -1,0 +1,313 @@
+package kd
+
+import (
+	"encoding/binary"
+	"math"
+	"slices"
+	"testing"
+
+	"structaware/internal/paggr"
+	"structaware/internal/structure"
+	"structaware/internal/xmath"
+	"structaware/internal/xsort"
+)
+
+// The construction below is the one this package used before it sorted
+// once per axis: every node stably radix-sorts its items by the split axis
+// and cuts them at the weighted median, building one heap-allocated Node
+// per node, and Summarize then walks the finished tree. It is kept as the
+// reference that Build must match node for node and that Summarize must
+// match draw for draw.
+
+// buildReference is Build by per-node sorting.
+func buildReference(ds *structure.Dataset, items []int, p []float64, cfg Config) *Tree {
+	if cfg.MaxLeafItems <= 0 {
+		cfg.MaxLeafItems = 1
+	}
+	t := &Tree{}
+	t.Root = t.build(ds, items, p, cfg, new(xsort.Scratch), 0)
+	return t
+}
+
+func (t *Tree) build(ds *structure.Dataset, items []int, p []float64, cfg Config, s *xsort.Scratch, depth int) *Node {
+	if depth > t.maxDepth {
+		t.maxDepth = depth
+	}
+	if len(items) <= cfg.MaxLeafItems {
+		return t.newLeaf(items)
+	}
+	// Try axes starting at depth mod d until one admits a split (identical
+	// coordinates on an axis make it unsplittable there).
+	dims := ds.Dims()
+	for attempt := 0; attempt < dims; attempt++ {
+		axis := (depth + attempt) % dims
+		k, split, ok := weightedMedianSplit(ds.Coords[axis], items, p, s)
+		if !ok {
+			continue
+		}
+		n := &Node{Axis: axis, Split: split, LeafID: -1}
+		n.Left = t.build(ds, items[:k], p, cfg, s, depth+1)
+		n.Right = t.build(ds, items[k:], p, cfg, s, depth+1)
+		return n
+	}
+	// All axes degenerate: co-located keys.
+	return t.newLeaf(items)
+}
+
+// newLeaf makes a leaf aliasing the (already recursively ordered) items
+// sub-slice.
+func (t *Tree) newLeaf(items []int) *Node {
+	leaf := &Node{Items: items[:len(items):len(items)], LeafID: len(t.leaves)}
+	t.leaves = append(t.leaves, leaf)
+	return leaf
+}
+
+// weightedMedianSplit sorts items by their coordinate on the given axis
+// (stable radix: equal coordinates keep their current order) and returns the
+// split position k (items[:k] left, items[k:] right) and the inclusive
+// left-side coordinate bound, choosing the coordinate boundary that best
+// balances probability mass. ok is false when every item shares one
+// coordinate.
+func weightedMedianSplit(coords []uint64, items []int, p []float64, s *xsort.Scratch) (k int, split uint64, ok bool) {
+	xsort.SortBy(items, coords, s)
+	total := 0.0
+	for _, i := range items {
+		total += p[i]
+	}
+	bestK, bestGap := -1, 0.0
+	prefix := 0.0
+	for idx := 0; idx < len(items)-1; idx++ {
+		prefix += p[items[idx]]
+		if coords[items[idx]] == coords[items[idx+1]] {
+			continue // not a coordinate boundary: a hyperplane cannot separate
+		}
+		gap := prefix - (total - prefix)
+		if gap < 0 {
+			gap = -gap
+		}
+		if bestK == -1 || gap < bestGap {
+			bestK, bestGap = idx+1, gap
+		}
+	}
+	if bestK == -1 {
+		return 0, 0, false
+	}
+	return bestK, coords[items[bestK-1]], true
+}
+
+// summarize is Summarize over a built tree.
+func (t *Tree) summarize(p []float64, r xmath.Rand) {
+	left := summarizeNode(t.Root, p, r)
+	paggr.ResolveLeftover(p, left, r)
+}
+
+func summarizeNode(n *Node, p []float64, r xmath.Rand) int {
+	if n.IsLeaf() {
+		return paggr.AggregateSequence(p, n.Items, r)
+	}
+	a := summarizeNode(n.Left, p, r)
+	b := summarizeNode(n.Right, p, r)
+	if a < 0 {
+		return b
+	}
+	if b < 0 {
+		return a
+	}
+	out := paggr.PairAggregate(p, a, b, r)
+	return out.Leftover
+}
+
+// refInput is one comparison case: a dataset that may repeat keys, the
+// items to build over in the order given, their masses, the leaf size and
+// the closing pass's seed.
+type refInput struct {
+	ds      *structure.Dataset
+	items   []int
+	p       []float64
+	maxLeaf int
+	seed    uint64
+}
+
+// randomRefInput draws 2–4 axes of 1–7-bit coordinates (one of them
+// sometimes constant), masses in (0, 1) that often tie, and a shuffled
+// subset of the keys.
+func randomRefInput(r *xmath.SplitMix) refInput {
+	dims := 2 + r.Intn(3)
+	n := 1 + r.Intn(400)
+	constant := -1
+	if r.Intn(4) == 0 {
+		constant = r.Intn(dims)
+	}
+	ds := &structure.Dataset{Axes: make([]structure.Axis, dims), Coords: make([][]uint64, dims), Weights: make([]float64, n)}
+	for d := range ds.Coords {
+		bits := 1 + r.Intn(7)
+		ds.Axes[d] = structure.OrderedAxis(bits)
+		ds.Coords[d] = make([]uint64, n)
+		for i := range ds.Coords[d] {
+			if d != constant {
+				ds.Coords[d][i] = r.Uint64() & (1<<bits - 1)
+			}
+		}
+	}
+	p := make([]float64, n)
+	coarse := r.Intn(2) == 0
+	for i := range p {
+		if coarse {
+			p[i] = float64(1+r.Intn(7)) / 8
+		} else {
+			p[i] = 0.01 + 0.98*r.Float64()
+		}
+		ds.Weights[i] = p[i]
+	}
+	items := xmath.Perm(r, n)[:1+r.Intn(n)]
+	maxLeaf := 1
+	if r.Intn(2) == 0 {
+		maxLeaf = 8
+	}
+	return refInput{ds: ds, items: items, p: p, maxLeaf: maxLeaf, seed: r.Uint64()}
+}
+
+// decodeRefInput reads a case from fuzz bytes: a header of the axis count,
+// the leaf size, the constant axis, each axis's bits and a seed, then one
+// record per key of a coordinate byte per axis and a mass byte. The seed
+// shuffles the items and seeds the closing pass. ok is false when the
+// bytes hold no whole key.
+func decodeRefInput(data []byte) (in refInput, ok bool) {
+	const header = 3 + 4 + 8
+	if len(data) < header {
+		return in, false
+	}
+	dims := 2 + int(data[0])%3
+	in.maxLeaf = 1
+	if data[1]%2 == 1 {
+		in.maxLeaf = 8
+	}
+	constant := int(data[2] % 8) // an axis index only when below dims
+	bits := data[3 : 3+dims]
+	in.seed = binary.LittleEndian.Uint64(data[7:header])
+	body := data[header:]
+	n := min(len(body)/(dims+1), 512)
+	if n == 0 {
+		return in, false
+	}
+	in.ds = &structure.Dataset{Axes: make([]structure.Axis, dims), Coords: make([][]uint64, dims), Weights: make([]float64, n)}
+	for d := range in.ds.Coords {
+		b := 1 + int(bits[d])%7
+		in.ds.Axes[d] = structure.OrderedAxis(b)
+		in.ds.Coords[d] = make([]uint64, n)
+		for i := range in.ds.Coords[d] {
+			if d != constant {
+				in.ds.Coords[d][i] = uint64(body[i*(dims+1)+d]) & (1<<b - 1)
+			}
+		}
+	}
+	in.p = make([]float64, n)
+	for i := range in.p {
+		in.p[i] = float64(1+int(body[i*(dims+1)+dims])%255) / 256
+		in.ds.Weights[i] = in.p[i]
+	}
+	in.items = xmath.Perm(xmath.NewRand(in.seed), n)
+	return in, true
+}
+
+// checkBuildMatchesReference builds in both ways and compares the trees
+// node for node and the reordered items.
+func checkBuildMatchesReference(t *testing.T, in refInput) {
+	t.Helper()
+	cfg := Config{MaxLeafItems: in.maxLeaf}
+	wantItems := slices.Clone(in.items)
+	want := buildReference(in.ds, wantItems, in.p, cfg)
+	gotItems := slices.Clone(in.items)
+	got, err := Build(in.ds, gotItems, in.p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MaxDepth() != want.MaxDepth() || got.NumLeaves() != want.NumLeaves() {
+		t.Fatalf("depth %d with %d leaves, reference depth %d with %d leaves",
+			got.MaxDepth(), got.NumLeaves(), want.MaxDepth(), want.NumLeaves())
+	}
+	var walk func(g, w *Node, path string)
+	walk = func(g, w *Node, path string) {
+		if g.IsLeaf() != w.IsLeaf() {
+			t.Fatalf("node %q: leaf %v, reference leaf %v", path, g.IsLeaf(), w.IsLeaf())
+		}
+		if w.IsLeaf() {
+			if g.LeafID != w.LeafID || !slices.Equal(g.Items, w.Items) {
+				t.Fatalf("leaf %q: id %d items %v, reference id %d items %v", path, g.LeafID, g.Items, w.LeafID, w.Items)
+			}
+			return
+		}
+		if g.Axis != w.Axis || g.Split != w.Split || g.LeafID != -1 {
+			t.Fatalf("node %q: axis %d split %d id %d, reference axis %d split %d",
+				path, g.Axis, g.Split, g.LeafID, w.Axis, w.Split)
+		}
+		walk(g.Left, w.Left, path+"L")
+		walk(g.Right, w.Right, path+"R")
+	}
+	walk(got.Root, want.Root, "")
+	if !slices.Equal(gotItems, wantItems) {
+		t.Fatalf("items reordered to %v, reference %v", gotItems, wantItems)
+	}
+}
+
+// checkCloseMatchesReference runs the closing pass both ways from one seed
+// and requires bitwise-equal probabilities and the same number of draws.
+func checkCloseMatchesReference(t *testing.T, in refInput) {
+	t.Helper()
+	cfg := Config{MaxLeafItems: in.maxLeaf}
+	want := slices.Clone(in.p)
+	wantRand := xmath.NewRand(in.seed)
+	buildReference(in.ds, slices.Clone(in.items), want, cfg).summarize(want, wantRand)
+	got := slices.Clone(in.p)
+	gotRand := xmath.NewRand(in.seed)
+	if err := Summarize(in.ds, slices.Clone(in.items), got, cfg, gotRand); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("p[%d] = %v after the closing pass, reference %v", i, got[i], want[i])
+		}
+	}
+	if g, w := gotRand.Uint64(), wantRand.Uint64(); g != w {
+		t.Fatalf("random stream diverged after the closing pass: next draw %x, reference %x", g, w)
+	}
+}
+
+// TestBuildMatchesReference: the record-list construction builds the tree
+// per-node sorting builds, over inputs full of ties and repeated keys.
+func TestBuildMatchesReference(t *testing.T) {
+	r := xmath.NewRand(11)
+	for trial := 0; trial < 600; trial++ {
+		checkBuildMatchesReference(t, randomRefInput(r))
+	}
+}
+
+// TestCloseMatchesReference: the closing pass that aggregates as the
+// recursion returns makes the draws the walk over the reference tree makes.
+func TestCloseMatchesReference(t *testing.T) {
+	r := xmath.NewRand(12)
+	for trial := 0; trial < 600; trial++ {
+		checkCloseMatchesReference(t, randomRefInput(r))
+	}
+}
+
+// FuzzBuildMatchesReference runs both comparisons on inputs decoded from
+// the fuzzer's bytes.
+func FuzzBuildMatchesReference(f *testing.F) {
+	r := xmath.NewRand(13)
+	for k := 0; k < 8; k++ {
+		seed := make([]byte, 15+r.Intn(600))
+		for i := range seed {
+			seed[i] = byte(r.Uint64())
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, ok := decodeRefInput(data)
+		if !ok {
+			return
+		}
+		checkBuildMatchesReference(t, in)
+		checkCloseMatchesReference(t, in)
+	})
+}
