@@ -453,6 +453,61 @@ func BenchmarkKDBuild(b *testing.B) {
 	b.SetBytes(int64(len(items)))
 }
 
+var (
+	shardOnce  sync.Once
+	shardDS    *structure.Dataset
+	shardItems []int
+	shardP     []float64
+)
+
+// kdShard is the closing pass's input in one SampleParallel shard of a
+// perfbench-sized build: the first half of 2^20 workload.Network pairs on
+// two 20-bit axes, and the items of that half that are fractional at its
+// IPPS threshold for 4,096 keys, with their probabilities.
+func kdShard(b *testing.B) (*structure.Dataset, []int, []float64) {
+	b.Helper()
+	shardOnce.Do(func() {
+		ds, err := workload.Network(workload.NetworkConfig{Pairs: 1 << 20, Bits: 20, Seed: 5})
+		if err != nil {
+			panic(err)
+		}
+		half := ds.Weights[:ds.Len()/2]
+		tau, err := ipps.Threshold(half, 4096)
+		if err != nil {
+			panic(err)
+		}
+		shardDS, shardP = ds, make([]float64, ds.Len())
+		copy(shardP, ipps.Probabilities(half, tau))
+		for i, pi := range shardP {
+			if pi > 0 && pi < 1 {
+				shardItems = append(shardItems, i)
+			}
+		}
+	})
+	return shardDS, shardItems, shardP
+}
+
+// BenchmarkKDSummarize times kd.Summarize at perfbench's scale, where its
+// lists outgrow the caches (BenchmarkKDBuild's fit in them), and reports
+// the time per fractional item.
+func BenchmarkKDSummarize(b *testing.B) {
+	ds, items, p0 := kdShard(b)
+	work, p := make([]int, len(items)), make([]float64, len(p0))
+	r := xmath.NewRand(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(work, items)
+		copy(p, p0)
+		b.StartTimer()
+		if err := kd.Summarize(ds, work, p, kd.Config{}, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(items)), "ns/item")
+	b.ReportMetric(float64(len(items)), "items")
+}
+
 func BenchmarkKDLocate(b *testing.B) {
 	ds, _ := fixtures(b)
 	p := make([]float64, ds.Len())

@@ -803,6 +803,53 @@ func TestLiveWALRecover(t *testing.T) {
 	}
 }
 
+// TestSnapshotOfOverflowingBatchFails: a batch of finite weights whose sum
+// overflows cannot be summarized. Admission still acks it; the forced
+// snapshot after it answers 500, writes no snapshot file (which the reader
+// would refuse) and truncates no WAL segment, so the acked keys stay logged.
+func TestSnapshotOfOverflowingBatchFails(t *testing.T) {
+	dir := t.TempDir()
+	st := newStore(nil, 4096, t.Logf)
+	if err := st.loadAll(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := liveConfig{size: 2, seed: liveTestCfg.Seed, dir: dir, walSync: wal.PolicyInterval}
+	if err := st.initLive([]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.closeWALs)
+	t.Cleanup(st.closeLive)
+	srv := httptest.NewServer(st.handler())
+	defer srv.Close()
+
+	pushColumnar(t, srv.URL, [][]uint64{{0, 1, 2, 3, 4}, {0, 1, 2, 3, 4}}, []float64{1.7e308, 1.7e308, 1, 2, 3})
+	segments := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := segments()
+	if len(before) == 0 {
+		t.Fatal("no wal segment holds the acked batch")
+	}
+	if code := postJSON(t, srv.URL+"/v1/summaries/net/snapshot", "application/json", nil, nil); code != http.StatusInternalServerError {
+		t.Fatalf("snapshot status %d, want 500", code)
+	}
+	if files, err := filepath.Glob(filepath.Join(dir, "*.sas")); err != nil || len(files) != 0 {
+		t.Fatalf("snapshot files %v (%v), want none", files, err)
+	}
+	// The cut opened a new window; every segment of the old one stays.
+	after := strings.Join(segments(), " ")
+	for _, name := range before {
+		if !strings.Contains(after, name) {
+			t.Fatalf("wal segment %s truncated by the failed snapshot (left: %s)", name, after)
+		}
+	}
+}
+
 // TestReadyzGate: /readyz answers 503 until the store flips ready, while
 // /healthz answers 200 the whole time — the distinction orchestrators
 // gate traffic on during snapshot recovery and WAL replay.

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"structaware/internal/hierarchy"
+	"structaware/internal/ipps"
 	"structaware/internal/structure"
 	"structaware/internal/xmath"
 )
@@ -315,6 +318,61 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(zeros, Config{Size: 1}); err == nil {
 		t.Fatal("all-zero weights must error")
 	}
+}
+
+// TestOverflowingTotalIsBadWeight: weights that are each finite but whose
+// sum overflows are refused as ipps.ErrBadWeight by every construction
+// path, not turned into a summary of no keys at τ = +Inf, which would
+// serialize but not read back.
+func TestOverflowingTotalIsBadWeight(t *testing.T) {
+	axes := []structure.Axis{structure.OrderedAxis(8), structure.OrderedAxis(8)}
+	pts := [][]uint64{{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}}
+	weights := []float64{1.7e308, 1.7e308, 1, 2, 3}
+	ds, err := structure.NewDataset(axes, pts, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Size: 2, Seed: 1}
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ipps.ErrBadWeight) {
+			t.Errorf("%s: %v, want ipps.ErrBadWeight", what, err)
+		}
+	}
+	_, err = Build(ds, cfg)
+	check("Build", err)
+	for _, workers := range []int{2, 3} {
+		_, err = SampleParallel(ds, cfg, workers)
+		check(fmt.Sprintf("SampleParallel with %d workers", workers), err)
+	}
+	b, err := NewBuilder(axes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PushBatch(ds.Coords, ds.Weights); err != nil {
+		t.Fatal(err)
+	}
+	_, err = b.Snapshot()
+	check("Builder.Snapshot", err)
+	_, err = b.Finalize()
+	check("Builder.Finalize", err)
+
+	// Two summaries that each hold one of the heavy keys merge into one
+	// whose total overflows.
+	var parts []*Summary
+	for _, rows := range [][]int{{0, 2}, {1, 3}} {
+		part, err := structure.NewDataset(axes, [][]uint64{pts[rows[0]], pts[rows[1]]}, []float64{weights[rows[0]], weights[rows[1]]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := Build(part, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, sum)
+	}
+	_, err = MergeSummaries(cfg.Size, cfg.Seed, parts...)
+	check("MergeSummaries", err)
 }
 
 func TestSmallPopulationExact(t *testing.T) {

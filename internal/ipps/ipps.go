@@ -24,7 +24,8 @@ import (
 	"structaware/internal/xmath"
 )
 
-// ErrBadWeight is returned when a weight is negative, NaN or infinite.
+// ErrBadWeight is returned when a weight is negative, NaN or infinite, and
+// by Threshold when the weights' sum overflows.
 var ErrBadWeight = errors.New("ipps: weights must be finite and non-negative")
 
 // ErrBadSize is returned when the requested sample size is not positive.
@@ -52,7 +53,9 @@ func ValidateWeight(w float64) error {
 
 // Threshold computes τ_s for the given weights and target expected sample
 // size s. It returns 0 when the number of items with positive weight is at
-// most s (all such items get p = 1).
+// most s (all such items get p = 1). Weights whose sum overflows are an
+// ErrBadWeight, even when they fit in s: τ, a merge or an estimate over them
+// would be infinite.
 //
 // The returned τ satisfies Σ min(1, w_i/τ) = s exactly in real arithmetic.
 // Only the top-(s+1) region of the weights needs to be ordered to find τ, so
@@ -68,10 +71,15 @@ func Threshold(weights []float64, s int) (float64, error) {
 		return 0, err
 	}
 	ws := make([]float64, 0, len(weights))
+	total := 0.0
 	for _, w := range weights {
 		if w > 0 {
 			ws = append(ws, w)
+			total += w
 		}
+	}
+	if math.IsInf(total, 1) {
+		return 0, fmt.Errorf("%w: the positive weights sum to %v", ErrBadWeight, total)
 	}
 	if len(ws) <= s {
 		return 0, nil

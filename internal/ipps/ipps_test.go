@@ -1,6 +1,7 @@
 package ipps
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,20 @@ func TestThresholdErrors(t *testing.T) {
 	}
 	if _, err := Threshold([]float64{math.Inf(1)}, 1); err == nil {
 		t.Fatal("Inf weight must error")
+	}
+}
+
+// TestThresholdOverflowingTotal: finite weights whose sum overflows are an
+// ErrBadWeight, not τ = +Inf, whether or not they fit in s.
+func TestThresholdOverflowingTotal(t *testing.T) {
+	weights := []float64{1.7e308, 1.7e308, 1, 2, 3}
+	for _, s := range []int{1, 2, 4, 5, 10} {
+		if tau, err := Threshold(weights, s); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("s=%d: τ=%v err=%v, want ErrBadWeight", s, tau, err)
+		}
+	}
+	if _, err := Threshold([]float64{math.MaxFloat64, 1, 2}, 2); err != nil {
+		t.Errorf("a finite total must be accepted: %v", err)
 	}
 }
 

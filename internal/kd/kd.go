@@ -19,6 +19,14 @@
 // items by that axis would give them, so the hierarchy is the one a per-node
 // sort builds, down to the order of equal coordinates.
 //
+// The pass is bound by the memory it moves, so every step reads the
+// records sequentially and touches as few bytes as it can: the root sorts
+// the records themselves, with no key array beside them; the weighted
+// median stops scanning where the mass balance crosses zero; and the closing
+// pass takes each item's mass from its record and carries leftover
+// probabilities up the recursion, so it writes p only where an entry
+// settles and never reads it at random.
+//
 // The same tree doubles as the space partition of the I/O-efficient two-pass
 // construction (§5): built over the pass-1 sample S′, its leaves induce the
 // cells that guide pass-2 aggregation, and Locate routes an arbitrary key to
@@ -32,6 +40,7 @@ package kd
 
 import (
 	"fmt"
+	"math/bits"
 
 	"structaware/internal/paggr"
 	"structaware/internal/structure"
@@ -114,13 +123,16 @@ func Build(ds *structure.Dataset, items []int, p []float64, cfg Config) (*Tree, 
 // summarization of §3 applied to this tree. Any final fractional leftover
 // is resolved unbiasedly. Each node aggregates as soon as its children
 // have, so no node is kept. Like Build, it overwrites items with the
-// leaves' items.
+// leaves' items, which must be distinct.
 func Summarize(ds *structure.Dataset, items []int, p []float64, cfg Config, r xmath.Rand) error {
 	if err := check(ds, items); err != nil {
 		return err
 	}
 	left, _ := construct(ds, items, p, cfg, closer{p: p, r: r})
-	paggr.ResolveLeftover(p, left, r)
+	if left.item >= 0 {
+		p[left.item] = left.p
+	}
+	paggr.ResolveLeftover(p, left.item, r)
 	return nil
 }
 
@@ -137,14 +149,15 @@ func check(ds *structure.Dataset, items []int) error {
 
 // visitor consumes the hierarchy as the recursion returns: leaves in
 // left-to-right order, and each internal node after its two children.
-// Every call returns the handle the node's parent receives.
-type visitor interface {
-	leaf(items []int) int
-	join(axis int, split uint64, left, right int) int
+// Every call returns the handle the node's parent receives. A leaf gets
+// its items and their records, in the same order.
+type visitor[H any] interface {
+	leaf(items []int, recs []rec) H
+	join(axis int, split uint64, left, right H) H
 }
 
 // leaf appends a leaf node and returns its position in t.nodes.
-func (t *Tree) leaf(items []int) int {
+func (t *Tree) leaf(items []int, _ []rec) int {
 	t.nodes = append(t.nodes, Node{Items: items, LeafID: len(t.leaves)})
 	t.leaves = append(t.leaves, &t.nodes[len(t.nodes)-1])
 	return len(t.nodes) - 1
@@ -156,23 +169,70 @@ func (t *Tree) join(axis int, split uint64, left, right int) int {
 	return len(t.nodes) - 1
 }
 
-// closer pair-aggregates p along the hierarchy. Its handles are the
-// subtree's leftover fractional item, or -1 when every item is settled.
+// held is the handle of the closing pass: a subtree's leftover fractional
+// item and its probability, which p does not hold yet, or item -1 when
+// every item of the subtree is settled.
+type held struct {
+	item int
+	p    float64
+}
+
+// closer pair-aggregates p along the hierarchy, as paggr.AggregateSequence
+// at each leaf and paggr.PairAggregate at each join would, with the same
+// draws in the same order. It writes p[item] once, when the item settles;
+// until then the item's probability travels in its held handle. A leaf
+// reads each mass from the item's record, which holds p[item] until the
+// leaf visits the item, so the pass makes no random reads of p.
 type closer struct {
 	p []float64
 	r xmath.Rand
 }
 
-func (c closer) leaf(items []int) int { return paggr.AggregateSequence(c.p, items, c.r) }
+// leaf aggregates the leaf's records in order, carrying the leftover.
+//
+//sasvet:hotpath
+func (c closer) leaf(_ []int, recs []rec) held {
+	active := held{item: -1}
+	for k := range recs {
+		in := held{recs[k].item, xmath.SnapProb(recs[k].p)}
+		switch {
+		case xmath.IsSet(in.p):
+			c.p[in.item] = in.p
+		case active.item < 0:
+			active = in
+		default:
+			active = c.pair(active, in)
+		}
+	}
+	return active
+}
 
-func (c closer) join(_ int, _ uint64, a, b int) int {
-	if a < 0 {
+func (c closer) join(_ int, _ uint64, a, b held) held {
+	if a.item < 0 {
 		return b
 	}
-	if b < 0 {
+	if b.item < 0 {
 		return a
 	}
-	return paggr.PairAggregate(c.p, a, b, c.r).Leftover
+	return c.pair(a, b)
+}
+
+// pair aggregates two fractional entries, writes to p the ones that
+// settle, and returns the one that does not.
+//
+//sasvet:hotpath
+func (c closer) pair(a, b held) held {
+	a.p, b.p = paggr.PairValues(a.p, b.p, c.r)
+	if xmath.IsSet(a.p) {
+		c.p[a.item] = a.p
+		if xmath.IsSet(b.p) {
+			c.p[b.item] = b.p
+			return held{item: -1}
+		}
+		return b
+	}
+	c.p[b.item] = b.p
+	return a
 }
 
 // rec is one item's entry in an axis list: its coordinate on the list's own
@@ -194,23 +254,27 @@ type builder struct {
 	maxLeaf  int
 	maxDepth int
 
-	tmp           []rec // partition overflow and sort ping-pong buffer
-	keys, tmpKeys []uint64
-	counts        [256]int
+	tmp           []rec    // spare list: root sort buffer, partition overflow, run sort buffer
+	keys, tmpKeys []uint64 // run sort keys
+	counts        [256]int // run sort histogram
 }
 
 // construct runs the recursion over items, which check has accepted, and
 // returns the root's handle and the deepest level reached.
-func construct(ds *structure.Dataset, items []int, p []float64, cfg Config, v visitor) (root, depth int) {
-	b := builder{coords: ds.Coords, items: items, maxLeaf: cfg.MaxLeafItems}
+func construct[H any](ds *structure.Dataset, items []int, p []float64, cfg Config, v visitor[H]) (root H, depth int) {
+	b := &builder{coords: ds.Coords, items: items, maxLeaf: cfg.MaxLeafItems}
 	if b.maxLeaf <= 0 {
 		b.maxLeaf = 1
 	}
 	if len(items) <= b.maxLeaf {
-		return v.leaf(items[:len(items):len(items)]), 0
+		recs := make([]rec, len(items))
+		for k, i := range items {
+			recs[k] = rec{p: p[i], item: i}
+		}
+		return v.leaf(items[:len(items):len(items)], recs), 0
 	}
 	b.sortLists(p)
-	root = b.node(0, len(items), 0, -1, -1, v)
+	root = node(b, v, 0, len(items), 0, -1, -1)
 	return root, b.maxDepth
 }
 
@@ -222,23 +286,71 @@ func (b *builder) sortLists(p []float64) {
 	b.tmp = make([]rec, n)
 	b.keys, b.tmpKeys = make([]uint64, n), make([]uint64, n)
 	b.lists = make([][]rec, dims)
+	counts := make([][radix]int, maxDigits)
 	for a := range b.lists {
 		l := make([]rec, n)
 		own, key := b.coords[a], b.coords[(a+1)%dims]
+		var bound uint64
 		for k, i := range b.items {
 			l[k] = rec{own: own[i], key: key[i], p: p[i], item: i}
-			b.keys[k] = own[i]
+			bound |= own[i]
 		}
-		xsort.SortPairs(b.keys, l, b.tmpKeys, b.tmp, &b.counts)
-		b.lists[a] = l
+		b.lists[a], b.tmp = sortRecords(l, b.tmp, bound, counts)
 	}
+}
+
+// The root sort's digits: 11 bits, so that 20-bit coordinates take two
+// passes, and at most six of them for 64-bit coordinates.
+const (
+	digitBits = 11
+	radix     = 1 << digitBits
+	maxDigits = (64 + digitBits - 1) / digitBits
+)
+
+// sortRecords stably sorts l by own coordinate with an LSD radix sort over
+// digitBits-bit digits, up to the highest digit of bound, which must be at
+// least every own coordinate (their bitwise OR will do). Each pass moves
+// whole records between l and spare (as long as l), with no key array
+// beside them, and a digit every record shares costs no pass. sorted is the
+// buffer the last pass filled and free is the other one; nothing is copied
+// back. counts (maxDigits long) is scratch for the histograms, which one
+// read of l fills for every digit.
+//
+//sasvet:hotpath
+func sortRecords(l, spare []rec, bound uint64, counts [][radix]int) (sorted, free []rec) {
+	hist := counts[:(bits.Len64(bound)+digitBits-1)/digitBits]
+	clear(hist)
+	for k := range l {
+		own := l[k].own
+		for d := range hist {
+			hist[d][own>>(d*digitBits)&(radix-1)]++
+		}
+	}
+	src, dst := l, spare[:len(l)]
+	for d := range hist {
+		shift, h := d*digitBits, &hist[d]
+		if h[src[0].own>>shift&(radix-1)] == len(src) {
+			continue // every record has this digit: the pass would move nothing
+		}
+		sum := 0
+		for v := range h {
+			sum, h[v] = sum+h[v], sum
+		}
+		for k := range src {
+			v := src[k].own >> shift & (radix - 1)
+			dst[h[v]] = src[k]
+			h[v]++
+		}
+		src, dst = dst, src
+	}
+	return src, dst
 }
 
 // node builds the node over positions [lo, hi) at the given depth and
 // returns its handle. order is the parent's split axis, whose list holds
 // the items in the node's order, or -1 at the root, whose order is that of
 // items; grand is the grandparent's split axis, or -1.
-func (b *builder) node(lo, hi, depth, order, grand int, v visitor) int {
+func node[H any](b *builder, v visitor[H], lo, hi, depth, order, grand int) H {
 	if depth > b.maxDepth {
 		b.maxDepth = depth
 	}
@@ -254,26 +366,37 @@ func (b *builder) node(lo, hi, depth, order, grand int, v visitor) int {
 			}
 			mid := lo + k
 			b.partition(lo, mid, hi, axis, split, order, grand)
-			left := b.node(lo, mid, depth+1, axis, order, v)
-			right := b.node(mid, hi, depth+1, axis, order, v)
+			left := node(b, v, lo, mid, depth+1, axis, order)
+			right := node(b, v, mid, hi, depth+1, axis, order)
 			return v.join(axis, split, left, right)
 		}
 		// All axes degenerate: co-located keys (deduplication upstream
 		// makes this unreachable for distinct keys, but stay robust).
 	}
+	// A leaf lists its items in its parent's order. The root is a leaf here
+	// only when its items share every coordinate, and then the stable sort
+	// left every list in the order of items.
+	recs := b.lists[max(order, 0)][lo:hi:hi]
 	out := b.items[lo:hi:hi]
-	if order >= 0 {
-		for k, r := range b.lists[order][lo:hi] {
-			out[k] = r.item
-		}
+	for k := range recs {
+		out[k] = recs[k].item
 	}
-	return v.leaf(out)
+	return v.leaf(out, recs)
 }
 
 // weightedMedian returns the split position k (l[:k] left, l[k:] right)
 // of a list sorted by its own coordinate, and the inclusive left-side
 // coordinate bound, choosing the coordinate boundary that best balances
-// probability mass. ok is false when every item shares one coordinate.
+// probability mass, the first of equals. ok is false when every item
+// shares one coordinate.
+//
+// Masses are non-negative and rounding is monotone, so the signed gap
+// prefix − (total − prefix) never decreases along the list. The scan
+// therefore stops at the first boundary whose gap is not negative: it is
+// compared with the best so far, and no later boundary can be strictly
+// better.
+//
+//sasvet:hotpath
 func weightedMedian(l []rec) (k int, split uint64, ok bool) {
 	if l[0].own == l[len(l)-1].own {
 		return 0, 0, false
@@ -290,11 +413,15 @@ func weightedMedian(l []rec) (k int, split uint64, ok bool) {
 			continue // not a coordinate boundary: a hyperplane cannot separate
 		}
 		gap := prefix - (total - prefix)
-		if gap < 0 {
-			gap = -gap
+		abs := gap
+		if abs < 0 {
+			abs = -abs
 		}
-		if bestK == -1 || gap < bestGap {
-			bestK, bestGap = idx+1, gap
+		if bestK == -1 || abs < bestGap {
+			bestK, bestGap = idx+1, abs
+		}
+		if gap >= 0 {
+			break
 		}
 	}
 	return bestK, l[bestK-1].own, true
@@ -313,6 +440,8 @@ func weightedMedian(l []rec) (k int, split uint64, ok bool) {
 // (grand) when that is not a either. A list whose runs the split axis
 // already leads needs no re-sort: with two axes that alternate, every list
 // from the root's grandchildren down.
+//
+//sasvet:hotpath
 func (b *builder) partition(lo, mid, hi, axis int, split uint64, order, grand int) {
 	for a, l := range b.lists {
 		if a == axis {
@@ -341,6 +470,8 @@ func (b *builder) partition(lo, mid, hi, axis int, split uint64, order, grand in
 // its front and the rest behind them, through tmp (at least as long as l),
 // and returns how many went to the front. Each record is written to both
 // sides and one side keeps it, so the loop does not branch on the split.
+//
+//sasvet:hotpath
 func splitRecords(l, tmp []rec, split uint64) int {
 	tmp = tmp[:len(l)]
 	w, j := 0, 0
@@ -359,6 +490,8 @@ func splitRecords(l, tmp []rec, split uint64) int {
 
 // sortRuns stably sorts by key each run of equal own coordinate in l whose
 // keys are out of order.
+//
+//sasvet:hotpath
 func (b *builder) sortRuns(l []rec) {
 	for s := 0; s < len(l); {
 		e, sorted := s+1, true

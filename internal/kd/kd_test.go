@@ -286,3 +286,27 @@ func TestBuildColocatedKeysBecomeLeaf(t *testing.T) {
 		t.Fatal("expected a two-item leaf for co-located keys")
 	}
 }
+
+// TestSummarizeAllocsIndependentOfSize: the closing pass allocates per
+// call, never per node, so it makes as many allocations over 100,000 items
+// as over 1,000.
+func TestSummarizeAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		r := xmath.NewRand(uint64(n))
+		ds := randomDataset(t, r, n, 20)
+		p0 := make([]float64, ds.Len())
+		for i := range p0 {
+			p0[i] = 0.05 + 0.9*r.Float64()
+		}
+		p, items := make([]float64, len(p0)), allItems(ds.Len())
+		return testing.AllocsPerRun(3, func() {
+			copy(p, p0)
+			if err := Summarize(ds, items, p, Config{}, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(100000); small != large {
+		t.Fatalf("Summarize allocates %v times over 1,000 items and %v times over 100,000", small, large)
+	}
+}

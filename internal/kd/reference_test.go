@@ -3,6 +3,7 @@ package kd
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -128,9 +129,13 @@ type refInput struct {
 	seed    uint64
 }
 
-// randomRefInput draws 2–4 axes of 1–7-bit coordinates (one of them
-// sometimes constant), masses in (0, 1) that often tie, and a shuffled
-// subset of the keys.
+// randomRefInput draws 2–4 axes whose coordinates are narrow (1–7 bits,
+// full of ties), wide (1–64 bits) or clustered (12–64 bits, varying only
+// in a few high bits above constant low digits), so that the root sort runs
+// odd and even numbers of passes and skips digits; one axis is sometimes
+// constant. The masses are fine, coarse (eighths, whose sums are exact),
+// extreme (refMasses), or coarse and mirrored along axis 0 (mirror). The
+// items are a shuffled subset of the keys, or all of them when mirrored.
 func randomRefInput(r *xmath.SplitMix) refInput {
 	dims := 2 + r.Intn(3)
 	n := 1 + r.Intn(400)
@@ -140,38 +145,90 @@ func randomRefInput(r *xmath.SplitMix) refInput {
 	}
 	ds := &structure.Dataset{Axes: make([]structure.Axis, dims), Coords: make([][]uint64, dims), Weights: make([]float64, n)}
 	for d := range ds.Coords {
-		bits := 1 + r.Intn(7)
+		kind := r.Intn(3) // narrow, wide or clustered
+		bits := [3]int{1 + r.Intn(7), 1 + r.Intn(64), 12 + r.Intn(53)}[kind]
+		high := 1 + r.Intn(4) // the bits a clustered axis varies, above a constant low part
+		low := r.Uint64() & lowMask(max(bits-high, 0))
 		ds.Axes[d] = structure.OrderedAxis(bits)
 		ds.Coords[d] = make([]uint64, n)
 		for i := range ds.Coords[d] {
-			if d != constant {
-				ds.Coords[d][i] = r.Uint64() & (1<<bits - 1)
+			switch {
+			case d == constant:
+			case kind == 2:
+				ds.Coords[d][i] = (r.Uint64()&lowMask(high))<<(bits-high) | low
+			default:
+				ds.Coords[d][i] = r.Uint64() & lowMask(bits)
 			}
 		}
 	}
 	p := make([]float64, n)
-	coarse := r.Intn(2) == 0
+	kind := r.Intn(4)
 	for i := range p {
-		if coarse {
-			p[i] = float64(1+r.Intn(7)) / 8
-		} else {
+		switch {
+		case kind == 2 && r.Intn(2) == 0:
+			p[i] = refMasses[r.Intn(len(refMasses))]
+		case kind%2 == 0:
 			p[i] = 0.01 + 0.98*r.Float64()
+		default:
+			p[i] = float64(1+r.Intn(7)) / 8
 		}
-		ds.Weights[i] = p[i]
 	}
-	items := xmath.Perm(r, n)[:1+r.Intn(n)]
-	maxLeaf := 1
+	in := refInput{ds: ds, p: p, maxLeaf: 1}
+	if kind == 3 {
+		mirror(&in, 1+2*r.Intn(min(16, (n+1)/2)))
+		n = len(in.p)
+		in.items = xmath.Perm(r, n)
+	} else {
+		in.items = xmath.Perm(r, n)[:1+r.Intn(n)]
+	}
+	copy(in.ds.Weights, in.p)
 	if r.Intn(2) == 0 {
-		maxLeaf = 8
+		in.maxLeaf = 8
 	}
-	return refInput{ds: ds, items: items, p: p, maxLeaf: maxLeaf, seed: r.Uint64()}
+	in.seed = r.Uint64()
+	return in
+}
+
+// lowMask has the low bits bits set.
+func lowMask(bits int) uint64 { return 1<<bits - 1 }
+
+// refMasses are masses at the edges of the closing pass: within xmath.Eps
+// of 0 or 1, so that a leaf snaps them, just outside that distance, so that
+// they pair, and so small (next to masses near 1) or so large that the
+// running sums absorb the masses beside them, which leaves the median scan
+// plateaus of equal gap.
+var refMasses = []float64{
+	0, math.SmallestNonzeroFloat64, 1e-300, 1e-17, xmath.Eps / 2, xmath.Eps,
+	math.Nextafter(xmath.Eps, 1), 0.5, math.Nextafter(1-xmath.Eps, 0),
+	1 - xmath.Eps, 1 - xmath.Eps/2, 1, 1e17,
+}
+
+// mirror makes the masses a palindrome along axis 0: it cuts the keys to a
+// multiple of k, gives key i the coordinate c = i mod k on axis 0 and the
+// mass of key min(c, k−1−c). With k odd and exact sums, the root's two
+// boundaries beside the middle coordinate then have opposite gaps, and the
+// first of them must win.
+func mirror(in *refInput, k int) {
+	n := len(in.p) - len(in.p)%k
+	in.p = in.p[:n]
+	in.ds.Weights = in.ds.Weights[:n]
+	for d := range in.ds.Coords {
+		in.ds.Coords[d] = in.ds.Coords[d][:n]
+	}
+	for i := range in.p {
+		c := i % k
+		in.ds.Coords[0][i] = uint64(c)
+		in.p[i] = in.p[min(c, k-1-c)]
+	}
 }
 
 // decodeRefInput reads a case from fuzz bytes: a header of the axis count,
-// the leaf size, the constant axis, each axis's bits and a seed, then one
-// record per key of a coordinate byte per axis and a mass byte. The seed
-// shuffles the items and seeds the closing pass. ok is false when the
-// bytes hold no whole key.
+// the leaf size and mirror flag, the constant axis and mirror width, each
+// axis's width and a seed, then one record per key of a coordinate byte
+// per axis and a mass byte. A coordinate byte fills the top 8 bits of its
+// axis's 1–64-bit width, above low bits the seed fixes; a mass byte is
+// (1+b)/256, or one of refMasses from 240 up. The seed shuffles the items
+// and seeds the closing pass. ok is false when the bytes hold no whole key.
 func decodeRefInput(data []byte) (in refInput, ok bool) {
 	const header = 3 + 4 + 8
 	if len(data) < header {
@@ -183,7 +240,7 @@ func decodeRefInput(data []byte) (in refInput, ok bool) {
 		in.maxLeaf = 8
 	}
 	constant := int(data[2] % 8) // an axis index only when below dims
-	bits := data[3 : 3+dims]
+	widths := data[3 : 3+dims]
 	in.seed = binary.LittleEndian.Uint64(data[7:header])
 	body := data[header:]
 	n := min(len(body)/(dims+1), 512)
@@ -192,20 +249,35 @@ func decodeRefInput(data []byte) (in refInput, ok bool) {
 	}
 	in.ds = &structure.Dataset{Axes: make([]structure.Axis, dims), Coords: make([][]uint64, dims), Weights: make([]float64, n)}
 	for d := range in.ds.Coords {
-		b := 1 + int(bits[d])%7
-		in.ds.Axes[d] = structure.OrderedAxis(b)
+		w := 1 + int(widths[d])%64
+		in.ds.Axes[d] = structure.OrderedAxis(w)
 		in.ds.Coords[d] = make([]uint64, n)
+		low := bits.RotateLeft64(in.seed, 16*d) & lowMask(max(w-8, 0))
 		for i := range in.ds.Coords[d] {
 			if d != constant {
-				in.ds.Coords[d][i] = uint64(body[i*(dims+1)+d]) & (1<<b - 1)
+				b := uint64(body[i*(dims+1)+d])
+				if w < 8 {
+					in.ds.Coords[d][i] = b & lowMask(w)
+				} else {
+					in.ds.Coords[d][i] = b<<(w-8) | low
+				}
 			}
 		}
 	}
 	in.p = make([]float64, n)
 	for i := range in.p {
-		in.p[i] = float64(1+int(body[i*(dims+1)+dims])%255) / 256
-		in.ds.Weights[i] = in.p[i]
+		b := int(body[i*(dims+1)+dims])
+		if b >= 240 {
+			in.p[i] = refMasses[(b-240)%len(refMasses)]
+		} else {
+			in.p[i] = float64(1+b) / 256
+		}
 	}
+	if data[1]/2%2 == 1 {
+		mirror(&in, 1+2*min(int(data[2]/8), (n-1)/2))
+		n = len(in.p)
+	}
+	copy(in.ds.Weights, in.p)
 	in.items = xmath.Perm(xmath.NewRand(in.seed), n)
 	return in, true
 }
