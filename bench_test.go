@@ -189,6 +189,26 @@ func BenchmarkBuilderPushBatch(b *testing.B) {
 	b.ReportMetric(float64(ds.Len())*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
+// BenchmarkNewDataset times the loading step of every construction:
+// structure.NewDataset merging the 2^20 flow records of workload.Network
+// (20-bit axes) into about a million distinct keys. It reports the time per
+// input row; run it with -benchmem for the bytes and allocations.
+func BenchmarkNewDataset(b *testing.B) {
+	axes, pts, ws, err := workload.NetworkRows(workload.NetworkConfig{Pairs: 1 << 20, Bits: 20, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ds *structure.Dataset
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ds, err = structure.NewDataset(axes, pts, ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pts)), "ns/key")
+	b.ReportMetric(float64(ds.Len()), "keys")
+}
+
 var (
 	netOnce sync.Once
 	netDS   *structure.Dataset

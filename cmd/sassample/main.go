@@ -216,13 +216,17 @@ func parseMethod(name string) (core.Method, error) {
 	}
 }
 
+// readCSV loads a CSV of 2-D keys as a dataset, merging repeated keys.
+// The coordinates of every row go into one flat slice, and the points are
+// cut from it once the file is read.
 func readCSV(path string, bits int) (*structure.Dataset, error) {
-	src, err := twopass.NewCSVSource(path, 2)
+	const dims = 2
+	src, err := twopass.NewCSVSource(path, dims)
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	var pts [][]uint64
+	var coords []uint64
 	var ws []float64
 	for {
 		pt, w, ok, err := src.Next()
@@ -232,8 +236,12 @@ func readCSV(path string, bits int) (*structure.Dataset, error) {
 		if !ok {
 			break
 		}
-		pts = append(pts, append([]uint64(nil), pt...))
+		coords = append(coords, pt...)
 		ws = append(ws, w)
+	}
+	pts := make([][]uint64, len(ws))
+	for i := range pts {
+		pts[i] = coords[dims*i : dims*(i+1) : dims*(i+1)]
 	}
 	axes := []structure.Axis{structure.BitTrieAxis(bits), structure.BitTrieAxis(bits)}
 	return structure.NewDataset(axes, pts, ws)

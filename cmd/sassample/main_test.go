@@ -1,14 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"structaware/internal/core"
+	"structaware/internal/ipps"
 	"structaware/internal/structure"
+	"structaware/internal/twopass"
+	"structaware/internal/xmath"
 )
 
 func TestParseMethod(t *testing.T) {
@@ -80,6 +87,105 @@ func TestReadCSVEndToEnd(t *testing.T) {
 	}
 	if _, err := readCSV(filepath.Join(dir, "missing.csv"), 8); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// readCSVPerRow is the loader readCSV replaced, which copied every row
+// into a slice of its own.
+func readCSVPerRow(path string, bits int) (*structure.Dataset, error) {
+	src, err := twopass.NewCSVSource(path, 2)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	var pts [][]uint64
+	var ws []float64
+	for {
+		pt, w, ok, err := src.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		pts = append(pts, append([]uint64(nil), pt...))
+		ws = append(ws, w)
+	}
+	axes := []structure.Axis{structure.BitTrieAxis(bits), structure.BitTrieAxis(bits)}
+	return structure.NewDataset(axes, pts, ws)
+}
+
+// TestReadCSVMatchesPerRowLoader: readCSV, which cuts its points from one
+// flat slice, loads the dataset the per-row loader loaded, bit for bit, on
+// a CSV whose keys repeat.
+func TestReadCSVMatchesPerRowLoader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.csv")
+	var csv strings.Builder
+	r := xmath.NewRand(3)
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&csv, "%d,%d,%g\n", r.Intn(40), r.Intn(40), 100*r.Float64())
+	}
+	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readCSV(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := readCSVPerRow(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != want.Len() || got.Len() >= 5000 {
+		t.Fatalf("%d keys, per-row loader %d, from 5000 rows", got.Len(), want.Len())
+	}
+	for i := range want.Weights {
+		if got.Coords[0][i] != want.Coords[0][i] || got.Coords[1][i] != want.Coords[1][i] ||
+			math.Float64bits(got.Weights[i]) != math.Float64bits(want.Weights[i]) {
+			t.Fatalf("key %d differs from the per-row loader's", i)
+		}
+	}
+	if math.Float64bits(got.TotalWeight()) != math.Float64bits(want.TotalWeight()) {
+		t.Fatalf("total %v, per-row loader %v", got.TotalWeight(), want.TotalWeight())
+	}
+}
+
+// TestSampleRefusesOverflowingCSV: a CSV whose weights are each finite but
+// sum past the largest float64 is refused as ipps.ErrBadWeight when loaded,
+// and the built command exits 1 naming the row, with no sample written.
+func TestSampleRefusesOverflowingCSV(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"merged.csv": "5,6,1.7e308\n5,6,1.7e308\n",
+		"total.csv":  "5,6,1.7e308\n7,8,1.7e308\n9,10,1\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readCSV(path, 8); !errors.Is(err, ipps.ErrBadWeight) {
+			t.Fatalf("%s: readCSV error %v, want ipps.ErrBadWeight", name, err)
+		}
+	}
+	bin := filepath.Join(dir, "sassample")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, name := range []string{"merged.csv", "total.csv"} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, "-in", filepath.Join(dir, name), "-s", "2", "-bits", "8")
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: %v, want exit status 1 (stderr %q)", name, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "weight 1 ") || !strings.Contains(stderr.String(), ipps.ErrBadWeight.Error()) {
+			t.Errorf("%s: message %q does not name row 1 and the bad weight", name, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: wrote %q", name, stdout.String())
+		}
 	}
 }
 

@@ -323,15 +323,12 @@ func TestBuildErrors(t *testing.T) {
 // TestOverflowingTotalIsBadWeight: weights that are each finite but whose
 // sum overflows are refused as ipps.ErrBadWeight by every construction
 // path, not turned into a summary of no keys at τ = +Inf, which would
-// serialize but not read back.
+// serialize but not read back. NewDataset refuses them, so the dataset the
+// batch paths get is assembled from its exported fields.
 func TestOverflowingTotalIsBadWeight(t *testing.T) {
 	axes := []structure.Axis{structure.OrderedAxis(8), structure.OrderedAxis(8)}
 	pts := [][]uint64{{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}}
 	weights := []float64{1.7e308, 1.7e308, 1, 2, 3}
-	ds, err := structure.NewDataset(axes, pts, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{Size: 2, Seed: 1}
 	check := func(what string, err error) {
 		t.Helper()
@@ -339,6 +336,10 @@ func TestOverflowingTotalIsBadWeight(t *testing.T) {
 			t.Errorf("%s: %v, want ipps.ErrBadWeight", what, err)
 		}
 	}
+	_, err := structure.NewDataset(axes, pts, weights)
+	check("NewDataset", err)
+	col := []uint64{0, 1, 2, 3, 4}
+	ds := &structure.Dataset{Axes: axes, Coords: [][]uint64{col, col}, Weights: weights}
 	_, err = Build(ds, cfg)
 	check("Build", err)
 	for _, workers := range []int{2, 3} {

@@ -281,12 +281,15 @@ func construct[H any](ds *structure.Dataset, items []int, p []float64, cfg Confi
 // sortLists fills one list per axis with the items in their input order
 // and stably sorts each by its own coordinate. With two axes a list's key
 // is always the other axis's coordinate; with more, partition refills it.
+// The run sort's key arrays are as long as the longest run of equal own
+// coordinate in a root list: a node's run in a list holds some of the
+// items of the root's run of that coordinate, so no run is longer.
 func (b *builder) sortLists(p []float64) {
 	n, dims := len(b.items), len(b.coords)
 	b.tmp = make([]rec, n)
-	b.keys, b.tmpKeys = make([]uint64, n), make([]uint64, n)
 	b.lists = make([][]rec, dims)
 	counts := make([][radix]int, maxDigits)
+	longest := 0
 	for a := range b.lists {
 		l := make([]rec, n)
 		own, key := b.coords[a], b.coords[(a+1)%dims]
@@ -296,7 +299,24 @@ func (b *builder) sortLists(p []float64) {
 			bound |= own[i]
 		}
 		b.lists[a], b.tmp = sortRecords(l, b.tmp, bound, counts)
+		longest = max(longest, longestRun(b.lists[a]))
 	}
+	b.keys, b.tmpKeys = make([]uint64, longest), make([]uint64, longest)
+}
+
+// longestRun returns the length of the longest run of equal own
+// coordinate in l, which is sorted by it.
+func longestRun(l []rec) int {
+	longest := 0
+	for s := 0; s < len(l); {
+		e := s + 1
+		for e < len(l) && l[e].own == l[s].own {
+			e++
+		}
+		longest = max(longest, e-s)
+		s = e
+	}
+	return longest
 }
 
 // The root sort's digits: 11 bits, so that 20-bit coordinates take two

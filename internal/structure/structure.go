@@ -16,9 +16,12 @@ package structure
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"slices"
 
 	"structaware/internal/hierarchy"
+	"structaware/internal/ipps"
 	"structaware/internal/xmath"
 )
 
@@ -156,8 +159,8 @@ type Query []Range
 func (q Query) NumRanges() int { return len(q) }
 
 // Dataset is a columnar multiset of weighted multi-dimensional keys.
-// Identical keys are merged at construction; weights are finite and
-// non-negative.
+// Identical keys are merged at construction; weights, and their total, are
+// finite and non-negative.
 type Dataset struct {
 	Axes []Axis
 	// Coords[d][i] is the coordinate of item i on axis d.
@@ -168,57 +171,138 @@ type Dataset struct {
 	totalWeight float64
 }
 
+// maxRows is the most points NewDataset takes: its index holds row
+// numbers plus one as int32.
+const maxRows = math.MaxInt32
+
 // NewDataset validates and builds a dataset from row-major points.
 // points[i][d] is the coordinate of item i on axis d. Duplicate keys are
 // merged by summing their weights.
+//
+// Keys keep the order of their first occurrence, a merged weight is summed
+// in input order and the total is the input-order sum of every weight, so
+// the dataset does not depend on how duplicates are found. It fails with an
+// error wrapping ipps.ErrBadWeight if the total stops being finite.
 func NewDataset(axes []Axis, points [][]uint64, weights []float64) (*Dataset, error) {
 	if len(axes) == 0 {
 		return nil, errors.New("structure: dataset needs at least one axis")
 	}
+	domain := make([]uint64, len(axes))
 	for d, a := range axes {
 		if err := a.Validate(); err != nil {
 			return nil, fmt.Errorf("axis %d: %w", d, err)
 		}
+		domain[d] = a.DomainSize()
 	}
 	if len(points) != len(weights) {
 		return nil, fmt.Errorf("structure: %d points but %d weights", len(points), len(weights))
 	}
-	dims := len(axes)
-	seen := make(map[string]int, len(points))
-	var keyBuf []byte
-	ds := &Dataset{Axes: axes, Coords: make([][]uint64, dims)}
+	if len(points) > maxRows {
+		return nil, fmt.Errorf("structure: %d points, more than the %d a dataset holds", len(points), maxRows)
+	}
+	n := len(points)
+	ds := &Dataset{Axes: axes, Coords: make([][]uint64, len(axes)), Weights: make([]float64, n)}
+	for d := range ds.Coords {
+		ds.Coords[d] = make([]uint64, n)
+	}
+	m, err := ds.merge(points, weights, domain)
+	if err != nil {
+		return nil, err
+	}
+	// A column keeps the input's length as its capacity only while that
+	// is at most a quarter more than its length, the step by which append
+	// grows a large slice; a mostly repeated input is copied out.
+	for d, c := range ds.Coords {
+		ds.Coords[d] = fit(c[:m], n)
+	}
+	ds.Weights = fit(ds.Weights[:m], n)
+	return ds, nil
+}
+
+// fit returns s, or a copy of it when capacity c is more than a quarter
+// larger than its length.
+func fit[T any](s []T, c int) []T {
+	if c-len(s) > len(s)/4 {
+		return slices.Clone(s)
+	}
+	return s
+}
+
+// merge fills ds's columns, each as long as points, with the distinct
+// keys of points in the order of their first occurrence and their weights
+// summed in input order, sets the total weight, and returns the number of
+// distinct keys. index finds a key's row: an open-addressed table, at most
+// half full and probed linearly, of row numbers plus one (zero is empty).
+// A point's hash chains the runtime's seeded hash over its coordinates.
+// The seed is drawn per call, so no input can be crafted to make the probe
+// sequences long, and it decides only where rows sit in the table, never
+// what the dataset holds.
+//
+//sasvet:hotpath
+func (ds *Dataset) merge(points [][]uint64, weights []float64, domain []uint64) (int, error) {
+	dims, cols, ws := len(domain), ds.Coords, ds.Weights
+	size := 1
+	for size < 2*len(points) {
+		size <<= 1
+	}
+	index, mask := make([]int32, size), uint64(size-1)
+	seed := maphash.MakeSeed()
+	m, total := 0, 0.0
 	for i, pt := range points {
 		if len(pt) != dims {
-			return nil, fmt.Errorf("structure: point %d has %d dims, want %d", i, len(pt), dims)
+			//sasvet:ok rejection path; the dataset is refused whole
+			return 0, fmt.Errorf("structure: point %d has %d dims, want %d", i, len(pt), dims)
 		}
 		w := weights[i]
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("structure: weight %d invalid: %v", i, w)
+			//sasvet:ok rejection path; the dataset is refused whole
+			return 0, fmt.Errorf("structure: weight %d invalid: %v", i, w)
 		}
+		h := uint64(0)
 		for d, x := range pt {
-			if x >= axes[d].DomainSize() {
-				return nil, fmt.Errorf("structure: point %d coordinate %d out of domain on axis %d", i, x, d)
+			if x >= domain[d] {
+				//sasvet:ok rejection path; the dataset is refused whole
+				return 0, fmt.Errorf("structure: point %d coordinate %d out of domain on axis %d", i, x, d)
+			}
+			h = maphash.Comparable(seed, h^x)
+		}
+		for slot := h & mask; ; slot = (slot + 1) & mask {
+			j := int(index[slot]) - 1
+			if j < 0 {
+				index[slot] = int32(m + 1)
+				for d, x := range pt {
+					cols[d][m] = x
+				}
+				ws[m] = w
+				m++
+				break
+			}
+			if sameKey(cols, j, pt) {
+				ws[j] += w
+				break
 			}
 		}
-		keyBuf = keyBuf[:0]
-		for _, x := range pt {
-			for b := 0; b < 8; b++ {
-				keyBuf = append(keyBuf, byte(x>>(8*b)))
-			}
+		// A merged weight never exceeds the running total: both add the
+		// same non-negative weights, and rounding is monotone. So the
+		// total is the one sum that can overflow first.
+		total += w
+		if math.IsInf(total, 0) {
+			//sasvet:ok rejection path; the dataset is refused whole
+			return 0, fmt.Errorf("structure: weight %d takes the total weight past the largest float64: %w", i, ipps.ErrBadWeight)
 		}
-		if j, ok := seen[string(keyBuf)]; ok {
-			ds.Weights[j] += w
-			ds.totalWeight += w
-			continue
-		}
-		seen[string(keyBuf)] = len(ds.Weights)
-		for d, x := range pt {
-			ds.Coords[d] = append(ds.Coords[d], x)
-		}
-		ds.Weights = append(ds.Weights, w)
-		ds.totalWeight += w
 	}
-	return ds, nil
+	ds.totalWeight = total
+	return m, nil
+}
+
+// sameKey reports whether row j of cols holds the point pt.
+func sameKey(cols [][]uint64, j int, pt []uint64) bool {
+	for d, x := range pt {
+		if cols[d][j] != x {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of (distinct) keys.

@@ -146,19 +146,34 @@ func pareto(r *xmath.SplitMix, alpha float64) float64 {
 // Network generates the synthetic IP-flow dataset: axes are two bit-trie
 // hierarchies (source, destination). Duplicate pairs merge their volumes.
 func Network(cfg NetworkConfig) (*structure.Dataset, error) {
+	axes, pts, ws, err := NetworkRows(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return structure.NewDataset(axes, pts, ws)
+}
+
+// NetworkRows generates the flow records Network merges: the two axes, one
+// (source, destination) point per record, all cut from one array, and
+// each record's volume.
+func NetworkRows(cfg NetworkConfig) ([]structure.Axis, [][]uint64, []float64, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Bits < 4 || cfg.Bits > 32 {
-		return nil, fmt.Errorf("workload: network bits %d out of [4,32]", cfg.Bits)
+		return nil, nil, nil, fmt.Errorf("workload: network bits %d out of [4,32]", cfg.Bits)
 	}
 	r := xmath.NewRand(cfg.Seed)
 	src := newPrefixSet(r, cfg.SrcPrefixes, cfg.Bits)
 	dst := newPrefixSet(r, cfg.DstPrefixes, cfg.Bits)
 	pts := make([][]uint64, cfg.Pairs)
 	ws := make([]float64, cfg.Pairs)
+	flat := make([]uint64, 2*cfg.Pairs)
 	for i := 0; i < cfg.Pairs; i++ {
-		pts[i] = []uint64{src.draw(r), dst.draw(r)}
+		pt := flat[2*i : 2*i+2 : 2*i+2]
+		pt[0] = src.draw(r)
+		pt[1] = dst.draw(r)
+		pts[i] = pt
 		ws[i] = pareto(r, cfg.ParetoAlpha)
 	}
 	axes := []structure.Axis{structure.BitTrieAxis(cfg.Bits), structure.BitTrieAxis(cfg.Bits)}
-	return structure.NewDataset(axes, pts, ws)
+	return axes, pts, ws, nil
 }

@@ -137,12 +137,14 @@ func Tickets(cfg TicketConfig) (*structure.Dataset, error) {
 	zl := newZipfDescent(r, location)
 	pts := make([][]uint64, cfg.Tickets)
 	ws := make([]float64, cfg.Tickets)
+	flat := make([]uint64, 2*cfg.Tickets)
 	for i := 0; i < cfg.Tickets; i++ {
 		tl := zt.draw(r)
 		ll := zl.draw(r)
-		tp, _ := trouble.LeafPosition(tl)
-		lp, _ := location.LeafPosition(ll)
-		pts[i] = []uint64{tp, lp}
+		pt := flat[2*i : 2*i+2 : 2*i+2]
+		pt[0], _ = trouble.LeafPosition(tl)
+		pt[1], _ = location.LeafPosition(ll)
+		pts[i] = pt
 		ws[i] = 1
 	}
 	axes := []structure.Axis{structure.ExplicitAxis(trouble), structure.ExplicitAxis(location)}

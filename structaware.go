@@ -123,7 +123,8 @@ func NewHierarchyBuilder() *HierarchyBuilder { return hierarchy.NewBuilder() }
 
 // NewDataset validates and builds a dataset from row-major points:
 // points[i][d] is item i's coordinate on axis d. Duplicate keys are merged
-// by summing weights.
+// by summing weights, in input order; keys keep the order of their first
+// occurrence. Weights whose total is not finite are refused.
 func NewDataset(axes []Axis, points [][]uint64, weights []float64) (*Dataset, error) {
 	return structure.NewDataset(axes, points, weights)
 }
