@@ -112,8 +112,8 @@ func TestIngestFrameHTTP(t *testing.T) {
 	}
 	e, _ := st.get("net")
 	full := structure.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 1023}}
-	if math.Float64bits(e.be.EstimateRange(full)) != math.Float64bits(want.EstimateRange(full)) {
-		t.Fatalf("frame-fed snapshot %v, offline builder %v", e.be.EstimateRange(full), want.EstimateRange(full))
+	if math.Float64bits(e.idx.EstimateRange(full)) != math.Float64bits(want.EstimateRange(full)) {
+		t.Fatalf("frame-fed snapshot %v, offline builder %v", e.idx.EstimateRange(full), want.EstimateRange(full))
 	}
 
 	// Frame rejection paths ride the same decode-error plumbing as JSON.
@@ -253,7 +253,7 @@ func TestConcurrentProducersMatchOneBuilder(t *testing.T) {
 	if !bytes.Equal(persisted, wantRaw) {
 		t.Fatal("persisted snapshot differs in SAS2 bytes from one Builder fed the WAL in replay order")
 	}
-	served, err := e.sample().Summary().MarshalBinary()
+	served, err := e.idx.Summary().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestSnapshotPushedExcludesKeysBehindBarrier(t *testing.T) {
 	for _, w := range aheadW {
 		exact += w
 	}
-	if got := r.e.be.EstimateTotal(); !xmath.AlmostEqual(got, exact, 1e-6) {
+	if got := r.e.idx.EstimateTotal(); !xmath.AlmostEqual(got, exact, 1e-6) {
 		t.Fatalf("snapshot total %v, want ~%v (only the keys ahead of the barrier)", got, exact)
 	}
 
@@ -384,7 +384,7 @@ func TestIngestQueueFull(t *testing.T) {
 	for _, w := range append(append([]float64(nil), w1...), w2...) {
 		exact += w
 	}
-	if got := e.be.EstimateTotal(); !xmath.AlmostEqual(got, exact, 1e-6) {
+	if got := e.idx.EstimateTotal(); !xmath.AlmostEqual(got, exact, 1e-6) {
 		t.Fatalf("post-429 total %v, want ~%v (the rejected batch must not leak in)", got, exact)
 	}
 }

@@ -60,7 +60,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"structaware/internal/backend"
 	"structaware/internal/cliutil"
 	"structaware/internal/core"
 	"structaware/internal/fault"
@@ -441,7 +440,7 @@ func (st *store) recoverLive(ls *liveSummary) (uint64, error) {
 	for _, sn := range snaps {
 		e, err := loadSummaryFile(ls.name, sn.path, time.Now())
 		if err == nil {
-			err = sameDomain(ls.axes, e.be.Axes)
+			err = sameDomain(ls.axes, e.idx.Summary().Axes)
 		}
 		if err != nil {
 			lastErr = err
@@ -449,10 +448,10 @@ func (st *store) recoverLive(ls *liveSummary) (uint64, error) {
 			continue
 		}
 		e.live, e.seq = true, sn.seq
-		ls.base = e.sample().Summary()
+		ls.base = e.idx.Summary()
 		ls.pub.Store(sn.seq)
 		st.install(e)
-		st.logf("recovered live %q from %s (snapshot %d, %d keys)", ls.name, sn.path, sn.seq, e.be.Size())
+		st.logf("recovered live %q from %s (snapshot %d, %d keys)", ls.name, sn.path, sn.seq, e.idx.Size())
 		return sn.seq, nil
 	}
 	return 0, fmt.Errorf("recover live summary %q: no loadable snapshot among %d files: %w", ls.name, len(snaps), lastErr)
@@ -555,7 +554,7 @@ func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
 	}
 
 	e := &entry{
-		name: ls.name, path: path, be: backend.FromIndexedSummary(idx), loadedAt: now,
+		name: ls.name, path: path, idx: idx, loadedAt: now,
 		live: true, seq: seq, pushed: pushed,
 	}
 	// install gives the new epoch its own empty answer cache — publishing
@@ -613,9 +612,9 @@ func (st *store) handleForceSnapshot(w http.ResponseWriter, _ *http.Request, ls 
 	writeJSON(w, http.StatusOK, map[string]any{
 		"summary":        e.name,
 		"snapshot":       e.seq,
-		"size":           e.be.Size(),
+		"size":           e.idx.Size(),
 		"pushed":         e.pushed,
-		"total_estimate": e.be.EstimateTotal(),
+		"total_estimate": e.idx.EstimateTotal(),
 		"path":           e.path,
 	})
 }

@@ -389,11 +389,11 @@ func TestLivePersistRecover(t *testing.T) {
 	if !ok {
 		t.Fatal("restart did not recover a serving entry")
 	}
-	if e2.seq != 1 || e2.be.Size() != e1.be.Size() {
-		t.Fatalf("recovered seq %d size %d, want %d/%d", e2.seq, e2.be.Size(), e1.seq, e1.be.Size())
+	if e2.seq != 1 || e2.idx.Size() != e1.idx.Size() {
+		t.Fatalf("recovered seq %d size %d, want %d/%d", e2.seq, e2.idx.Size(), e1.seq, e1.idx.Size())
 	}
 	full := structure.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 1023}}
-	if math.Float64bits(e2.be.EstimateRange(full)) != math.Float64bits(e1.be.EstimateRange(full)) {
+	if math.Float64bits(e2.idx.EstimateRange(full)) != math.Float64bits(e1.idx.EstimateRange(full)) {
 		t.Fatal("recovered snapshot estimates differ from the persisted ones")
 	}
 
@@ -419,7 +419,7 @@ func TestLivePersistRecover(t *testing.T) {
 	for _, w := range weights2 {
 		exact += w
 	}
-	if got := e3.be.EstimateTotal(); !xmath.AlmostEqual(got, exact, 1e-6) {
+	if got := e3.idx.EstimateTotal(); !xmath.AlmostEqual(got, exact, 1e-6) {
 		t.Fatalf("merged total %v, want ~%v", got, exact)
 	}
 
@@ -532,7 +532,7 @@ func TestRotateSkipsClean(t *testing.T) {
 	// A forced republish of an unchanged stream reproduces the snapshot
 	// bit for bit (the Snapshot determinism contract).
 	full := structure.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 1023}}
-	if math.Float64bits(e1.be.EstimateRange(full)) != math.Float64bits(e2.be.EstimateRange(full)) {
+	if math.Float64bits(e1.idx.EstimateRange(full)) != math.Float64bits(e2.idx.EstimateRange(full)) {
 		t.Fatal("republished snapshot differs from the previous epoch")
 	}
 }
@@ -788,8 +788,8 @@ func TestLiveWALRecover(t *testing.T) {
 		{{Lo: 0, Hi: 511}, {Lo: 512, Hi: 1023}},
 		{{Lo: 300, Hi: 399}, {Lo: 0, Hi: 1023}},
 	} {
-		if math.Float64bits(e.be.EstimateRange(box)) != math.Float64bits(want.EstimateRange(box)) {
-			t.Fatalf("box %s: recovered %v, want %v", box, e.be.EstimateRange(box), want.EstimateRange(box))
+		if math.Float64bits(e.idx.EstimateRange(box)) != math.Float64bits(want.EstimateRange(box)) {
+			t.Fatalf("box %s: recovered %v, want %v", box, e.idx.EstimateRange(box), want.EstimateRange(box))
 		}
 	}
 	// The snapshot covers window 0 completely, so its rotation truncated

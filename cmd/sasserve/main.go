@@ -1,32 +1,19 @@
 // Command sasserve is the summary-serving daemon: a read/write node for
-// range-query summaries. On the read side it serves summaries of any
-// backend kind — structure-aware VarOpt samples, 2-D q-digests, Haar
-// wavelet synopses, or dyadic Count-Sketches — behind one Estimator
-// contract (internal/backend), answering estimate, quantile,
-// representative-key, heavy-hitter, and metadata queries over HTTP as
-// JSON. Sample summaries load from serialized SAS2 files (written by
-// sassample -dump or Summary.WriteTo); any backend kind can instead be
-// built at startup from a CSV of weighted keys via a -backend recipe. On
-// the write side, live summaries (-live) accept weighted keys over HTTP
-// into a bounded-memory streaming Builder and publish immutable snapshots
-// of the accumulated stream — on a rotation interval, on demand, and as a
-// final flush on shutdown — so the full lifecycle (ingest → snapshot →
-// query) runs in one process: build and merge summaries anywhere, or
-// stream the keys straight at the serving node.
+// structure-aware VarOpt samples. On the read side it serves sample
+// summaries loaded from serialized SAS2 files (written by sassample -dump
+// or Summary.WriteTo), answering estimate, quantile, representative-key,
+// heavy-hitter, and metadata queries over HTTP as JSON. On the write side,
+// live summaries (-live) accept weighted keys over HTTP into a
+// bounded-memory streaming Builder and publish immutable snapshots of the
+// accumulated stream — on a rotation interval, on demand, and as a final
+// flush on shutdown — so the full lifecycle (ingest → snapshot → query)
+// runs in one process: build and merge summaries anywhere, or stream the
+// keys straight at the serving node.
 //
 // Usage:
 //
-//	sasserve [-addr :8337] [flags] [name=path ...]
+//	sasserve [-addr :8337] [flags] [name=path.sas ...]
 //
-//	-backend name=kind[:k=v;k=v...]
-//	                       build recipe for a named summary. kind is one of
-//	                       sample, qdigest, wavelet, sketch; parameters
-//	                       (';'-separated) are size, seed, rows, method,
-//	                       buffer, and axes (e.g. axes=bittrie:20,bittrie:20).
-//	                       With axes, the name's path is a CSV of
-//	                       "c0,c1,...,weight" rows and the summary is built
-//	                       from it at load time; a bare "sample" recipe (no
-//	                       axes) reads a serialized .sas file, the default.
 //	-cache-size n          per-summary answer-cache capacity, in cached
 //	                       responses (default 4096, 0 disables). Answers are
 //	                       keyed on the literal range text and valid for one
@@ -61,13 +48,12 @@
 //	                       key is lost.
 //
 // A bare path names its summary after the file ("data/net.sas" → "net").
-// SIGHUP re-reads every source in place (hot reload): each summary swaps
-// atomically to its new version — CSV-built backends are rebuilt — and a
-// source that fails to load keeps serving its previous version. Live
-// snapshots swap the same way, so every estimate comes from a fully-formed
-// summary. SIGTERM/SIGINT shut down gracefully: in-flight requests drain,
-// live summaries flush a final snapshot when -snapshot-dir is set, and the
-// process exits 0.
+// SIGHUP re-reads every file in place (hot reload): each summary swaps
+// atomically to its new version, and a file that fails to load keeps
+// serving its previous version. Live snapshots swap the same way, so every
+// estimate comes from a fully-formed summary. SIGTERM/SIGINT shut down
+// gracefully: in-flight requests drain, live summaries flush a final
+// snapshot when -snapshot-dir is set, and the process exits 0.
 //
 // Endpoints (all JSON; ranges use the "lo:hi,lo:hi" box syntax, one
 // inclusive interval per axis):
@@ -86,19 +72,16 @@
 //	                                     (or a binary application/x-sas-frame body)
 //	POST /v1/summaries/{name}/snapshot
 //
-// Every backend answers estimate, total, and quantile; representatives and
-// heavy hitters need real keys behind the summary, so they are sample-only
-// (other backends answer 501). Sample-backed estimate and total responses
-// carry confidence-interval fields (the paper's exponential tail bounds at
-// 95%); deterministic backends have no comparable per-estimate guarantee
-// and omit them.
+// Every summary is a sample, so every endpoint answers from its retained
+// keys, and estimate and total responses carry the paper's exponential
+// tail bounds at 95% as confidence-interval fields.
 //
 // The serving summaries are immutable and shared: every request goroutine
 // queries the same compiled structure with no locks on the hot path, so
 // read throughput scales with cores; writes decode and validate on the
 // request goroutine and contend only on their live summary's bounded
-// queue. Sample estimates are bit-for-bit identical to the in-process
-// linear Summary methods.
+// queue. Estimates are bit-for-bit identical to the in-process linear
+// Summary methods.
 package main
 
 import (
@@ -113,7 +96,6 @@ import (
 	"syscall"
 	"time"
 
-	"structaware/internal/backend"
 	"structaware/internal/cliutil"
 	"structaware/internal/structure"
 	"structaware/internal/wal"
@@ -124,7 +106,7 @@ import (
 const shutdownGrace = 10 * time.Second
 
 func main() {
-	var liveSpecs, backendSpecs []string
+	var liveSpecs []string
 	var (
 		addr         = flag.String("addr", ":8337", "HTTP listen address")
 		cacheSize    = flag.Int("cache-size", 4096, "per-summary answer-cache capacity in responses (0 disables)")
@@ -137,10 +119,6 @@ func main() {
 	)
 	flag.Func("live", "live summary as name=axes (axes like bittrie:32,bittrie:32; repeatable)", func(v string) error {
 		liveSpecs = append(liveSpecs, v)
-		return nil
-	})
-	flag.Func("backend", "build recipe as name=kind[:k=v;k=v...] (kinds: sample, qdigest, wavelet, sketch; repeatable)", func(v string) error {
-		backendSpecs = append(backendSpecs, v)
 		return nil
 	})
 	flag.Parse()
@@ -192,36 +170,9 @@ func main() {
 			}
 		}
 	}
-	// Attach -backend recipes to the sources they name. A recipe must name
-	// a positional source (-live summaries always build samples), and a
-	// recipe for any kind but a .sas-loading sample needs axes to interpret
-	// the CSV.
-	recipes, err := cliutil.ParseAssignments(backendSpecs)
-	tool.CheckUsage(err)
-	cfgs := make(map[string]*backend.Config, len(recipes))
-	for _, rc := range recipes {
-		cfg, err := backend.ParseSpec(rc.Value)
-		if err != nil {
-			tool.Usagef("-backend %s=%s: %v", rc.Name, rc.Value, err)
-		}
-		if _, dup := cfgs[rc.Name]; dup {
-			tool.Usagef("-backend %q given twice", rc.Name)
-		}
-		if cfg.Kind != backend.KindSample && cfg.Axes == nil {
-			tool.Usagef("-backend %s=%s: kind %s needs axes=... to build from a CSV", rc.Name, rc.Value, cfg.Kind)
-		}
-		cfgs[rc.Name] = &cfg
-	}
 	sources := make([]serveSource, len(assigns))
-	named := make(map[string]bool, len(assigns))
 	for i, a := range assigns {
-		sources[i] = serveSource{name: a.Name, path: a.Value, cfg: cfgs[a.Name]}
-		named[a.Name] = true
-	}
-	for _, rc := range recipes {
-		if !named[rc.Name] {
-			tool.Usagef("-backend %q names no summary (give its data as %s=path)", rc.Name, rc.Name)
-		}
+		sources[i] = serveSource{name: a.Name, path: a.Value}
 	}
 
 	logger := log.New(os.Stderr, "sasserve: ", log.LstdFlags)
@@ -262,8 +213,8 @@ func main() {
 	tool.Check(st.initLive(lives, lc))
 	for _, src := range sources {
 		e, _ := st.get(src.name)
-		logger.Printf("serving %q from %s (%s, %d elements, %d dims)",
-			src.name, src.path, e.be.Kind, e.be.Size(), len(e.be.Axes))
+		logger.Printf("serving %q from %s (%d keys, %d dims)",
+			src.name, src.path, e.idx.Size(), len(e.idx.Summary().Axes))
 	}
 	for _, lv := range lives {
 		logger.Printf("serving live %q over %s (snapshot size %d, wal %s)",

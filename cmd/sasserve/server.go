@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,46 +17,32 @@ import (
 	"time"
 
 	"structaware/internal/anscache"
-	"structaware/internal/backend"
+	"structaware/internal/bounds"
 	"structaware/internal/core"
 	"structaware/internal/structure"
-	"structaware/internal/twopass"
 )
 
 // serveConfidence is the coverage level of the confidence-interval fields on
-// sample-backed responses: the true weight lies within estimate ± bound with
-// probability at least serveConfidence. The IPPS threshold tau behind the
-// bound is fixed per serving epoch (summaries are immutable once adapted),
-// so the bound is a pure function of the estimate.
+// estimate and total responses: the true weight lies within estimate ± bound
+// with probability at least serveConfidence. The IPPS threshold tau behind
+// the bound is fixed per serving epoch (entries are immutable), so the bound
+// is a pure function of the estimate.
 const serveConfidence = 0.95
 
-// serveSource describes one summary to serve: a name, a data path, and an
-// optional backend build recipe. With a nil cfg (or a bare sample recipe
-// without axes) the path is a serialized SAS2 sample summary; with a recipe
-// carrying axes the path is a CSV of weighted keys ("c0,c1,...,weight"
-// rows) and the summary is built from it at load time via backend.Build —
-// the same construction path for all four backend kinds.
+// serveSource names one serialized SAS2 sample summary to serve.
 type serveSource struct {
 	name string
 	path string
-	cfg  *backend.Config
 }
 
-// loadsFile reports whether this source reads a serialized sample summary
-// (as opposed to building a backend from raw keys).
-func (src serveSource) loadsFile() bool {
-	return src.cfg == nil || (src.cfg.Kind == backend.KindSample && src.cfg.Axes == nil)
-}
-
-// entry is one serving summary: a backend (any kind) behind the Estimator
-// contract, loaded from a file, built from raw keys, or published by a live
-// snapshot. Entries are never mutated after creation, so a request
-// goroutine can use one without locking; reloads and snapshot rotations
-// swap whole entries under the store lock.
+// entry is one serving summary: a compiled sample index, loaded from a file
+// or published by a live snapshot. Entries are never mutated after
+// creation, so a request goroutine can use one without locking; reloads and
+// snapshot rotations swap whole entries under the store lock.
 type entry struct {
 	name     string
 	path     string
-	be       *backend.Backend
+	idx      *core.IndexedSummary
 	loadedAt time.Time
 	bytes    int64
 	// Live-snapshot provenance (zero for file-backed entries): the snapshot
@@ -72,47 +59,16 @@ type entry struct {
 	epoch uint64
 	cache *anscache.Cache
 	// bodyPrefix is the pre-rendered static head of this entry's
-	// single-range response bodies (`{"summary":"...","backend":"...",
-	// "epoch":N,"ranges":["`), or nil when the name cannot be emitted into
-	// JSON verbatim, disabling the pre-rendered fast path for this entry.
+	// single-range response bodies (`{"summary":"...","epoch":N,"ranges":["`),
+	// or nil when the name cannot be emitted into JSON verbatim, disabling
+	// the pre-rendered fast path for this entry.
 	bodyPrefix []byte
 }
 
-// sample returns the sample adapter behind the entry, or nil for
-// deterministic backends — the capability gate for Method/Tau metadata and
-// the live-recovery merge base.
-func (e *entry) sample() *backend.Sample {
-	s, _ := e.be.Estimator.(*backend.Sample)
-	return s
-}
-
-// loadEntry materializes one serving entry from a source: a SAS2 read plus
-// index compile for sample files, or a backend.Build over the CSV stream
-// for -backend recipes.
-func loadEntry(src serveSource, now time.Time) (*entry, error) {
-	if src.loadsFile() {
-		return loadSummaryFile(src.name, src.path, now)
-	}
-	info, err := os.Stat(src.path)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := twopass.NewCSVSource(src.path, len(src.cfg.Axes))
-	if err != nil {
-		return nil, err
-	}
-	defer cs.Close()
-	be, err := backend.Build(src.cfg.Axes, cs, *src.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", src.path, err)
-	}
-	return &entry{
-		name:     src.name,
-		path:     src.path,
-		be:       be,
-		loadedAt: now,
-		bytes:    info.Size(),
-	}, nil
+// bound is the half-width of the serveConfidence interval around est: the
+// paper's exponential tail bound (Appendix A) at the summary's tau.
+func (e *entry) bound(est float64) float64 {
+	return bounds.EstimateBound(est, e.idx.Summary().Tau, 1-serveConfidence)
 }
 
 // loadSummaryFile reads and indexes one serialized sample summary.
@@ -134,19 +90,13 @@ func loadSummaryFile(name, path string, now time.Time) (*entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &entry{
-		name:     name,
-		path:     path,
-		be:       backend.FromIndexedSummary(idx),
-		loadedAt: now,
-		bytes:    info.Size(),
-	}, nil
+	return &entry{name: name, path: path, idx: idx, loadedAt: now, bytes: info.Size()}, nil
 }
 
 // store holds the serving set. The read path takes the lock only to fetch
 // an *entry pointer; all query work happens on the immutable entry —
-// whether it came from a file load, a backend build, or a live snapshot, a
-// swap publishes a fully-formed backend atomically.
+// whether it came from a file load or a live snapshot, a swap publishes a
+// fully-formed index atomically.
 type store struct {
 	sources []serveSource
 	logf    func(format string, args ...any)
@@ -196,16 +146,14 @@ func (st *store) liveCount() int {
 // that makes an entry visible goes through here — startup load, SIGHUP
 // reload, live-snapshot recovery, and rotation — so each published entry
 // carries a fresh epoch number and an empty answer cache: swapping the
-// entry IS the wholesale cache invalidation, and the (epoch, backend) part
-// of the conceptual (epoch, backend, range) cache key is simply which
-// entry's cache a request consults.
+// entry IS the wholesale cache invalidation, and the epoch part of the
+// conceptual (epoch, range) cache key is simply which entry's cache a
+// request consults.
 func (st *store) install(e *entry) {
 	e.epoch = st.epochs.Add(1)
 	e.cache = anscache.New(st.cacheCap)
 	if jsonPlain(e.name) {
 		p := append([]byte(`{"summary":"`), e.name...)
-		p = append(p, `","backend":"`...)
-		p = append(p, string(e.be.Kind)...)
 		p = append(p, `","epoch":`...)
 		p = strconv.AppendUint(p, e.epoch, 10)
 		p = append(p, `,"ranges":["`...)
@@ -221,7 +169,7 @@ func (st *store) loadAll() error {
 	now := time.Now()
 	loaded := make([]*entry, 0, len(st.sources))
 	for _, src := range st.sources {
-		e, err := loadEntry(src, now)
+		e, err := loadSummaryFile(src.name, src.path, now)
 		if err != nil {
 			return err
 		}
@@ -233,21 +181,20 @@ func (st *store) loadAll() error {
 	return nil
 }
 
-// reload re-reads every configured summary (SIGHUP) — re-building
-// backend-recipe sources from their CSVs. A summary that fails to load
-// keeps serving its previous version; the failure is logged. The swap is
-// atomic per entry, so concurrent requests see either the old or the new
-// backend, never a partial one.
+// reload re-reads every configured summary (SIGHUP). A summary that fails
+// to load keeps serving its previous version; the failure is logged. The
+// swap is atomic per entry, so concurrent requests see either the old or
+// the new summary, never a partial one.
 func (st *store) reload() {
 	now := time.Now()
 	for _, src := range st.sources {
-		e, err := loadEntry(src, now)
+		e, err := loadSummaryFile(src.name, src.path, now)
 		if err != nil {
 			st.logf("reload %s: %v (keeping previous version)", src.name, err)
 			continue
 		}
 		st.install(e)
-		st.logf("reloaded %s from %s (%s, %d elements)", src.name, src.path, e.be.Kind, e.be.Size())
+		st.logf("reloaded %s from %s (%d keys)", src.name, src.path, e.idx.Size())
 	}
 }
 
@@ -269,11 +216,9 @@ type axisMeta struct {
 }
 
 type summaryMeta struct {
-	Name    string `json:"name"`
-	Path    string `json:"path"`
-	Backend string `json:"backend"`
-	// Method and Tau describe the sample construction; absent on
-	// deterministic backends.
+	Name string `json:"name"`
+	Path string `json:"path"`
+	// Method and Tau describe the sample construction.
 	Method        string     `json:"method,omitempty"`
 	Tau           float64    `json:"tau,omitempty"`
 	Size          int        `json:"size"`
@@ -295,8 +240,9 @@ type summaryMeta struct {
 }
 
 func (e *entry) meta() summaryMeta {
-	axes := make([]axisMeta, len(e.be.Axes))
-	for d, a := range e.be.Axes {
+	sum := e.idx.Summary()
+	axes := make([]axisMeta, len(sum.Axes))
+	for d, a := range sum.Axes {
 		am := axisMeta{Kind: a.Kind.String(), DomainSize: a.DomainSize()}
 		if a.Kind == structure.Explicit {
 			am.Leaves = a.Tree.NumLeaves()
@@ -308,10 +254,11 @@ func (e *entry) meta() summaryMeta {
 	m := summaryMeta{
 		Name:          e.name,
 		Path:          e.path,
-		Backend:       string(e.be.Kind),
-		Size:          e.be.Size(),
-		Dims:          len(e.be.Axes),
-		TotalEstimate: e.be.EstimateTotal(),
+		Method:        sum.Method.String(),
+		Tau:           sum.Tau,
+		Size:          e.idx.Size(),
+		Dims:          len(sum.Axes),
+		TotalEstimate: e.idx.EstimateTotal(),
 		Axes:          axes,
 		LoadedAt:      e.loadedAt,
 		Bytes:         e.bytes,
@@ -321,10 +268,6 @@ func (e *entry) meta() summaryMeta {
 		Pushed:        e.pushed,
 	}
 	m.CacheHits, m.CacheMisses = e.cache.Stats()
-	if s := e.sample(); s != nil {
-		m.Method = s.Summary().Method.String()
-		m.Tau = s.Summary().Tau
-	}
 	return m
 }
 
@@ -337,7 +280,6 @@ type estimateRequest struct {
 
 type estimateResponse struct {
 	Summary string `json:"summary"`
-	Backend string `json:"backend"`
 	// Epoch is the serving generation that produced these estimates; two
 	// responses with equal epoch and equal ranges are byte-identical (the
 	// contract the soak gauntlet asserts and the answer cache relies on).
@@ -347,8 +289,7 @@ type estimateResponse struct {
 	// Total is the multi-range estimate over the union of the requested
 	// boxes (each retained key counted once, as Summary.EstimateQuery).
 	Total float64 `json:"total"`
-	// Confidence-interval fields, present on backends with per-estimate
-	// tail bounds (samples): the true weight lies within
+	// Confidence-interval fields: the true weight lies within
 	// estimates[i] ± bounds[i] (and total ± total_bound) with probability
 	// at least confidence.
 	Confidence float64   `json:"confidence,omitempty"`
@@ -358,7 +299,6 @@ type estimateResponse struct {
 
 type quantileResponse struct {
 	Summary    string  `json:"summary"`
-	Backend    string  `json:"backend"`
 	Axis       int     `json:"axis"`
 	Phi        float64 `json:"phi"`
 	Coordinate uint64  `json:"coordinate"`
@@ -520,16 +460,13 @@ func (st *store) handleMeta(w http.ResponseWriter, _ *http.Request, e *entry) {
 }
 
 func (st *store) handleTotal(w http.ResponseWriter, _ *http.Request, e *entry) {
-	resp := map[string]any{
-		"summary":  e.name,
-		"backend":  string(e.be.Kind),
-		"estimate": e.be.EstimateTotal(),
-	}
-	if b, ok := e.be.Estimator.(backend.Bounder); ok {
-		resp["confidence"] = serveConfidence
-		resp["bound"] = b.EstimateBound(e.be.EstimateTotal(), 1-serveConfidence)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	est := e.idx.EstimateTotal()
+	writeJSON(w, http.StatusOK, map[string]any{
+		"summary":    e.name,
+		"estimate":   est,
+		"confidence": serveConfidence,
+		"bound":      e.bound(est),
+	})
 }
 
 // maxRangesPerRequest bounds batched estimate requests: each range costs a
@@ -556,7 +493,7 @@ func parseBoxes(texts []string, e *entry) ([]structure.Range, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := box.Check(e.be.Axes); err != nil {
+		if err := box.Check(e.idx.Summary().Axes); err != nil {
 			return nil, err
 		}
 		boxes[i] = box
@@ -564,35 +501,22 @@ func parseBoxes(texts []string, e *entry) ([]structure.Range, error) {
 	return boxes, nil
 }
 
-// estimate answers one batched estimate request through the Estimator
-// contract, taking the backend's batch fast path when it has one and
-// attaching confidence bounds when it can prove them.
+// estimate answers one batched estimate request: per-box estimates, the
+// union total, and their confidence bounds.
 func estimate(e *entry, texts []string, boxes []structure.Range) estimateResponse {
-	resp := estimateResponse{Summary: e.name, Backend: string(e.be.Kind), Epoch: e.epoch, Ranges: texts}
-	switch {
-	case len(boxes) == 1:
+	resp := estimateResponse{Summary: e.name, Epoch: e.epoch, Ranges: texts, Confidence: serveConfidence}
+	if len(boxes) == 1 {
 		// The union of one box is that box; one traversal answers both.
-		resp.Estimates = []float64{e.be.EstimateRange(boxes[0])}
+		resp.Estimates = []float64{e.idx.EstimateRange(boxes[0])}
 		resp.Total = resp.Estimates[0]
-	default:
-		if batch, ok := e.be.Estimator.(backend.BatchEstimator); ok {
-			resp.Estimates, resp.Total = batch.EstimateRanges(structure.Query(boxes))
-		} else {
-			resp.Estimates = make([]float64, len(boxes))
-			for i, b := range boxes {
-				resp.Estimates[i] = e.be.EstimateRange(b)
-			}
-			resp.Total = e.be.EstimateQuery(structure.Query(boxes))
-		}
+	} else {
+		resp.Estimates, resp.Total = e.idx.EstimateRanges(structure.Query(boxes))
 	}
-	if b, ok := e.be.Estimator.(backend.Bounder); ok {
-		resp.Confidence = serveConfidence
-		resp.Bounds = make([]float64, len(resp.Estimates))
-		for i, est := range resp.Estimates {
-			resp.Bounds[i] = b.EstimateBound(est, 1-serveConfidence)
-		}
-		resp.TotalBound = b.EstimateBound(resp.Total, 1-serveConfidence)
+	resp.Bounds = make([]float64, len(resp.Estimates))
+	for i, est := range resp.Estimates {
+		resp.Bounds[i] = e.bound(est)
 	}
+	resp.TotalBound = e.bound(resp.Total)
 	return resp
 }
 
@@ -697,7 +621,7 @@ func serveSingleEstimate(w http.ResponseWriter, e *entry, text string, useCache 
 	}
 	box, err := structure.ParseRange(text)
 	if err == nil {
-		err = box.Check(e.be.Axes)
+		err = box.Check(e.idx.Summary().Axes)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -721,9 +645,13 @@ func serveSingleEstimate(w http.ResponseWriter, e *entry, text string, useCache 
 // reflection walk. The equivalence is pinned by TestSingleRangeRenderParity.
 // Like the encoder, it refuses a NaN or ±Inf, which JSON cannot carry.
 func renderSingleEstimate(e *entry, text string, box structure.Range) ([]byte, error) {
-	est := e.be.EstimateRange(box)
+	est := e.idx.EstimateRange(box)
 	if !finite(est) {
 		return nil, fmt.Errorf("cannot render response: estimate %v is not finite", est)
+	}
+	bound := e.bound(est)
+	if !finite(bound) {
+		return nil, fmt.Errorf("cannot render response: bound %v is not finite", bound)
 	}
 	b := make([]byte, 0, len(e.bodyPrefix)+len(text)+112)
 	b = append(b, e.bodyPrefix...)
@@ -732,20 +660,14 @@ func renderSingleEstimate(e *entry, text string, box structure.Range) ([]byte, e
 	b = appendJSONFloat(b, est)
 	b = append(b, `],"total":`...)
 	b = appendJSONFloat(b, est)
-	if bd, ok := e.be.Estimator.(backend.Bounder); ok {
-		bound := bd.EstimateBound(est, 1-serveConfidence)
-		if !finite(bound) {
-			return nil, fmt.Errorf("cannot render response: bound %v is not finite", bound)
-		}
-		b = append(b, `,"confidence":`...)
-		b = appendJSONFloat(b, serveConfidence)
-		b = append(b, `,"bounds":[`...)
+	b = append(b, `,"confidence":`...)
+	b = appendJSONFloat(b, serveConfidence)
+	b = append(b, `,"bounds":[`...)
+	b = appendJSONFloat(b, bound)
+	b = append(b, ']')
+	if bound != 0 { // omitempty parity
+		b = append(b, `,"total_bound":`...)
 		b = appendJSONFloat(b, bound)
-		b = append(b, ']')
-		if bound != 0 { // omitempty parity
-			b = append(b, `,"total_bound":`...)
-			b = appendJSONFloat(b, bound)
-		}
 	}
 	b = append(b, '}', '\n')
 	return b, nil
@@ -819,30 +741,26 @@ func (st *store) handleEstimatePost(w http.ResponseWriter, r *http.Request, e *e
 }
 
 // handleQuantile answers GET .../quantile?axis=0&phi=0.5[&range=...]: the
-// smallest coordinate on the axis holding at least phi of the (estimated)
-// weight, optionally restricted to one box. A region the backend estimates
-// as empty is a 409 (there is no quantile to report), not a 500.
+// smallest coordinate on the axis holding at least phi of the estimated
+// weight, optionally restricted to one box. A region holding no sampled
+// weight is a 409 (there is no quantile to report), not a 500.
 func (st *store) handleQuantile(w http.ResponseWriter, r *http.Request, e *entry) {
-	qt, ok := e.be.Estimator.(backend.Quantiler)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "backend %s does not support quantiles", e.be.Kind)
-		return
-	}
+	sum := e.idx.Summary()
 	q := r.URL.Query()
 	phi, err := strconv.ParseFloat(q.Get("phi"), 64)
-	if err != nil || phi < 0 || phi > 1 {
+	if err != nil || !(phi >= 0 && phi <= 1) { // NaN fails both comparisons
 		writeError(w, http.StatusBadRequest, "phi must be a number in [0,1]")
 		return
 	}
 	axis := 0
 	if s := q.Get("axis"); s != "" {
 		axis, err = strconv.Atoi(s)
-		if err != nil || axis < 0 || axis >= len(e.be.Axes) {
-			writeError(w, http.StatusBadRequest, "axis must be an integer in [0,%d)", len(e.be.Axes))
+		if err != nil || axis < 0 || axis >= len(sum.Axes) {
+			writeError(w, http.StatusBadRequest, "axis must be an integer in [0,%d)", len(sum.Axes))
 			return
 		}
 	}
-	resp := quantileResponse{Summary: e.name, Backend: string(e.be.Kind), Axis: axis, Phi: phi}
+	resp := quantileResponse{Summary: e.name, Axis: axis, Phi: phi}
 	var coord uint64
 	if texts := q["range"]; len(texts) > 0 {
 		if len(texts) != 1 {
@@ -855,11 +773,11 @@ func (st *store) handleQuantile(w http.ResponseWriter, r *http.Request, e *entry
 			return
 		}
 		resp.Range = texts[0]
-		coord, err = qt.QuantileInRange(axis, phi, boxes[0])
+		coord, err = sum.QuantileInRange(axis, phi, boxes[0])
 	} else {
-		coord, err = qt.Quantile(axis, phi)
+		coord, err = sum.Quantile(axis, phi)
 	}
-	if errors.Is(err, backend.ErrNoMass) {
+	if errors.Is(err, core.ErrNoMass) {
 		writeError(w, http.StatusConflict, "the selected region holds no estimated weight")
 		return
 	}
@@ -872,12 +790,6 @@ func (st *store) handleQuantile(w http.ResponseWriter, r *http.Request, e *entry
 }
 
 func (st *store) handleRepresentatives(w http.ResponseWriter, r *http.Request, e *entry) {
-	rep, ok := e.be.Estimator.(backend.RepresentativeKeyer)
-	if !ok {
-		writeError(w, http.StatusNotImplemented,
-			"backend %s retains no keys; representatives require a sample backend", e.be.Kind)
-		return
-	}
 	q := r.URL.Query()
 	texts := q["range"]
 	if len(texts) != 1 {
@@ -897,7 +809,7 @@ func (st *store) handleRepresentatives(w http.ResponseWriter, r *http.Request, e
 			return
 		}
 	}
-	keys, ws := rep.RepresentativeKeys(boxes[0], limit)
+	keys, ws := e.idx.RepresentativeKeys(boxes[0], limit)
 	writeJSON(w, http.StatusOK, representativesResponse{
 		Summary:         e.name,
 		Range:           texts[0],
@@ -911,15 +823,10 @@ func (st *store) handleRepresentatives(w http.ResponseWriter, r *http.Request, e
 const defaultHeavyHitters = 10
 
 // handleHeavyHitters answers GET .../heavyhitters?range=...&k=n: the k
-// retained keys of largest adjusted weight inside the box, heaviest first —
-// the representatives endpoint ranked by weight instead of key order.
+// sampled keys of largest adjusted weight inside the box, heaviest first —
+// the representatives endpoint ranked by weight instead of key order. Ties
+// keep key order, so the ranking is deterministic.
 func (st *store) handleHeavyHitters(w http.ResponseWriter, r *http.Request, e *entry) {
-	hh, ok := e.be.Estimator.(backend.HeavyHitter)
-	if !ok {
-		writeError(w, http.StatusNotImplemented,
-			"backend %s retains no keys; heavy hitters require a sample backend", e.be.Kind)
-		return
-	}
 	q := r.URL.Query()
 	texts := q["range"]
 	if len(texts) != 1 {
@@ -939,15 +846,24 @@ func (st *store) handleHeavyHitters(w http.ResponseWriter, r *http.Request, e *e
 			return
 		}
 	}
-	keys, ws := hh.HeavyHitters(boxes[0], k)
+	keys, ws := e.idx.RepresentativeKeys(boxes[0], 0)
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ws[order[a]] > ws[order[b]] })
+	order = order[:min(k, len(order))]
+	topK, topW := make([][]uint64, len(order)), make([]float64, len(order))
+	for i, j := range order {
+		topK[i], topW[i] = keys[j], ws[j]
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"summary":          e.name,
-		"backend":          string(e.be.Kind),
 		"range":            texts[0],
 		"k":                k,
-		"count":            len(keys),
-		"keys":             emptyIfNilKeys(keys),
-		"adjusted_weights": emptyIfNilWeights(ws),
+		"count":            len(order),
+		"keys":             topK,
+		"adjusted_weights": topW,
 	})
 }
 

@@ -12,15 +12,16 @@ import (
 	"sync"
 	"testing"
 
+	"structaware/internal/bounds"
 	"structaware/internal/core"
 	"structaware/internal/structure"
+	"structaware/internal/workload"
 	"structaware/internal/xmath"
 )
 
-// buildSummary draws a deterministic 2-D test summary.
-func buildSummary(t testing.TB, seed uint64) *core.Summary {
-	t.Helper()
-	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
+// testKeys draws the deterministic weighted keys behind buildSummary:
+// 3,000 uniform points on a 1024×1024 grid with weights in [1, 11).
+func testKeys(seed uint64) ([][]uint64, []float64) {
 	r := xmath.NewRand(seed)
 	n := 3000
 	pts := make([][]uint64, n)
@@ -29,6 +30,14 @@ func buildSummary(t testing.TB, seed uint64) *core.Summary {
 		pts[i] = []uint64{r.Uint64() % 1024, r.Uint64() % 1024}
 		ws[i] = 1 + 10*r.Float64()
 	}
+	return pts, ws
+}
+
+// buildSummary draws a deterministic 2-D test summary.
+func buildSummary(t testing.TB, seed uint64) *core.Summary {
+	t.Helper()
+	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
+	pts, ws := testKeys(seed)
 	ds, err := structure.NewDataset(axes, pts, ws)
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +253,183 @@ func TestRepresentatives(t *testing.T) {
 	getJSON(t, srv.URL+"/v1/summaries/net/representatives?range=0:0,0:0", http.StatusOK, &empty)
 	if empty.Count != 0 || empty.Keys == nil || empty.AdjustedWeights == nil {
 		t.Fatalf("empty %+v", empty)
+	}
+}
+
+// TestBackendServing checks the fields estimate and total responses carry
+// on a file-backed summary: estimates and bounds bitwise the library's, the
+// construction method in the metadata, and the 95% confidence fields.
+func TestBackendServing(t *testing.T) {
+	sum := buildSummary(t, 21)
+	srv, _, _ := testServer(t, sum)
+	boxes := []structure.Range{
+		{{Lo: 0, Hi: 511}, {Lo: 0, Hi: 511}},
+		{{Lo: 256, Hi: 767}, {Lo: 0, Hi: 1023}},
+	}
+	bound := func(est float64) float64 { return bounds.EstimateBound(est, sum.Tau, 1-serveConfidence) }
+
+	var meta summaryMeta
+	getJSON(t, srv.URL+"/v1/summaries/net", http.StatusOK, &meta)
+	if meta.Method != "aware" || meta.Size != sum.Size() ||
+		math.Float64bits(meta.TotalEstimate) != math.Float64bits(sum.EstimateTotal()) {
+		t.Fatalf("meta %+v", meta)
+	}
+
+	var got estimateResponse
+	getJSON(t, fmt.Sprintf("%s/v1/summaries/net/estimate?range=%s&range=%s", srv.URL, boxes[0], boxes[1]), http.StatusOK, &got)
+	if len(got.Estimates) != 2 || len(got.Bounds) != 2 || got.Confidence != 0.95 || !(got.TotalBound > 0) {
+		t.Fatalf("response %+v", got)
+	}
+	for i, b := range boxes {
+		est := sum.EstimateRange(b)
+		if math.Float64bits(got.Estimates[i]) != math.Float64bits(est) {
+			t.Fatalf("estimate %d = %v, want %v", i, got.Estimates[i], est)
+		}
+		if !(got.Bounds[i] > 0) || math.Float64bits(got.Bounds[i]) != math.Float64bits(bound(est)) {
+			t.Fatalf("bound %d = %v, want %v", i, got.Bounds[i], bound(est))
+		}
+	}
+	if want := bound(sum.EstimateQuery(structure.Query(boxes))); math.Float64bits(got.TotalBound) != math.Float64bits(want) {
+		t.Fatalf("total bound %v, want %v", got.TotalBound, want)
+	}
+
+	var total struct {
+		Estimate   float64 `json:"estimate"`
+		Bound      float64 `json:"bound"`
+		Confidence float64 `json:"confidence"`
+	}
+	getJSON(t, srv.URL+"/v1/summaries/net/total", http.StatusOK, &total)
+	if math.Float64bits(total.Estimate) != math.Float64bits(sum.EstimateTotal()) {
+		t.Fatalf("total %v, want %v", total.Estimate, sum.EstimateTotal())
+	}
+	if !(total.Bound > 0) || total.Confidence != 0.95 {
+		t.Fatalf("total bound %v at confidence %v", total.Bound, total.Confidence)
+	}
+}
+
+// TestQuantileEndpoint checks /quantile: the served median is the
+// library's and lands near the exact weighted median, a box is echoed, and
+// parameter abuse is rejected.
+func TestQuantileEndpoint(t *testing.T) {
+	pts, ws := testKeys(21)
+	sum := buildSummary(t, 21)
+	srv, _, _ := testServer(t, sum)
+
+	// Exact weighted median along axis 0.
+	var perX [1024]float64
+	var total float64
+	for i, p := range pts {
+		perX[p[0]] += ws[i]
+		total += ws[i]
+	}
+	exact, acc := 0, 0.0
+	for acc < total/2 {
+		acc += perX[exact]
+		exact++
+	}
+	exact--
+
+	var got quantileResponse
+	getJSON(t, srv.URL+"/v1/summaries/net/quantile?axis=0&phi=0.5", http.StatusOK, &got)
+	if got.Axis != 0 || got.Phi != 0.5 {
+		t.Fatalf("response %+v", got)
+	}
+	if want, err := sum.Quantile(0, 0.5); err != nil || got.Coordinate != want {
+		t.Fatalf("median %d, library %d (%v)", got.Coordinate, want, err)
+	}
+	if off := math.Abs(float64(got.Coordinate) - float64(exact)); off > 102 {
+		t.Fatalf("median %d, exact %d", got.Coordinate, exact)
+	}
+
+	// Restricted to a box, the response echoes the range.
+	var boxed quantileResponse
+	getJSON(t, srv.URL+"/v1/summaries/net/quantile?axis=1&phi=0.9&range=0:1023,0:1023", http.StatusOK, &boxed)
+	if boxed.Range != "0:1023,0:1023" || boxed.Axis != 1 {
+		t.Fatalf("boxed response %+v", boxed)
+	}
+
+	for _, bad := range []string{
+		"/v1/summaries/net/quantile",                                     // no phi
+		"/v1/summaries/net/quantile?phi=2",                               // phi out of range
+		"/v1/summaries/net/quantile?phi=NaN",                             // phi not a number in [0,1]
+		"/v1/summaries/net/quantile?phi=0.5&axis=7",                      // bad axis
+		"/v1/summaries/net/quantile?phi=0.5&range=abc",                   // bad range
+		"/v1/summaries/net/quantile?phi=0.5&range=0:1",                   // wrong dims
+		"/v1/summaries/net/quantile?phi=0.5&range=0:1,0:1&range=0:2,0:2", // two ranges
+	} {
+		getJSON(t, srv.URL+bad, http.StatusBadRequest, nil)
+	}
+
+	// A region holding no sampled key is a 409.
+	getJSON(t, srv.URL+"/v1/summaries/net/quantile?phi=0.5&range=0:0,0:0", http.StatusConflict, nil)
+}
+
+// TestHeavyHittersEndpoint checks the ranking by adjusted weight against an
+// offline selection on a heavy-tailed summary, whose keys above tau keep
+// distinct weights, plus the parameter 400s and the empty selection.
+func TestHeavyHittersEndpoint(t *testing.T) {
+	ds, err := workload.Network(workload.NetworkConfig{Pairs: 4000, Bits: 10, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := core.Build(ds, core.Config{Size: 400, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, _ := testServer(t, sum)
+
+	// Offline reference: pick the heaviest unpicked key k times, the lowest
+	// key index winning a tie. At k = 5 every weight is above tau and
+	// distinct; k = 60 reaches the keys tied at tau.
+	keys, ws := sum.RepresentativeKeys(structure.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 1023}}, 0)
+	for _, k := range []int{5, 60} {
+		var got struct {
+			K               int        `json:"k"`
+			Count           int        `json:"count"`
+			Keys            [][]uint64 `json:"keys"`
+			AdjustedWeights []float64  `json:"adjusted_weights"`
+		}
+		getJSON(t, fmt.Sprintf("%s/v1/summaries/net/heavyhitters?range=0:1023,0:1023&k=%d", srv.URL, k), http.StatusOK, &got)
+		if got.K != k || got.Count != k || len(got.Keys) != k || len(got.AdjustedWeights) != k {
+			t.Fatalf("k=%d: response %+v", k, got)
+		}
+		picked := make([]bool, len(keys))
+		for i := 0; i < k; i++ {
+			best := -1
+			for j := range keys {
+				if !picked[j] && (best < 0 || ws[j] > ws[best]) {
+					best = j
+				}
+			}
+			picked[best] = true
+			if got.Keys[i][0] != keys[best][0] || got.Keys[i][1] != keys[best][1] ||
+				math.Float64bits(got.AdjustedWeights[i]) != math.Float64bits(ws[best]) {
+				t.Fatalf("k=%d: hitter %d: %v/%v, want %v/%v", k, i, got.Keys[i], got.AdjustedWeights[i], keys[best], ws[best])
+			}
+			if k == 5 && i > 0 && !(got.AdjustedWeights[i] < got.AdjustedWeights[i-1]) {
+				t.Fatalf("weights not strictly descending at %d: %v", i, got.AdjustedWeights)
+			}
+		}
+		if k == 60 && got.AdjustedWeights[k-1] != sum.Tau {
+			t.Fatalf("hitter %d weighs %v, want a key tied at tau %v", k-1, got.AdjustedWeights[k-1], sum.Tau)
+		}
+	}
+
+	getJSON(t, srv.URL+"/v1/summaries/net/heavyhitters?range=0:1,0:1&k=0", http.StatusBadRequest, nil)
+	getJSON(t, srv.URL+"/v1/summaries/net/heavyhitters", http.StatusBadRequest, nil)
+
+	// An empty selection returns [] not null.
+	empty := structure.Range{{Lo: 1023, Hi: 1023}, {Lo: 1023, Hi: 1023}}
+	if keys, _ := sum.RepresentativeKeys(empty, 0); len(keys) != 0 {
+		t.Fatalf("box %s holds %d sampled keys, want none", empty, len(keys))
+	}
+	var none struct {
+		Count int        `json:"count"`
+		Keys  [][]uint64 `json:"keys"`
+	}
+	getJSON(t, srv.URL+"/v1/summaries/net/heavyhitters?range="+empty.String(), http.StatusOK, &none)
+	if none.Count != 0 || none.Keys == nil {
+		t.Fatalf("empty %+v", none)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 	"testing"
 	"time"
 
-	"structaware/internal/backend"
+	"structaware/internal/core"
 	"structaware/internal/structure"
 	"structaware/internal/xmath"
 )
@@ -185,8 +185,8 @@ func TestAnswerCacheAcrossRotation(t *testing.T) {
 	}
 	e, _ := st.get("net")
 	box, _ := structure.ParseRange(text)
-	if math.Float64bits(got.Estimates[0]) != math.Float64bits(e.be.EstimateRange(box)) {
-		t.Fatalf("post-rotation estimate %v, want %v from the new entry", got.Estimates[0], e.be.EstimateRange(box))
+	if math.Float64bits(got.Estimates[0]) != math.Float64bits(e.idx.EstimateRange(box)) {
+		t.Fatalf("post-rotation estimate %v, want %v from the new entry", got.Estimates[0], e.idx.EstimateRange(box))
 	}
 	if bytes.Equal(raw, body1) {
 		t.Fatal("post-rotation body identical to the pre-rotation one (stale cache?)")
@@ -290,41 +290,41 @@ func TestEstimateBadRanges(t *testing.T) {
 	}
 }
 
-// poisonedEstimator answers every estimate with est and every bound with
-// bound: with NaN or ±Inf, the state overflowing weights leave a summary
-// in. It stands in for hostile ingest, so the tests below hold whatever
-// admission refuses.
-type poisonedEstimator struct{ est, bound float64 }
-
-func (p poisonedEstimator) EstimateRange(structure.Range) float64 { return p.est }
-func (p poisonedEstimator) EstimateQuery(structure.Query) float64 { return p.est }
-func (p poisonedEstimator) EstimateTotal() float64                { return p.est }
-func (p poisonedEstimator) Size() int                             { return 1 }
-func (p poisonedEstimator) EstimateBound(float64, float64) float64 {
-	return p.bound
-}
-
 // TestNonFiniteAnswersFail500 is the fail-closed contract of the renderers:
 // an estimate or bound JSON cannot carry is a 500 with a JSON error body on
 // every read endpoint — never a 200 with a NaN or an empty body — and the
-// single-range fast path caches nothing for it.
+// single-range fast path caches nothing for it. Each case is a summary
+// assembled from exact weights and tau, the state overflowing weights leave
+// a summary in, so the test holds whatever admission refuses.
 func TestNonFiniteAnswersFail500(t *testing.T) {
 	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
 	for _, tc := range []struct {
-		name       string
-		est, bound float64
+		name    string
+		weights []float64
+		tau     float64
 		// The metadata carries the total estimate but no bound.
 		metaFails bool
 	}{
-		{"nan-estimate", math.NaN(), math.NaN(), true},
-		{"inf-estimate", math.Inf(1), math.Inf(1), true},
-		{"inf-bound", 5, math.Inf(1), false},
+		// 1.7e308 + 1.7e308 overflows, and the compensated sum turns NaN.
+		{"nan-estimate", []float64{1.7e308, 1.7e308, 1}, 1, true},
+		// Two adjusted weights of MaxFloat64 sum to +Inf.
+		{"inf-estimate", []float64{1, 2}, math.MaxFloat64, true},
+		// A finite estimate of 1e308 whose 95% bound overflows.
+		{"inf-bound", []float64{5}, 1e308, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// Key k sits at (k, k), inside the queried box 0:511,0:1023.
+			coords := [][]uint64{make([]uint64, len(tc.weights)), make([]uint64, len(tc.weights))}
+			for k := range tc.weights {
+				coords[0][k], coords[1][k] = uint64(k), uint64(k)
+			}
+			sum := &core.Summary{Axes: axes, Coords: coords, Weights: tc.weights, Tau: tc.tau}
+			idx, err := sum.Index()
+			if err != nil {
+				t.Fatal(err)
+			}
 			st := newStore([]serveSource{{name: "bad"}}, 4096, t.Logf)
-			st.install(&entry{name: "bad", be: &backend.Backend{
-				Kind: backend.KindSample, Axes: axes, Estimator: poisonedEstimator{tc.est, tc.bound},
-			}})
+			st.install(&entry{name: "bad", idx: idx})
 			srv := httptest.NewServer(st.handler())
 			defer srv.Close()
 			base := srv.URL + "/v1/summaries/bad"

@@ -1,33 +1,23 @@
-// Package backend defines the summary-backend contract that unifies the
-// repository's four summary families — structure-aware VarOpt samples
-// (internal/core via internal/queryidx), 2-D q-digests (internal/qdigest),
-// Haar wavelet synopses (internal/wavelet), and dyadic Count-Sketches
-// (internal/sketch) — behind one Estimator interface, so the serving daemon
-// (cmd/sasserve), the benchmark harness (cmd/sasbench -backends), and tests
-// can run any of them head-to-head over the same range-query API.
+// Package backend puts the summaries of the paper's §6 comparison behind
+// one Estimator interface: the structure-aware VarOpt sample
+// (internal/core via internal/queryidx) and the baselines it is measured
+// against — 2-D q-digests (internal/qdigest), Haar wavelet synopses
+// (internal/wavelet), and dyadic Count-Sketches (internal/sketch). The
+// head-to-head comparison (internal/expt's CompareBackends, run by
+// sasbench -backends) builds every kind from the same stream at the same
+// element budget and scores them through this interface.
 //
-// The contract is deliberately the intersection every summary supports:
-// range and multi-range estimates, a total, and a size. Everything else is a
-// capability discovered by interface assertion on the Estimator value —
-// quantiles (Quantiler, supported by all backends, by bisection where the
-// summary has no native quantile), sampled representative keys and heavy
-// hitters (only samples have real keys to return), batched estimation, and
-// confidence bounds (only Horvitz–Thompson estimates carry the paper's
-// exponential tail bounds).
+// The interface is range and multi-range estimates, a total, and a size.
+// Only the sample's Horvitz–Thompson estimates carry the paper's
+// exponential tail bounds, so only the sample implements Bounder.
 //
 // Adapter ownership rules: an adapter does not copy the summary it wraps —
 // it takes ownership. The wrapped summary must not be mutated after
-// adaptation (the adapter precomputes its full-domain total at construction,
-// and the serving layers share adapters across goroutines on the assumption
-// that they are immutable). Build streaming summaries first, adapt last.
+// adaptation (the adapter precomputes its full-domain total at
+// construction). Build streaming summaries first, adapt last.
 package backend
 
-import (
-	"fmt"
-
-	"structaware/internal/core"
-	"structaware/internal/structure"
-)
+import "structaware/internal/structure"
 
 // Kind names a backend family.
 type Kind string
@@ -57,52 +47,19 @@ type Estimator interface {
 	Size() int
 }
 
-// Quantiler is the optional quantile capability.
-type Quantiler interface {
-	// Quantile estimates the φ-quantile of the weight distribution along
-	// the given axis: the smallest coordinate q such that keys with
-	// coordinate <= q hold at least phi of the total weight.
-	Quantile(axis int, phi float64) (uint64, error)
-	// QuantileInRange restricts the quantile to the keys inside box.
-	QuantileInRange(axis int, phi float64, box structure.Range) (uint64, error)
-}
-
-// RepresentativeKeyer is the optional capability of backends that retain
-// actual keys (samples): the keys inside a box with their adjusted weights.
-type RepresentativeKeyer interface {
-	RepresentativeKeys(r structure.Range, limit int) ([][]uint64, []float64)
-}
-
-// HeavyHitter is the optional capability returning the k heaviest retained
-// keys inside a box, by adjusted weight, heaviest first.
-type HeavyHitter interface {
-	HeavyHitters(r structure.Range, k int) ([][]uint64, []float64)
-}
-
-// BatchEstimator is an optional fast path answering a batch of boxes and
-// their deduplicated union in one pass.
-type BatchEstimator interface {
-	EstimateRanges(q structure.Query) (ests []float64, total float64)
-}
-
-// Bounder is the optional confidence-bound capability: sample backends
-// expose the paper's exponential tail bounds (Appendix A) on their
-// Horvitz–Thompson estimates; deterministic backends have no comparable
-// per-estimate guarantee and do not implement it.
+// Bounder is the confidence-bound capability: sample backends expose the
+// paper's exponential tail bounds (Appendix A) on their Horvitz–Thompson
+// estimates; deterministic backends have no comparable per-estimate
+// guarantee and do not implement it.
 type Bounder interface {
 	// EstimateBound returns the ± half-width b such that the true weight
 	// lies within estimate ± b with probability at least 1 − delta.
 	EstimateBound(est, delta float64) float64
 }
 
-// ErrNoMass is returned by quantile estimation when the selected region
-// holds no (estimated) weight. It aliases the core sentinel so errors.Is
-// works uniformly across sample and deterministic backends.
-var ErrNoMass = core.ErrNoMass
-
 // Backend couples an Estimator with its kind and the key domain it answers
-// over — the unit the server and the bench harness pass around. Capability
-// interfaces are asserted on the embedded Estimator value.
+// over — the unit the comparison passes around. Bounder is asserted on the
+// embedded Estimator value.
 type Backend struct {
 	Kind Kind
 	Axes []structure.Axis
@@ -116,50 +73,4 @@ func fullRange(axes []structure.Axis) structure.Range {
 		r[d] = structure.Interval{Lo: 0, Hi: ax.DomainSize() - 1}
 	}
 	return r
-}
-
-// checkQuantileArgs validates the shared quantile preconditions.
-func checkQuantileArgs(axes []structure.Axis, axis int, box structure.Range) error {
-	if axis < 0 || axis >= len(axes) {
-		return fmt.Errorf("backend: axis %d out of range [0,%d)", axis, len(axes))
-	}
-	if len(box) != len(axes) {
-		return fmt.Errorf("backend: box has %d intervals for %d axes", len(box), len(axes))
-	}
-	return nil
-}
-
-// quantileByBisection estimates the φ-quantile along axis within box by
-// bisecting the coordinate against the backend's own range estimates: the
-// smallest q with EstimateRange(box ∩ {axis <= q}) >= phi · EstimateRange(box).
-// For summaries whose prefix estimates are not monotone (wavelets can dip
-// where coefficients are negative), this returns one crossing point — an
-// estimate with the same error profile as the ranges it is built from.
-func quantileByBisection(e Estimator, axes []structure.Axis, axis int, phi float64, box structure.Range) (uint64, error) {
-	if err := checkQuantileArgs(axes, axis, box); err != nil {
-		return 0, err
-	}
-	total := e.EstimateRange(box)
-	if total <= 0 {
-		return 0, ErrNoMass
-	}
-	if phi < 0 {
-		phi = 0
-	}
-	if phi > 1 {
-		phi = 1
-	}
-	target := phi * total
-	sub := append(structure.Range(nil), box...)
-	lo, hi := box[axis].Lo, box[axis].Hi
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		sub[axis] = structure.Interval{Lo: box[axis].Lo, Hi: mid}
-		if e.EstimateRange(sub) >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, nil
 }

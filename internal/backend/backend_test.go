@@ -1,11 +1,9 @@
 package backend
 
 import (
-	"errors"
 	"math"
 	"testing"
 
-	"structaware/internal/core"
 	"structaware/internal/structure"
 	"structaware/internal/twopass"
 	"structaware/internal/workload"
@@ -35,37 +33,6 @@ func buildAll(t *testing.T, ds *structure.Dataset, size int) map[Kind]*Backend {
 		out[kind] = be
 	}
 	return out
-}
-
-func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("qdigest:size=2000;seed=9;axes=bittrie:20,bittrie:20")
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	if cfg.Kind != KindQDigest || cfg.Size != 2000 || cfg.Seed != 9 {
-		t.Fatalf("cfg = %+v", cfg)
-	}
-	if len(cfg.Axes) != 2 || cfg.Axes[0].Kind != structure.BitTrie || cfg.Axes[0].Bits != 20 {
-		t.Fatalf("axes = %+v", cfg.Axes)
-	}
-
-	cfg, err = ParseSpec("sample:method=obliv;buffer=5000;rows=3")
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	if cfg.Kind != KindSample || cfg.Method != core.Oblivious || cfg.Buffer != 5000 || cfg.Rows != 3 {
-		t.Fatalf("cfg = %+v", cfg)
-	}
-
-	if cfg, err = ParseSpec("wavelet"); err != nil || cfg.Kind != KindWavelet {
-		t.Fatalf("bare kind: cfg=%+v err=%v", cfg, err)
-	}
-
-	for _, bad := range []string{"", "bogus", "sample:size", "sample:size=x", "sample:method=poisson", "qdigest:depth=3"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Fatalf("ParseSpec(%q): want error", bad)
-		}
-	}
 }
 
 // TestFullDomainAgreesWithTotal is the cross-backend agreement property:
@@ -132,136 +99,13 @@ func TestAccuracyRegression(t *testing.T) {
 	}
 }
 
+// TestCapabilities pins the one capability split perfbench's query replay
+// relies on: the sample is a Bounder, and the deterministic kinds are not.
 func TestCapabilities(t *testing.T) {
 	ds := netflow(t)
-	backends := buildAll(t, ds, 800)
-	for kind, be := range backends {
-		if _, ok := be.Estimator.(Quantiler); !ok {
-			t.Errorf("%s: missing Quantiler", kind)
-		}
-		_, isRep := be.Estimator.(RepresentativeKeyer)
-		_, isHH := be.Estimator.(HeavyHitter)
-		_, isBound := be.Estimator.(Bounder)
-		_, isBatch := be.Estimator.(BatchEstimator)
-		wantSample := kind == KindSample
-		if isRep != wantSample || isHH != wantSample || isBound != wantSample || isBatch != wantSample {
-			t.Errorf("%s: capability set rep=%v hh=%v bound=%v batch=%v, want all %v",
-				kind, isRep, isHH, isBound, isBatch, wantSample)
-		}
-	}
-}
-
-func TestQuantileAcrossBackends(t *testing.T) {
-	ds := netflow(t)
-	full := ds.FullRange()
-
-	// The exact weighted median along axis 0.
-	exactQuantile := func(phi float64) uint64 {
-		target := phi * ds.TotalWeight()
-		box := append(structure.Range(nil), full...)
-		lo, hi := full[0].Lo, full[0].Hi
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			box[0] = structure.Interval{Lo: full[0].Lo, Hi: mid}
-			if ds.RangeSum(box) >= target {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo
-	}
-	median := exactQuantile(0.5)
-
-	domain := float64(ds.Axes[0].DomainSize())
 	for kind, be := range buildAll(t, ds, 800) {
-		q := be.Estimator.(Quantiler)
-		got, err := q.Quantile(0, 0.5)
-		if err != nil {
-			t.Errorf("%s: Quantile: %v", kind, err)
-			continue
-		}
-		// Approximate summaries land near the exact median, not on it. A
-		// 10% coordinate window is loose enough for sample/qdigest/wavelet
-		// at this budget and tight enough to catch a broken bisection; the
-		// sketch is noise-dominated here (see TestAccuracyRegression), so
-		// it only has to return an in-domain coordinate.
-		if off := math.Abs(float64(got) - float64(median)); kind != KindSketch && off > 0.10*domain {
-			t.Errorf("%s: median at coordinate %d, exact %d (off by %.0f)", kind, got, median, off)
-		}
-		if got > ds.Axes[0].DomainSize()-1 {
-			t.Errorf("%s: median coordinate %d outside the domain", kind, got)
-		}
-		inRange, err := q.QuantileInRange(0, 0.5, full)
-		if err != nil {
-			t.Errorf("%s: QuantileInRange: %v", kind, err)
-			continue
-		}
-		if inRange != got {
-			t.Errorf("%s: QuantileInRange(full) = %d, Quantile = %d", kind, inRange, got)
-		}
-	}
-}
-
-func TestQuantileNoMass(t *testing.T) {
-	ds := netflow(t)
-	// An empty corner box: netflow coordinates cluster in prefixes, so the
-	// single-cell box at the far corner holds no weight.
-	empty := structure.Range{
-		{Lo: ds.Axes[0].DomainSize() - 1, Hi: ds.Axes[0].DomainSize() - 1},
-		{Lo: ds.Axes[1].DomainSize() - 1, Hi: ds.Axes[1].DomainSize() - 1},
-	}
-	if ds.RangeSum(empty) != 0 {
-		t.Skip("corner cell unexpectedly populated")
-	}
-	// Only the sample estimates an empty box as exactly zero: q-digest and
-	// wavelet spread straddled-node mass area-proportionally, and the
-	// sketch adds hash noise, so their empty-box estimates are merely
-	// small, not zero. The contract therefore only guarantees ErrNoMass
-	// where the backend itself sees no mass.
-	be := buildAll(t, ds, 400)[KindSample]
-	q := be.Estimator.(Quantiler)
-	if _, err := q.QuantileInRange(0, 0.5, empty); !errors.Is(err, ErrNoMass) {
-		t.Errorf("sample: QuantileInRange(empty) err = %v, want ErrNoMass", err)
-	}
-}
-
-func TestQuantileArgErrors(t *testing.T) {
-	ds := netflow(t)
-	be := buildAll(t, ds, 200)[KindQDigest]
-	q := be.Estimator.(Quantiler)
-	if _, err := q.QuantileInRange(5, 0.5, ds.FullRange()); err == nil {
-		t.Error("axis out of range accepted")
-	}
-	if _, err := q.QuantileInRange(0, 0.5, ds.FullRange()[:1]); err == nil {
-		t.Error("wrong-arity box accepted")
-	}
-}
-
-func TestHeavyHitters(t *testing.T) {
-	ds := netflow(t)
-	be := buildAll(t, ds, 400)[KindSample]
-	hh := be.Estimator.(HeavyHitter)
-	keys, ws := hh.HeavyHitters(ds.FullRange(), 10)
-	if len(keys) != 10 || len(ws) != 10 {
-		t.Fatalf("got %d keys, %d weights, want 10", len(keys), len(ws))
-	}
-	for i := 1; i < len(ws); i++ {
-		if ws[i] > ws[i-1] {
-			t.Fatalf("weights not descending at %d: %v > %v", i, ws[i], ws[i-1])
-		}
-	}
-	// Every reported key must actually lie in the sample's retained keys
-	// for the box, i.e. appear among RepresentativeKeys.
-	rep := be.Estimator.(RepresentativeKeyer)
-	all, _ := rep.RepresentativeKeys(ds.FullRange(), 0)
-	set := make(map[[2]uint64]bool, len(all))
-	for _, k := range all {
-		set[[2]uint64{k[0], k[1]}] = true
-	}
-	for _, k := range keys {
-		if !set[[2]uint64{k[0], k[1]}] {
-			t.Fatalf("heavy hitter %v not among representatives", k)
+		if _, isBound := be.Estimator.(Bounder); isBound != (kind == KindSample) {
+			t.Errorf("%s: Bounder = %v, want %v", kind, isBound, kind == KindSample)
 		}
 	}
 }
@@ -282,8 +126,9 @@ func TestSampleBoundPositive(t *testing.T) {
 }
 
 func TestBuildSampleMatchesCoreBuild(t *testing.T) {
-	// Build-from-source must produce a usable sample over a CSV-shaped
-	// stream too (the serving path); a quick smoke over a SliceSource.
+	// Build-from-source must produce a usable sample over a row stream
+	// too, not only over the comparison's columnar DatasetSource; a quick
+	// smoke over a SliceSource.
 	axes := []structure.Axis{structure.BitTrieAxis(8), structure.BitTrieAxis(8)}
 	points := make([][]uint64, 500)
 	weights := make([]float64, 500)

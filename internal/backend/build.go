@@ -2,8 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"structaware/internal/core"
 	"structaware/internal/ipps"
@@ -29,19 +27,6 @@ type Config struct {
 	Size int
 	// Seed drives the sample construction and the sketch hashes. Default 1.
 	Seed uint64
-	// Rows is the Count-Sketch depth (sketch only). 0 means the sketch
-	// default.
-	Rows int
-	// Method selects the sample scheme (sample only): core.Aware (default)
-	// or core.Oblivious — the streaming pipelines.
-	Method core.Method
-	// Buffer bounds the sample Builder's reservoir (sample only); 0 means
-	// the core default.
-	Buffer int
-	// Axes describes the key domain when the spec carries it (ParseSpec
-	// "axes=..."); Build takes axes as an explicit argument and ignores
-	// this field.
-	Axes []structure.Axis
 }
 
 func (c Config) withDefaults() Config {
@@ -54,68 +39,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ParseSpec parses a backend spec "kind[:key=value;key=value...]" — the
-// -backend syntax of cmd/sasserve and cmd/sasbench. Parameters split on
-// ';' so values may themselves contain ':' and ',' (notably
-// axes=bittrie:20,bittrie:20). Keys: size, seed, rows, method (aware or
-// obliv), buffer, axes (a structure.ParseAxisSpec string).
-func ParseSpec(spec string) (Config, error) {
-	kindStr, params, _ := strings.Cut(spec, ":")
-	cfg := Config{Kind: Kind(strings.TrimSpace(kindStr))}
-	switch cfg.Kind {
-	case KindSample, KindQDigest, KindWavelet, KindSketch:
-	default:
-		return Config{}, fmt.Errorf("backend: unknown kind %q (want one of %v)", kindStr, Kinds)
-	}
-	if params == "" {
-		return cfg, nil
-	}
-	for _, kv := range strings.Split(params, ";") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("backend: parameter %q is not key=value", kv)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "size":
-			cfg.Size, err = strconv.Atoi(val)
-		case "seed":
-			cfg.Seed, err = strconv.ParseUint(val, 10, 64)
-		case "rows":
-			cfg.Rows, err = strconv.Atoi(val)
-		case "buffer":
-			cfg.Buffer, err = strconv.Atoi(val)
-		case "method":
-			switch val {
-			case "aware":
-				cfg.Method = core.Aware
-			case "obliv":
-				cfg.Method = core.Oblivious
-			default:
-				err = fmt.Errorf("want aware or obliv, got %q", val)
-			}
-		case "axes":
-			cfg.Axes, err = structure.ParseAxisSpec(val)
-		default:
-			err = fmt.Errorf("unknown key")
-		}
-		if err != nil {
-			return Config{}, fmt.Errorf("backend: parameter %q: %w", kv, err)
-		}
-	}
-	return cfg, nil
-}
-
 // Build constructs a backend of cfg.Kind over the given key domain from a
-// weighted-key stream — the one entry point behind cmd/sasserve -backend
-// and cmd/sasbench -backends. Sample backends stream through core.Builder
-// (bounded memory); deterministic backends materialize the columns first
-// (they are batch constructions). src is consumed from its current
+// weighted-key stream — the one entry point behind cmd/sasbench -backends.
+// Sample backends stream through core.Builder (bounded memory), with the
+// structure-aware method and the default reservoir; deterministic backends
+// materialize the columns first (they are batch constructions), and the
+// sketch takes its default depth. src is consumed from its current
 // position; columnar sources feed whole batches.
 func Build(axes []structure.Axis, src twopass.Source, cfg Config) (*Backend, error) {
 	cfg = cfg.withDefaults()
@@ -138,12 +67,7 @@ func Build(axes []structure.Axis, src twopass.Source, cfg Config) (*Backend, err
 }
 
 func buildSample(axes []structure.Axis, src twopass.Source, cfg Config) (*Backend, error) {
-	b, err := core.NewBuilder(axes, core.Config{
-		Size:   cfg.Size,
-		Method: cfg.Method,
-		Seed:   cfg.Seed,
-		Buffer: cfg.Buffer,
-	})
+	b, err := core.NewBuilder(axes, core.Config{Size: cfg.Size, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +132,7 @@ func buildDeterministic(axes []structure.Axis, src twopass.Source, cfg Config) (
 		}
 		return FromWavelet(w, axes)
 	case KindSketch:
-		d, err := sketch.NewDyadic2D(bitsX, bitsY, cfg.Size, cfg.Rows, cfg.Seed)
+		d, err := sketch.NewDyadic2D(bitsX, bitsY, cfg.Size, 0, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

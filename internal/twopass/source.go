@@ -2,12 +2,12 @@ package twopass
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"structaware/internal/structure"
 )
@@ -47,7 +47,8 @@ func (s *SliceSource) Next() ([]uint64, float64, bool, error) {
 
 // rowScanner is the one CSV row parser behind CSVSource and ReaderSource:
 // "c0,c1,...,weight" rows, blank lines and lines starting with '#' skipped,
-// fields trimmed. name prefixes parse errors ("name:line: ...").
+// fields trimmed. name prefixes parse errors ("name:line: ..."). It parses
+// each line in place in the scanner's buffer, so a row costs no allocation.
 type rowScanner struct {
 	name string
 	sc   *bufio.Scanner
@@ -65,22 +66,26 @@ func newRowScanner(name string, r io.Reader, dims int) *rowScanner {
 func (rs *rowScanner) next() ([]uint64, float64, bool, error) {
 	for rs.sc.Scan() {
 		rs.line++
-		text := strings.TrimSpace(rs.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := bytes.TrimSpace(rs.sc.Bytes())
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		parts := strings.Split(text, ",")
-		if len(parts) != rs.dims+1 {
-			return nil, 0, false, fmt.Errorf("%s:%d: want %d fields, got %d", rs.name, rs.line, rs.dims+1, len(parts))
+		if n := bytes.Count(text, []byte{','}) + 1; n != rs.dims+1 {
+			return nil, 0, false, fmt.Errorf("%s:%d: want %d fields, got %d", rs.name, rs.line, rs.dims+1, n)
 		}
 		for d := 0; d < rs.dims; d++ {
-			v, err := strconv.ParseUint(strings.TrimSpace(parts[d]), 10, 64)
+			i := bytes.IndexByte(text, ',')
+			// A field of up to 32 bytes converts to a string on the
+			// stack, since strconv copies its input before an error
+			// keeps it.
+			v, err := strconv.ParseUint(string(bytes.TrimSpace(text[:i])), 10, 64)
 			if err != nil {
 				return nil, 0, false, fmt.Errorf("%s:%d: %v", rs.name, rs.line, err)
 			}
 			rs.buf[d] = v
+			text = text[i+1:]
 		}
-		w, err := strconv.ParseFloat(strings.TrimSpace(parts[rs.dims]), 64)
+		w, err := strconv.ParseFloat(string(bytes.TrimSpace(text)), 64)
 		if err != nil {
 			return nil, 0, false, fmt.Errorf("%s:%d: %v", rs.name, rs.line, err)
 		}

@@ -122,6 +122,83 @@ func TestReaderSourceErrors(t *testing.T) {
 	}
 }
 
+// TestRowScannerErrorText pins the parse errors: the line number counts
+// skipped comment and blank lines, and a bad number carries strconv's own
+// message.
+func TestRowScannerErrorText(t *testing.T) {
+	for _, tc := range []struct{ input, want string }{
+		{"1,2\n", "stream:1: want 3 fields, got 2"},
+		{"# header\n\n1,2,3,4\n", "stream:3: want 3 fields, got 4"},
+		{"1,2,3\n,\n", "stream:2: want 3 fields, got 2"},
+		{"a,2,3\n", `stream:1: strconv.ParseUint: parsing "a": invalid syntax`},
+		{" 1 , -2 , 3 \n", `stream:1: strconv.ParseUint: parsing "-2": invalid syntax`},
+		{"1,,3\n", `stream:1: strconv.ParseUint: parsing "": invalid syntax`},
+		{"18446744073709551616,1,1\n", `stream:1: strconv.ParseUint: parsing "18446744073709551616": value out of range`},
+		{"1,2,x\n", `stream:1: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"1,2, \n", `stream:1: strconv.ParseFloat: parsing "": invalid syntax`},
+		{"1,2,1e999\n", `stream:1: strconv.ParseFloat: parsing "1e999": value out of range`},
+	} {
+		src, err := NewReaderSource(strings.NewReader(tc.input), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got error
+		for got == nil {
+			var ok bool
+			if _, _, ok, got = src.Next(); !ok && got == nil {
+				break
+			}
+		}
+		if got == nil || got.Error() != tc.want {
+			t.Errorf("input %q: error %v, want %s", tc.input, got, tc.want)
+		}
+	}
+}
+
+// TestCSVSourceScanAllocsIndependentOfSize: a full CSVSource scan costs as
+// many allocations at 1,000 rows as at 100,000, so the row parser
+// allocates nothing per row.
+func TestCSVSourceScanAllocsIndependentOfSize(t *testing.T) {
+	dir := t.TempDir()
+	scanAllocs := func(rows int) float64 {
+		var b strings.Builder
+		b.WriteString("# c0,c1,weight\n\n")
+		r := xmath.NewRand(uint64(rows))
+		for i := 0; i < rows; i++ {
+			fmt.Fprintf(&b, "%d, %d ,%g\n", r.Uint64()%(1<<20), r.Uint64()%(1<<20), 1+100*r.Float64())
+		}
+		path := filepath.Join(dir, fmt.Sprintf("rows-%d.csv", rows))
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			src, err := NewCSVSource(path, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for {
+				_, _, ok, err := src.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				n++
+			}
+			if err := src.Close(); err != nil || n != rows {
+				t.Fatalf("scanned %d of %d rows (close: %v)", n, rows, err)
+			}
+		})
+	}
+	small, large := scanAllocs(1000), scanAllocs(100000)
+	t.Logf("allocations per scan: %v at 1,000 rows, %v at 100,000", small, large)
+	if small != large {
+		t.Fatalf("a scan allocates %v times at 1,000 rows and %v at 100,000", small, large)
+	}
+}
+
 func TestCSVSourceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.csv")

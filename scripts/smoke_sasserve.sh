@@ -2,7 +2,9 @@
 # Smoke test for the serving pipeline, both directions:
 #
 #   read side:  generate a dataset, sample it, dump the serialized summary,
-#               serve it with sasserve, query one estimate over HTTP;
+#               serve it with sasserve, query its estimate, total, quantile,
+#               representatives and heavy hitters over HTTP, and check a
+#               NaN phi and the removed -backend flag are refused;
 #   write side: start a live summary, push keys over HTTP, force a
 #               snapshot, query it, SIGTERM the server (must exit 0,
 #               flushing a final snapshot), restart from -snapshot-dir and
@@ -48,6 +50,14 @@ fetch() {
     fi
 }
 
+status() { # status <url>: the HTTP status code of a GET, whatever it is
+    if command -v curl >/dev/null; then
+        curl -s -o /dev/null -w '%{http_code}' "$1"
+    else
+        { wget -S -qO /dev/null "$1" 2>&1 || true; } | awk '/^ *HTTP\//{code=$2} END{print code}'
+    fi
+}
+
 post() { # post <url> <body> (empty body allowed)
     if command -v curl >/dev/null; then
         curl -fsS -X POST -H 'Content-Type: application/json' -d "$2" "$1"
@@ -80,6 +90,13 @@ go run ./cmd/sassample -in "$TMP/net.csv" -bits 12 -s 500 -seed 1 -dump "$TMP/ne
 
 echo "== start sasserve (static file + live summary + snapshot dir)"
 go build -o "$TMP/sasserve" ./cmd/sasserve
+# sasserve serves samples only: the flag that built other kinds is gone,
+# and passing it is a usage error (exit 2) naming the flag.
+BACKEND_STATUS=0
+"$TMP/sasserve" -backend 'x=sample' "x=$TMP/net.sas" 2>"$TMP/backend.err" || BACKEND_STATUS=$?
+head -n 1 "$TMP/backend.err"
+[ "$BACKEND_STATUS" -eq 2 ] || { echo "sasserve -backend exited $BACKEND_STATUS, want 2" >&2; exit 1; }
+grep -q 'flag provided but not defined: -backend' "$TMP/backend.err" || { echo "-backend refusal does not name the flag" >&2; exit 1; }
 # Two live summaries share the ingest plane: "flows" keeps the exact-sum
 # HTTP assertions below, "load" absorbs the frame floods. A 1-deep ingest
 # queue in front of each summary's one worker makes the 429 back-pressure
@@ -110,6 +127,20 @@ if [ "$EST_VAL" != "$TOTAL_VAL" ]; then
     echo "full-domain estimate $EST_VAL != total $TOTAL_VAL" >&2
     exit 1
 fi
+
+QUANT="$(fetch "http://127.0.0.1:$PORT/v1/summaries/net/quantile?axis=0&phi=0.5")"
+echo "$QUANT"
+echo "$QUANT" | grep -q '"coordinate":[0-9]' || { echo "quantile response has no coordinate" >&2; exit 1; }
+REPS="$(fetch "http://127.0.0.1:$PORT/v1/summaries/net/representatives?range=0:4095,0:4095&limit=5")"
+echo "$REPS"
+echo "$REPS" | grep -q '"count":5,' || { echo "representatives count is not 5" >&2; exit 1; }
+HH="$(fetch "http://127.0.0.1:$PORT/v1/summaries/net/heavyhitters?range=0:4095,0:4095&k=3")"
+echo "$HH"
+HH_KEYS="$(echo "$HH" | sed -n 's/.*"keys":\(\[[^"]*\]\),"range".*/\1/p' | grep -o '\[[0-9]*,[0-9]*\]' | wc -l)"
+[ "$HH_KEYS" -eq 3 ] || { echo "heavy hitters returned $HH_KEYS keys, want 3" >&2; exit 1; }
+NAN_STATUS="$(status "http://127.0.0.1:$PORT/v1/summaries/net/quantile?phi=NaN")"
+echo "quantile?phi=NaN: $NAN_STATUS"
+[ "$NAN_STATUS" = "400" ] || { echo "quantile?phi=NaN answered $NAN_STATUS, want 400" >&2; exit 1; }
 
 echo "== push keys into the live summary"
 BODY='{"coords":[[5,17,99,1033,5,2040],[7,23,99,4000,7,100]],"weights":[2,3.5,1,10,4,0.5]}'
