@@ -14,6 +14,7 @@ import (
 	"structaware"
 	"structaware/internal/aware"
 	"structaware/internal/expt"
+	"structaware/internal/ingest"
 	"structaware/internal/ipps"
 	"structaware/internal/kd"
 	"structaware/internal/paggr"
@@ -528,25 +529,55 @@ func BenchmarkKDSummarize(b *testing.B) {
 	b.ReportMetric(float64(len(items)), "items")
 }
 
+// BenchmarkKDLocate times pass 2 of Build(AwareTwoPass) at perfbench's
+// scale: a tree over the pass-1 guide for s = 4,096 (the small keys of a
+// 5 × 4,096 = 20,480-key reservoir over kdShard's 2^20 network pairs,
+// weighted w/τ_s), through which every key of the dataset is routed. Its
+// cells outgrow the caches, as pass 2's do, and it reports the time per
+// routed key.
 func BenchmarkKDLocate(b *testing.B) {
-	ds, _ := fixtures(b)
-	p := make([]float64, ds.Len())
-	for i := range p {
-		p[i] = 0.1
+	ds, _, _ := kdShard(b)
+	const s = 4096
+	ing, err := ingest.New(ingest.Config{Capacity: 5 * s, Dims: ds.Dims(), ThresholdSize: s}, xmath.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
 	}
-	items := make([]int, ds.Len())
+	if err := ing.PushBatch(ds.Coords, ds.Weights); err != nil {
+		b.Fatal(err)
+	}
+	reservoir, _ := ing.Guide()
+	tau, _ := ing.Tau()
+	guide := &structure.Dataset{Axes: ds.Axes, Coords: make([][]uint64, ds.Dims())}
+	var p []float64
+	for _, it := range reservoir {
+		if it.Weight >= tau {
+			continue
+		}
+		pt, _ := ing.Point(it.Index)
+		for d, x := range pt {
+			guide.Coords[d] = append(guide.Coords[d], x)
+		}
+		p = append(p, it.Weight/tau)
+	}
+	items := make([]int, len(p))
 	for i := range items {
 		items[i] = i
 	}
-	tree, err := kd.Build(ds, items, p, kd.Config{})
+	tree, err := kd.Build(guide, items, p, kd.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	pt := make([]uint64, ds.Dims())
+	sink := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Locate(ds.Point(i%ds.Len(), pt))
+		for k := 0; k < ds.Len(); k++ {
+			sink += tree.Locate(ds.Point(k, pt))
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.Len()), "ns/key")
+	b.ReportMetric(float64(len(p)), "guide")
+	_ = sink
 }
 
 func BenchmarkOrderSummarize(b *testing.B) {

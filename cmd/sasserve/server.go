@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -313,6 +312,17 @@ type representativesResponse struct {
 	// lose precision above 2^53 (axes up to 53 bits are always safe).
 	Keys            [][]uint64 `json:"keys"`
 	AdjustedWeights []float64  `json:"adjusted_weights"`
+}
+
+// heavyHittersResponse lists its fields in alphabetical order, the order
+// in which the endpoint has always rendered them.
+type heavyHittersResponse struct {
+	AdjustedWeights []float64  `json:"adjusted_weights"`
+	Count           int        `json:"count"`
+	K               int        `json:"k"`
+	Keys            [][]uint64 `json:"keys"`
+	Range           string     `json:"range"`
+	Summary         string     `json:"summary"`
 }
 
 type errorResponse struct {
@@ -825,7 +835,8 @@ const defaultHeavyHitters = 10
 // handleHeavyHitters answers GET .../heavyhitters?range=...&k=n: the k
 // sampled keys of largest adjusted weight inside the box, heaviest first —
 // the representatives endpoint ranked by weight instead of key order. Ties
-// keep key order, so the ranking is deterministic.
+// keep key order, so the ranking is deterministic, and only the k keys
+// returned are built.
 func (st *store) handleHeavyHitters(w http.ResponseWriter, r *http.Request, e *entry) {
 	q := r.URL.Query()
 	texts := q["range"]
@@ -846,24 +857,14 @@ func (st *store) handleHeavyHitters(w http.ResponseWriter, r *http.Request, e *e
 			return
 		}
 	}
-	keys, ws := e.idx.RepresentativeKeys(boxes[0], 0)
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return ws[order[a]] > ws[order[b]] })
-	order = order[:min(k, len(order))]
-	topK, topW := make([][]uint64, len(order)), make([]float64, len(order))
-	for i, j := range order {
-		topK[i], topW[i] = keys[j], ws[j]
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"summary":          e.name,
-		"range":            texts[0],
-		"k":                k,
-		"count":            len(order),
-		"keys":             topK,
-		"adjusted_weights": topW,
+	keys, ws := e.idx.HeavyHitters(boxes[0], k)
+	writeJSON(w, http.StatusOK, heavyHittersResponse{
+		AdjustedWeights: emptyIfNilWeights(ws),
+		Count:           len(keys),
+		K:               k,
+		Keys:            emptyIfNilKeys(keys),
+		Range:           texts[0],
+		Summary:         e.name,
 	})
 }
 

@@ -236,6 +236,34 @@ func TestWarmCacheSingleRangeAllocs(t *testing.T) {
 	}
 }
 
+// maxHeavyHitterAllocs bounds the per-request heap allocations of a
+// full-domain heavyhitters?k=3 through the full mux: 18 measured, as many as
+// representatives?limit=3. The budget is a constant, not a share of the
+// sample: ranking the box's key ids allocates nothing per sampled key, and
+// only the k keys returned are built.
+const maxHeavyHitterAllocs = 30
+
+func TestHeavyHittersAllocs(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "net.sas")
+	writeSummary(t, path, buildSummary(t, 22))
+	st := newStore([]serveSource{{name: "net", path: path}}, 4096, t.Logf)
+	if err := st.loadAll(); err != nil {
+		t.Fatal(err)
+	}
+	h := st.handler()
+	req := httptest.NewRequest("GET", "/v1/summaries/net/heavyhitters?range=0:1023,0:1023&k=3", nil)
+	w := &discardResponseWriter{h: make(http.Header)}
+	avg := testing.AllocsPerRun(200, func() {
+		h.ServeHTTP(w, req)
+	})
+	if avg > maxHeavyHitterAllocs {
+		e, _ := st.get("net")
+		t.Errorf("heavyhitters?k=3 over %d sampled keys allocates %.1f per request, budget %d",
+			e.idx.Size(), avg, maxHeavyHitterAllocs)
+	}
+}
+
 // TestEstimateBadRanges is the 400 table of the fast query parser: every
 // malformed single- and multi-range request is rejected with a JSON error
 // body, on GET and on the POST fast path alike.

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	"structaware/internal/kd"
@@ -74,14 +75,29 @@ func render(axes []structure.Axis, pts [][]uint64, ws []float64, n int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	regions := tree.LeafRegions(ds.FullRange())
 
-	// Character grid: cell borders via region boundaries, keys as '*'.
+	// Each cell's box: the root's is the whole domain, and every cell
+	// follows its children in tree.Cells, so a walk from the end splits a
+	// box before it reaches the children's.
+	boxes := make([]structure.Range, len(tree.Cells))
+	boxes[len(boxes)-1] = ds.FullRange()
+	for c := len(tree.Cells) - 1; c >= 0; c-- {
+		if cell := tree.Cells[c]; cell.Axis >= 0 {
+			left, right := slices.Clone(boxes[c]), slices.Clone(boxes[c])
+			left[cell.Axis].Hi, right[cell.Axis].Lo = cell.Split, cell.Split+1
+			boxes[cell.Left], boxes[cell.Right] = left, right
+		}
+	}
+
+	// Character grid: leaf borders via box boundaries, keys as '*'.
 	grid := make([][]byte, n)
 	for y := range grid {
 		grid[y] = []byte(strings.Repeat(" ", n))
 	}
-	for _, reg := range regions {
+	for c, reg := range boxes {
+		if tree.Cells[c].Axis >= 0 {
+			continue
+		}
 		for x := reg[0].Lo; x <= reg[0].Hi && x < uint64(n); x++ {
 			mark(grid, x, reg[1].Lo, '-')
 			mark(grid, x, reg[1].Hi, '-')

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"structaware/internal/queryidx"
 	"structaware/internal/structure"
 )
@@ -65,6 +68,24 @@ func (is *IndexedSummary) RepresentativeKeys(r structure.Range, limit int) ([][]
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]
 	}
+	return is.keys(ids)
+}
+
+// HeavyHitters returns the k sampled keys of largest adjusted weight inside
+// box r, heaviest first, with their adjusted weights. Ties keep key order,
+// so the ranking is deterministic. It ranks the key ids and builds only the
+// keys it returns.
+func (is *IndexedSummary) HeavyHitters(r structure.Range, k int) ([][]uint64, []float64) {
+	ids := is.ix.Keys(r)
+	slices.SortStableFunc(ids, func(a, b int32) int {
+		return cmp.Compare(is.ix.AdjustedWeight(int(b)), is.ix.AdjustedWeight(int(a)))
+	})
+	return is.keys(ids[:min(k, len(ids))])
+}
+
+// keys returns the coordinates and adjusted weights of the given sample
+// keys, or nils when there are none.
+func (is *IndexedSummary) keys(ids []int32) ([][]uint64, []float64) {
 	if len(ids) == 0 {
 		return nil, nil
 	}

@@ -7,9 +7,11 @@
 // √min{p(R), 2d·s^((d-1)/d)}.
 //
 // One recursion builds the hierarchy, and it has two consumers. Build keeps
-// the nodes as a Tree, for the query index, the two-pass construction and
-// the workloads. Summarize pair-aggregates in post-order as the recursion
-// returns, so the closing pass never materializes a node.
+// it as a Tree: one flat array of cells in post-order, each owning a
+// contiguous span of the reordered items, which the query index, the
+// two-pass construction and the workloads read directly. Summarize
+// pair-aggregates in post-order as the recursion returns, so the closing
+// pass never materializes a node.
 //
 // The recursion sorts once: at the root it stably sorts the items once per
 // axis, and at each split it stably partitions every axis's list into the
@@ -28,9 +30,9 @@
 // settles and never reads it at random.
 //
 // The same tree doubles as the space partition of the I/O-efficient two-pass
-// construction (§5): built over the pass-1 sample S′, its leaves induce the
+// construction (§5): built over the pass-1 sample S′, its leaves are the
 // cells that guide pass-2 aggregation, and Locate routes an arbitrary key to
-// its cell.
+// its leaf through the cell array.
 //
 // Hierarchy axes participate through their DFS linearization (every tree
 // node is a contiguous coordinate interval), so a coordinate split is always
@@ -41,30 +43,13 @@ package kd
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"structaware/internal/paggr"
 	"structaware/internal/structure"
 	"structaware/internal/xmath"
 	"structaware/internal/xsort"
 )
-
-// Node is a kd-hierarchy node. Leaves carry item indices; internal nodes
-// carry the split axis and the inclusive upper bound of the left child.
-type Node struct {
-	// Left and Right are nil for leaves.
-	Left, Right *Node
-	// Axis is the split dimension (internal nodes only).
-	Axis int
-	// Split is the largest coordinate routed to the Left child on Axis.
-	Split uint64
-	// Items holds the item indices at a leaf (nil for internal nodes).
-	Items []int
-	// LeafID numbers leaves consecutively (leaves only, -1 otherwise).
-	LeafID int
-}
-
-// IsLeaf reports whether the node is a leaf of the hierarchy.
-func (n *Node) IsLeaf() bool { return n.Left == nil && n.Right == nil }
 
 // Config controls construction.
 type Config struct {
@@ -73,19 +58,39 @@ type Config struct {
 	MaxLeafItems int
 }
 
-// Tree is the built kd-hierarchy.
+// Cell is one node of the hierarchy: a box of the domain and the items in
+// it. An internal cell splits its box on Axis into its Left child, the
+// coordinates up to Split, and its Right child, the rest; a leaf has Axis
+// -1.
+type Cell struct {
+	// Split is the largest coordinate on Axis routed to the Left child.
+	Split uint64
+	// Axis is the split dimension, or -1 at a leaf.
+	Axis int32
+	// Left and Right index the children in Tree.Cells (internal cells
+	// only).
+	Left, Right int32
+	// Leaf numbers the leaves from 0, left to right (-1 at internal cells).
+	Leaf int32
+	// Lo and Hi delimit the cell's items: Tree.Items[Lo:Hi].
+	Lo, Hi int32
+}
+
+// Tree is the built kd-hierarchy, stored flat.
 type Tree struct {
-	Root     *Node
-	nodes    []Node // every node; capacity fixed at build, so pointers stay valid
-	leaves   []*Node
+	// Cells holds every node in post-order: each cell follows its left
+	// and then its right subtree, so children precede their parent, the
+	// root is the last cell and the leaves appear left to right.
+	Cells []Cell
+	// Items is the items slice given to Build, reordered so that every
+	// cell's items are contiguous, leaf after leaf.
+	Items    []int
+	leaves   int
 	maxDepth int
 }
 
 // NumLeaves returns the number of leaf cells.
-func (t *Tree) NumLeaves() int { return len(t.leaves) }
-
-// Leaves returns the leaf nodes indexed by LeafID (shared slice).
-func (t *Tree) Leaves() []*Node { return t.leaves }
+func (t *Tree) NumLeaves() int { return t.leaves }
 
 // MaxDepth returns the deepest leaf level (root = 0).
 func (t *Tree) MaxDepth() int { return t.maxDepth }
@@ -99,21 +104,24 @@ func (t *Tree) MaxDepth() int { return t.maxDepth }
 // full dataset.
 //
 // The items slice is overwritten with the leaves' items, leaf after leaf,
-// and RETAINED: each leaf's Items aliases its sub-slice of items, so the
-// caller must not mutate items while the tree is in use. The built tree is
-// a deterministic function of (ds, items order, p) — part of the
-// determinism contract of DESIGN.md §7. Each node orders its items by their
-// coordinate on its split axis, breaking ties by the order its parent gave
-// them (at the root, the order of items), and a leaf lists its items in the
-// order its parent gave them.
+// and RETAINED as the tree's Items, so the caller must not mutate items
+// while the tree is in use. The built tree is a deterministic function of
+// (ds, items order, p) — part of the determinism contract of DESIGN.md §7.
+// Each node orders its items by their coordinate on its split axis,
+// breaking ties by the order its parent gave them (at the root, the order
+// of items), and a leaf lists its items in the order its parent gave them.
 func Build(ds *structure.Dataset, items []int, p []float64, cfg Config) (*Tree, error) {
 	if err := check(ds, items); err != nil {
 		return nil, err
 	}
-	// At most len(items) leaves, so at most 2·len(items)−1 nodes.
-	t := &Tree{nodes: make([]Node, 0, 2*len(items)-1)}
-	root, depth := construct(ds, items, p, cfg, t)
-	t.Root, t.maxDepth = &t.nodes[root], depth
+	// At most len(items) leaves, so at most 2·len(items)−1 cells.
+	t := &Tree{Cells: make([]Cell, 0, 2*len(items)-1), Items: items}
+	_, t.maxDepth = construct(ds, items, p, cfg, t)
+	if len(t.Cells) <= cap(t.Cells)/2 {
+		// Leaves of several items leave most slots unused, and the tree
+		// outlives the build (the query index keeps it): drop them.
+		t.Cells = slices.Clone(t.Cells)
+	}
 	return t, nil
 }
 
@@ -156,17 +164,25 @@ type visitor[H any] interface {
 	join(axis int, split uint64, left, right H) H
 }
 
-// leaf appends a leaf node and returns its position in t.nodes.
-func (t *Tree) leaf(items []int, _ []rec) int {
-	t.nodes = append(t.nodes, Node{Items: items, LeafID: len(t.leaves)})
-	t.leaves = append(t.leaves, &t.nodes[len(t.nodes)-1])
-	return len(t.nodes) - 1
+// leaf appends a leaf cell and returns its index. Its items come next in
+// Items: right after those of the last cell appended, whose subtree holds
+// the latest leaf.
+func (t *Tree) leaf(items []int, _ []rec) int32 {
+	lo := int32(0)
+	if n := len(t.Cells); n > 0 {
+		lo = t.Cells[n-1].Hi
+	}
+	t.Cells = append(t.Cells, Cell{Axis: -1, Leaf: int32(t.leaves), Lo: lo, Hi: lo + int32(len(items))})
+	t.leaves++
+	return int32(len(t.Cells) - 1)
 }
 
-// join appends an internal node over the nodes at positions left and right.
-func (t *Tree) join(axis int, split uint64, left, right int) int {
-	t.nodes = append(t.nodes, Node{Left: &t.nodes[left], Right: &t.nodes[right], Axis: axis, Split: split, LeafID: -1})
-	return len(t.nodes) - 1
+// join appends an internal cell over the cells left and right and returns
+// its index.
+func (t *Tree) join(axis int, split uint64, left, right int32) int32 {
+	t.Cells = append(t.Cells, Cell{Split: split, Axis: int32(axis), Left: left, Right: right, Leaf: -1,
+		Lo: t.Cells[left].Lo, Hi: t.Cells[right].Hi})
+	return int32(len(t.Cells) - 1)
 }
 
 // held is the handle of the closing pass: a subtree's leftover fractional
@@ -532,71 +548,17 @@ func (b *builder) sortRuns(l []rec) {
 }
 
 // Locate descends the tree with the given point (one coordinate per axis)
-// and returns the LeafID of the cell containing it. Points outside the built
-// key set still route to a unique cell — the tree partitions the whole
-// domain.
+// and returns the Leaf number of the cell containing it. Points outside the
+// built key set still route to a unique cell — the tree partitions the
+// whole domain.
 func (t *Tree) Locate(pt []uint64) int {
-	n := t.Root
-	for !n.IsLeaf() {
-		if pt[n.Axis] <= n.Split {
-			n = n.Left
-		} else {
-			n = n.Right
+	c := &t.Cells[len(t.Cells)-1]
+	for c.Axis >= 0 {
+		next := c.Right
+		if pt[c.Axis] <= c.Split {
+			next = c.Left
 		}
+		c = &t.Cells[next]
 	}
-	return n.LeafID
-}
-
-// LeafRegions returns the axis-parallel box of every leaf, indexed by
-// LeafID. full is the bounding box of the whole domain.
-func (t *Tree) LeafRegions(full structure.Range) []structure.Range {
-	out := make([]structure.Range, t.NumLeaves())
-	var walk func(n *Node, box structure.Range)
-	walk = func(n *Node, box structure.Range) {
-		if n.IsLeaf() {
-			out[n.LeafID] = append(structure.Range(nil), box...)
-			return
-		}
-		left := append(structure.Range(nil), box...)
-		right := append(structure.Range(nil), box...)
-		left[n.Axis].Hi = n.Split
-		right[n.Axis].Lo = n.Split + 1
-		walk(n.Left, left)
-		walk(n.Right, right)
-	}
-	walk(t.Root, full)
-	return out
-}
-
-// CutLeaves counts how many leaf cells an axis-parallel hyperplane
-// {coordinate on axis == x boundary between x and x+1} intersects — the
-// quantity bounded by Lemma 6 of the paper (O(s^((d-1)/d)) for balanced
-// trees). Exposed for the validation experiments.
-func (t *Tree) CutLeaves(axis int, x uint64) int {
-	count := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() {
-			count++
-			return
-		}
-		if n.Axis == axis {
-			// The plane between x and x+1 goes left if x < split boundary,
-			// right if x >= split+1... it crosses both only never: a plane
-			// parallel to the split never straddles; route to the side
-			// containing it.
-			if x < n.Split {
-				walk(n.Left)
-			} else if x > n.Split {
-				walk(n.Right)
-			}
-			// x == n.Split: the plane coincides with the split, cutting
-			// neither side's interior; count zero below this node.
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(t.Root)
-	return count
+	return int(c.Leaf)
 }

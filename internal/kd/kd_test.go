@@ -2,6 +2,7 @@ package kd
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"structaware/internal/paggr"
@@ -57,23 +58,40 @@ func TestKDUniformPartition(t *testing.T) {
 		t.Fatalf("depth %d want 6 (balanced binary over 64 keys)", tree.MaxDepth())
 	}
 	// Each leaf holds exactly one item and mass 0.5.
-	for _, leaf := range tree.Leaves() {
-		if len(leaf.Items) != 1 || !xmath.AlmostEqual(subtreeMass(leaf, p), 0.5, 1e-12) {
-			t.Fatalf("leaf %v", leaf)
+	for n, c := range tree.Cells {
+		if c.Axis < 0 && (c.Hi-c.Lo != 1 || !xmath.AlmostEqual(cellMass(tree, int32(n), p), 0.5, 1e-12)) {
+			t.Fatalf("leaf %+v", c)
 		}
 	}
 }
 
-// subtreeMass is the probability mass of the items in n's leaves.
-func subtreeMass(n *Node, p []float64) float64 {
-	if n.IsLeaf() {
-		m := 0.0
-		for _, i := range n.Items {
-			m += p[i]
-		}
-		return m
+// cellMass is the probability mass of the items in cell n.
+func cellMass(tree *Tree, n int32, p []float64) float64 {
+	m := 0.0
+	for _, i := range tree.Items[tree.Cells[n].Lo:tree.Cells[n].Hi] {
+		m += p[i]
 	}
-	return subtreeMass(n.Left, p) + subtreeMass(n.Right, p)
+	return m
+}
+
+// leafRegions returns the box of every leaf, indexed by its Leaf number.
+// full is the box of the whole domain. A cell follows its children in
+// Cells, so a walk from the end meets each box before its children's.
+func leafRegions(tree *Tree, full structure.Range) []structure.Range {
+	boxes := make([]structure.Range, len(tree.Cells))
+	boxes[len(boxes)-1] = full
+	out := make([]structure.Range, tree.NumLeaves())
+	for n := len(tree.Cells) - 1; n >= 0; n-- {
+		c := tree.Cells[n]
+		if c.Axis < 0 {
+			out[c.Leaf] = boxes[n]
+			continue
+		}
+		left, right := slices.Clone(boxes[n]), slices.Clone(boxes[n])
+		left[c.Axis].Hi, right[c.Axis].Lo = c.Split, c.Split+1
+		boxes[c.Left], boxes[c.Right] = left, right
+	}
+	return out
 }
 
 func TestLeafRegionsPartitionDomain(t *testing.T) {
@@ -87,7 +105,7 @@ func TestLeafRegionsPartitionDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions := tree.LeafRegions(ds.FullRange())
+	regions := leafRegions(tree, ds.FullRange())
 	// Every region must be disjoint from every other and Locate must agree
 	// with geometric containment for random probe points.
 	for a := 0; a < len(regions); a++ {
@@ -150,20 +168,16 @@ func TestMassBalancedSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() {
-			return
+	for _, c := range tree.Cells {
+		if c.Axis < 0 {
+			continue
 		}
-		left, right := subtreeMass(n.Left, p), subtreeMass(n.Right, p)
+		left, right := cellMass(tree, c.Left, p), cellMass(tree, c.Right, p)
 		gap := math.Abs(left - right)
 		if gap > maxP+1e-9 && left+right > 2*maxP {
 			t.Fatalf("imbalanced split: left %v right %v (max item %v)", left, right, maxP)
 		}
-		walk(n.Left)
-		walk(n.Right)
 	}
-	walk(tree.Root)
 }
 
 func TestSummarizeExactSizeAndBoxDiscrepancy(t *testing.T) {
@@ -222,6 +236,31 @@ func randomBox(r *xmath.SplitMix, ds *structure.Dataset) structure.Range {
 	return box
 }
 
+// cutLeaves counts how many leaf cells an axis-parallel hyperplane
+// {coordinate on axis == x boundary between x and x+1} intersects — the
+// quantity bounded by Lemma 6 of the paper (O(s^((d-1)/d)) for balanced
+// trees).
+func cutLeaves(tree *Tree, axis int, x uint64) int {
+	var walk func(n int32) int
+	walk = func(n int32) int {
+		c := tree.Cells[n]
+		switch {
+		case c.Axis < 0:
+			return 1
+		case int(c.Axis) != axis:
+			return walk(c.Left) + walk(c.Right)
+		case x < c.Split:
+			return walk(c.Left)
+		case x > c.Split:
+			return walk(c.Right)
+		}
+		// x == Split: a plane parallel to the split coincides with it and
+		// cuts neither side's interior.
+		return 0
+	}
+	return walk(int32(len(tree.Cells) - 1))
+}
+
 func TestCutLeavesScaling(t *testing.T) {
 	// Lemma 6: an axis-parallel line cuts O(√s) of the s single-key cells of
 	// a balanced 2-d kd-tree.
@@ -237,7 +276,7 @@ func TestCutLeavesScaling(t *testing.T) {
 	worst := 0
 	for x := uint64(0); x < 255; x++ {
 		for axis := 0; axis < 2; axis++ {
-			if c := tree.CutLeaves(axis, x); c > worst {
+			if c := cutLeaves(tree, axis, x); c > worst {
 				worst = c
 			}
 		}
@@ -277,8 +316,8 @@ func TestBuildColocatedKeysBecomeLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, leaf := range tree.Leaves() {
-		if len(leaf.Items) == 2 {
+	for _, c := range tree.Cells {
+		if c.Axis < 0 && c.Hi-c.Lo == 2 {
 			found = true
 		}
 	}
@@ -287,11 +326,11 @@ func TestBuildColocatedKeysBecomeLeaf(t *testing.T) {
 	}
 }
 
-// TestSummarizeAllocsIndependentOfSize: the closing pass allocates per
-// call, never per node, so it makes as many allocations over 100,000 items
-// as over 1,000.
+// TestSummarizeAllocsIndependentOfSize: the closing pass and Build allocate
+// per call, never per node, so each makes as many allocations over 100,000
+// items as over 1,000.
 func TestSummarizeAllocsIndependentOfSize(t *testing.T) {
-	allocs := func(n int) float64 {
+	allocs := func(n int) (summarize, build float64) {
 		r := xmath.NewRand(uint64(n))
 		ds := randomDataset(t, r, n, 20)
 		p0 := make([]float64, ds.Len())
@@ -299,14 +338,25 @@ func TestSummarizeAllocsIndependentOfSize(t *testing.T) {
 			p0[i] = 0.05 + 0.9*r.Float64()
 		}
 		p, items := make([]float64, len(p0)), allItems(ds.Len())
-		return testing.AllocsPerRun(3, func() {
+		summarize = testing.AllocsPerRun(3, func() {
 			copy(p, p0)
 			if err := Summarize(ds, items, p, Config{}, r); err != nil {
 				t.Fatal(err)
 			}
 		})
+		build = testing.AllocsPerRun(3, func() {
+			if _, err := Build(ds, items, p0, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return summarize, build
 	}
-	if small, large := allocs(1000), allocs(100000); small != large {
-		t.Fatalf("Summarize allocates %v times over 1,000 items and %v times over 100,000", small, large)
+	smallSum, smallBuild := allocs(1000)
+	largeSum, largeBuild := allocs(100000)
+	if smallSum != largeSum {
+		t.Errorf("Summarize allocates %v times over 1,000 items and %v times over 100,000", smallSum, largeSum)
+	}
+	if smallBuild != largeBuild {
+		t.Errorf("Build allocates %v times over 1,000 items and %v times over 100,000", smallBuild, largeBuild)
 	}
 }

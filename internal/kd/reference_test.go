@@ -15,22 +15,41 @@ import (
 
 // The construction below is the one this package used before it sorted
 // once per axis: every node stably radix-sorts its items by the split axis
-// and cuts them at the weighted median, building one heap-allocated Node
+// and cuts them at the weighted median, building one heap-allocated node
 // per node, and Summarize then walks the finished tree. It is kept as the
-// reference that Build must match node for node and that Summarize must
+// reference that Build must match cell for cell and that Summarize must
 // match draw for draw.
 
+// refNode is a node of the reference tree. Leaves carry their items and
+// internal nodes their split.
+type refNode struct {
+	left, right *refNode // nil at leaves
+	axis        int
+	split       uint64
+	items       []int
+	leaf        int // numbers the leaves consecutively, -1 at internal nodes
+}
+
+func (n *refNode) isLeaf() bool { return n.left == nil }
+
+// refTree is the reference hierarchy.
+type refTree struct {
+	root     *refNode
+	leaves   int
+	maxDepth int
+}
+
 // buildReference is Build by per-node sorting.
-func buildReference(ds *structure.Dataset, items []int, p []float64, cfg Config) *Tree {
+func buildReference(ds *structure.Dataset, items []int, p []float64, cfg Config) *refTree {
 	if cfg.MaxLeafItems <= 0 {
 		cfg.MaxLeafItems = 1
 	}
-	t := &Tree{}
-	t.Root = t.build(ds, items, p, cfg, new(xsort.Scratch), 0)
+	t := &refTree{}
+	t.root = t.build(ds, items, p, cfg, new(xsort.Scratch), 0)
 	return t
 }
 
-func (t *Tree) build(ds *structure.Dataset, items []int, p []float64, cfg Config, s *xsort.Scratch, depth int) *Node {
+func (t *refTree) build(ds *structure.Dataset, items []int, p []float64, cfg Config, s *xsort.Scratch, depth int) *refNode {
 	if depth > t.maxDepth {
 		t.maxDepth = depth
 	}
@@ -46,9 +65,9 @@ func (t *Tree) build(ds *structure.Dataset, items []int, p []float64, cfg Config
 		if !ok {
 			continue
 		}
-		n := &Node{Axis: axis, Split: split, LeafID: -1}
-		n.Left = t.build(ds, items[:k], p, cfg, s, depth+1)
-		n.Right = t.build(ds, items[k:], p, cfg, s, depth+1)
+		n := &refNode{axis: axis, split: split, leaf: -1}
+		n.left = t.build(ds, items[:k], p, cfg, s, depth+1)
+		n.right = t.build(ds, items[k:], p, cfg, s, depth+1)
 		return n
 	}
 	// All axes degenerate: co-located keys.
@@ -57,9 +76,9 @@ func (t *Tree) build(ds *structure.Dataset, items []int, p []float64, cfg Config
 
 // newLeaf makes a leaf aliasing the (already recursively ordered) items
 // sub-slice.
-func (t *Tree) newLeaf(items []int) *Node {
-	leaf := &Node{Items: items[:len(items):len(items)], LeafID: len(t.leaves)}
-	t.leaves = append(t.leaves, leaf)
+func (t *refTree) newLeaf(items []int) *refNode {
+	leaf := &refNode{items: items[:len(items):len(items)], leaf: t.leaves}
+	t.leaves++
 	return leaf
 }
 
@@ -97,17 +116,17 @@ func weightedMedianSplit(coords []uint64, items []int, p []float64, s *xsort.Scr
 }
 
 // summarize is Summarize over a built tree.
-func (t *Tree) summarize(p []float64, r xmath.Rand) {
-	left := summarizeNode(t.Root, p, r)
+func (t *refTree) summarize(p []float64, r xmath.Rand) {
+	left := summarizeNode(t.root, p, r)
 	paggr.ResolveLeftover(p, left, r)
 }
 
-func summarizeNode(n *Node, p []float64, r xmath.Rand) int {
-	if n.IsLeaf() {
-		return paggr.AggregateSequence(p, n.Items, r)
+func summarizeNode(n *refNode, p []float64, r xmath.Rand) int {
+	if n.isLeaf() {
+		return paggr.AggregateSequence(p, n.items, r)
 	}
-	a := summarizeNode(n.Left, p, r)
-	b := summarizeNode(n.Right, p, r)
+	a := summarizeNode(n.left, p, r)
+	b := summarizeNode(n.right, p, r)
 	if a < 0 {
 		return b
 	}
@@ -282,8 +301,9 @@ func decodeRefInput(data []byte) (in refInput, ok bool) {
 	return in, true
 }
 
-// checkBuildMatchesReference builds in both ways and compares the trees
-// node for node and the reordered items.
+// checkBuildMatchesReference builds in both ways and compares each
+// reference node with its cell, the cells' post-order and item spans, and
+// the reordered items.
 func checkBuildMatchesReference(t *testing.T, in refInput) {
 	t.Helper()
 	cfg := Config{MaxLeafItems: in.maxLeaf}
@@ -294,30 +314,46 @@ func checkBuildMatchesReference(t *testing.T, in refInput) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MaxDepth() != want.MaxDepth() || got.NumLeaves() != want.NumLeaves() {
+	if got.MaxDepth() != want.maxDepth || got.NumLeaves() != want.leaves {
 		t.Fatalf("depth %d with %d leaves, reference depth %d with %d leaves",
-			got.MaxDepth(), got.NumLeaves(), want.MaxDepth(), want.NumLeaves())
+			got.MaxDepth(), got.NumLeaves(), want.maxDepth, want.leaves)
 	}
-	var walk func(g, w *Node, path string)
-	walk = func(g, w *Node, path string) {
-		if g.IsLeaf() != w.IsLeaf() {
-			t.Fatalf("node %q: leaf %v, reference leaf %v", path, g.IsLeaf(), w.IsLeaf())
+	// The walk visits the reference in post-order, so the cell it compares
+	// with each node must be the next one in Cells.
+	next := int32(0)
+	var walk func(g int32, w *refNode, path string)
+	walk = func(g int32, w *refNode, path string) {
+		c := got.Cells[g]
+		if (c.Axis < 0) != w.isLeaf() {
+			t.Fatalf("cell %q: leaf %v, reference leaf %v", path, c.Axis < 0, w.isLeaf())
 		}
-		if w.IsLeaf() {
-			if g.LeafID != w.LeafID || !slices.Equal(g.Items, w.Items) {
-				t.Fatalf("leaf %q: id %d items %v, reference id %d items %v", path, g.LeafID, g.Items, w.LeafID, w.Items)
+		if w.isLeaf() {
+			if int(c.Leaf) != w.leaf || !slices.Equal(got.Items[c.Lo:c.Hi], w.items) {
+				t.Fatalf("leaf %q: number %d items %v, reference number %d items %v",
+					path, c.Leaf, got.Items[c.Lo:c.Hi], w.leaf, w.items)
 			}
-			return
+		} else {
+			if int(c.Axis) != w.axis || c.Split != w.split || c.Leaf != -1 {
+				t.Fatalf("cell %q: axis %d split %d leaf %d, reference axis %d split %d",
+					path, c.Axis, c.Split, c.Leaf, w.axis, w.split)
+			}
+			walk(c.Left, w.left, path+"L")
+			walk(c.Right, w.right, path+"R")
+			l, r := got.Cells[c.Left], got.Cells[c.Right]
+			if c.Lo != l.Lo || l.Hi != r.Lo || r.Hi != c.Hi {
+				t.Fatalf("cell %q spans [%d, %d), children [%d, %d) and [%d, %d)", path, c.Lo, c.Hi, l.Lo, l.Hi, r.Lo, r.Hi)
+			}
 		}
-		if g.Axis != w.Axis || g.Split != w.Split || g.LeafID != -1 {
-			t.Fatalf("node %q: axis %d split %d id %d, reference axis %d split %d",
-				path, g.Axis, g.Split, g.LeafID, w.Axis, w.Split)
+		if g != next {
+			t.Fatalf("cell %q at %d, want %d in post-order", path, g, next)
 		}
-		walk(g.Left, w.Left, path+"L")
-		walk(g.Right, w.Right, path+"R")
+		next++
 	}
-	walk(got.Root, want.Root, "")
-	if !slices.Equal(gotItems, wantItems) {
+	walk(int32(len(got.Cells)-1), want.root, "")
+	if int(next) != len(got.Cells) {
+		t.Fatalf("%d cells, the reference has %d nodes", len(got.Cells), next)
+	}
+	if !slices.Equal(gotItems, wantItems) || &got.Items[0] != &gotItems[0] {
 		t.Fatalf("items reordered to %v, reference %v", gotItems, wantItems)
 	}
 }

@@ -11,6 +11,12 @@
 // worst-case error per straddled region is its residual — which is why the
 // paper finds these summaries one to two orders of magnitude less accurate
 // than structure-aware samples on multi-range queries in two dimensions.
+//
+// The §6 comparison must read the same figures at a fixed seed, so the
+// package is under the maporder analyzer's watch: node scans run in a fixed
+// order (sorted, or a descent of the partition), never Go map order.
+//
+//sasvet:deterministic
 package qdigest
 
 import (

@@ -2,6 +2,8 @@ package qdigest
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"structaware/internal/structure"
@@ -22,17 +24,14 @@ type Stream2D struct {
 	budget       int
 	maxDepth     int
 	total        float64
-	// weights[node] is the weight accumulated at a materialized node; a
-	// node is an interior cell of the partition iff its children are
-	// materialized.
-	weights  map[nodeKey]float64
-	hasChild map[nodeKey]bool
-}
-
-// nodeKey identifies a BSP cell: depth plus the z-order path prefix.
-type nodeKey struct {
-	depth uint8
-	path  uint64
+	// weights[cell] is the weight accumulated at a materialized cell; a
+	// cell is an interior cell of the partition iff its children are
+	// materialized. Cells are numbered as in a binary heap: the root is 1
+	// and cell k's children are 2k and 2k+1, so cell k lies at depth
+	// bits.Len64(k)−1, its z-order path prefix is the bits of k below the
+	// leading one, and ascending numbers order cells by depth, then path.
+	weights  map[uint64]float64
+	hasChild map[uint64]bool
 }
 
 // NewStream2D creates the streaming digest with a node budget of `size`.
@@ -48,8 +47,8 @@ func NewStream2D(bitsX, bitsY, size int) (*Stream2D, error) {
 		BitsY:    bitsY,
 		budget:   size,
 		maxDepth: bitsX + bitsY,
-		weights:  map[nodeKey]float64{{0, 0}: 0},
-		hasChild: map[nodeKey]bool{},
+		weights:  map[uint64]float64{1: 0},
+		hasChild: map[uint64]bool{},
 	}
 	return d, nil
 }
@@ -62,19 +61,19 @@ func (d *Stream2D) Insert(x, y uint64, w float64) {
 	}
 	d.total += w
 	z := interleave(x, y, d.BitsX, d.BitsY)
-	cur := nodeKey{0, 0}
+	cur, depth := uint64(1), 0
 	for d.hasChild[cur] {
-		bit := (z >> uint(d.maxDepth-1-int(cur.depth))) & 1
-		cur = nodeKey{cur.depth + 1, cur.path<<1 | bit}
+		cur = cur<<1 | (z>>uint(d.maxDepth-1-depth))&1
+		depth++
 	}
 	d.weights[cur] += w
 	// Split when this cell holds too much weight. The threshold uses the
 	// running total; splitting is what adapts the partition to skew.
 	theta := 2 * d.total / float64(d.budget)
-	if d.weights[cur] > theta && int(cur.depth) < d.maxDepth && len(d.weights)+2 <= 2*d.budget {
+	if d.weights[cur] > theta && depth < d.maxDepth && len(d.weights)+2 <= 2*d.budget {
 		d.hasChild[cur] = true
-		d.weights[nodeKey{cur.depth + 1, cur.path << 1}] = 0
-		d.weights[nodeKey{cur.depth + 1, cur.path<<1 | 1}] = 0
+		d.weights[cur<<1] = 0
+		d.weights[cur<<1|1] = 0
 	}
 }
 
@@ -87,21 +86,21 @@ func (d *Stream2D) Size() int { return len(d.weights) }
 // Compact merges the lightest leaf sibling pairs into their parents until
 // at most `size` cells remain — run once after the stream to meet a hard
 // budget. Each pass gathers the mergeable pairs, sorts them by combined
-// weight, and merges the lightest ones; merging can expose new pairs, so
-// passes repeat until the budget holds (near-linear overall, as each pass
-// removes a constant fraction of the overage).
+// weight, then depth, then path, and merges the lightest ones; merging can
+// expose new pairs, so passes repeat until the budget holds (near-linear
+// overall, as each pass removes a constant fraction of the overage).
 func (d *Stream2D) Compact(size int) {
 	for len(d.weights) > size {
 		type cand struct {
-			parent nodeKey
+			parent uint64
 			w      float64
 		}
 		var cands []cand
-		for k, w := range d.weights {
-			if k.depth == 0 || k.path&1 != 0 {
-				continue // visit each pair once, via the left sibling
+		for _, k := range d.cells() {
+			if k&1 != 0 {
+				continue // the root and right siblings: visit each pair via the left sibling
 			}
-			sib := nodeKey{k.depth, k.path | 1}
+			sib := k | 1
 			if d.hasChild[k] || d.hasChild[sib] {
 				continue
 			}
@@ -109,19 +108,23 @@ func (d *Stream2D) Compact(size int) {
 			if !ok {
 				continue
 			}
-			cands = append(cands, cand{parent: nodeKey{k.depth - 1, k.path >> 1}, w: w + sw})
+			cands = append(cands, cand{parent: k >> 1, w: d.weights[k] + sw})
 		}
 		if len(cands) == 0 {
 			return
 		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a].w < cands[b].w })
+		sort.Slice(cands, func(a, b int) bool {
+			if cands[a].w != cands[b].w {
+				return cands[a].w < cands[b].w
+			}
+			return cands[a].parent < cands[b].parent
+		})
 		need := (len(d.weights) - size + 1) / 2
 		if need > len(cands) {
 			need = len(cands)
 		}
 		for _, c := range cands[:need] {
-			l := nodeKey{c.parent.depth + 1, c.parent.path << 1}
-			rn := nodeKey{c.parent.depth + 1, c.parent.path<<1 | 1}
+			l, rn := c.parent<<1, c.parent<<1|1
 			d.weights[c.parent] += d.weights[l] + d.weights[rn]
 			delete(d.weights, l)
 			delete(d.weights, rn)
@@ -130,48 +133,79 @@ func (d *Stream2D) Compact(size int) {
 	}
 }
 
-// region returns the box of a node under the alternating-axis schedule.
-func (d *Stream2D) region(k nodeKey) structure.Range {
-	r := structure.Range{
+// cells returns every materialized cell in ascending number: by depth,
+// then path.
+func (d *Stream2D) cells() []uint64 {
+	keys := make([]uint64, 0, len(d.weights))
+	for k := range d.weights {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// box is the whole domain, the root cell's box.
+func (d *Stream2D) box() [2]structure.Interval {
+	return [2]structure.Interval{
 		{Lo: 0, Hi: (uint64(1) << uint(d.BitsX)) - 1},
 		{Lo: 0, Hi: (uint64(1) << uint(d.BitsY)) - 1},
 	}
-	for t := 0; t < int(k.depth); t++ {
-		axis := axisAt(t, d.BitsX, d.BitsY)
-		bit := (k.path >> uint(int(k.depth)-1-t)) & 1
-		mid := r[axis].Lo + r[axis].Width()/2
-		if bit == 0 {
-			r[axis].Hi = mid - 1
-		} else {
-			r[axis].Lo = mid
+}
+
+// halves splits the box of a cell at the given depth into its children's
+// boxes, under the alternating-axis schedule.
+func (d *Stream2D) halves(reg [2]structure.Interval, depth int) (lower, upper [2]structure.Interval) {
+	axis := axisAt(depth, d.BitsX, d.BitsY)
+	mid := reg[axis].Lo + reg[axis].Width()/2
+	lower, upper = reg, reg
+	lower[axis].Hi, upper[axis].Lo = mid-1, mid
+	return lower, upper
+}
+
+// region returns the box of cell k.
+func (d *Stream2D) region(k uint64) structure.Range {
+	r := d.box()
+	depth := bits.Len64(k) - 1
+	for t := 0; t < depth; t++ {
+		lower, upper := d.halves(r, t)
+		r = lower
+		if (k>>uint(depth-1-t))&1 == 1 {
+			r = upper
 		}
 	}
-	return r
+	return structure.Range{r[0], r[1]}
 }
 
 // EstimateRange estimates the weight in the box: cells fully inside count
-// their weight, straddling cells contribute area-proportionally.
+// their weight, straddling cells contribute area-proportionally. It
+// descends the partition from the root, each cell before its children and
+// the lower child first, so the cells are always summed in the same order,
+// and it skips every cell outside the box together with its descendants.
 func (d *Stream2D) EstimateRange(q structure.Range) float64 {
 	var sum xmath.KahanSum
-	for k, w := range d.weights {
-		if w == 0 {
-			continue
-		}
-		reg := d.region(k)
-		frac := 1.0
-		for dim := range q {
-			ov, ok := reg[dim].Intersect(q[dim])
-			if !ok {
-				frac = 0
-				break
-			}
-			frac *= float64(ov.Width()) / float64(reg[dim].Width())
-		}
-		if frac > 0 {
-			sum.Add(w * frac)
-		}
-	}
+	d.estimate(&sum, q, 1, d.box())
 	return sum.Sum()
+}
+
+// estimate adds to sum the shares of cell k, whose box is reg, and of its
+// descendants.
+func (d *Stream2D) estimate(sum *xmath.KahanSum, q structure.Range, k uint64, reg [2]structure.Interval) {
+	frac := 1.0
+	for dim := range q {
+		ov, ok := reg[dim].Intersect(q[dim])
+		if !ok {
+			return // the descendants lie inside reg, so none meets the box
+		}
+		frac *= float64(ov.Width()) / float64(reg[dim].Width())
+	}
+	if w := d.weights[k]; w != 0 {
+		sum.Add(w * frac)
+	}
+	if d.hasChild[k] {
+		lower, upper := d.halves(reg, bits.Len64(k)-1)
+		d.estimate(sum, q, k<<1, lower)
+		d.estimate(sum, q, k<<1|1, upper)
+	}
 }
 
 // EstimateQuery sums EstimateRange over the disjoint boxes of q.
@@ -183,14 +217,12 @@ func (d *Stream2D) EstimateQuery(q structure.Query) float64 {
 	return sum
 }
 
-// Nodes returns the materialized cells sorted by depth (diagnostics).
+// Nodes returns the materialized cells by depth, then path (diagnostics).
+// Every split halves a cell, so this lists the largest regions first.
 func (d *Stream2D) Nodes() []Node2D {
 	out := make([]Node2D, 0, len(d.weights))
-	for k, w := range d.weights {
-		out = append(out, Node2D{Region: d.region(k), Residual: w})
+	for _, k := range d.cells() {
+		out = append(out, Node2D{Region: d.region(k), Residual: d.weights[k]})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return out[a].Region[0].Width()*out[a].Region[1].Width() > out[b].Region[0].Width()*out[b].Region[1].Width()
-	})
 	return out
 }

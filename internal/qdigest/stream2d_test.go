@@ -2,6 +2,7 @@ package qdigest
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"structaware/internal/structure"
@@ -136,5 +137,49 @@ func TestStream2DIgnoresNonPositive(t *testing.T) {
 	d.Insert(1, 1, -5)
 	if d.Total() != 0 {
 		t.Fatal("non-positive weights must be ignored")
+	}
+}
+
+// TestStream2DDeterministic: digests fed the same stream compact to the
+// same cells, list them in the same order and answer every box with the
+// same bits. Zero-weight sibling pairs tie in Compact, and the scans sum
+// non-integral weights, so Go map order would show in all three.
+func TestStream2DDeterministic(t *testing.T) {
+	build := func() *Stream2D {
+		d, err := NewStream2D(10, 10, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := xmath.NewRand(7)
+		for i := 0; i < 5000; i++ {
+			d.Insert(r.Uint64()&0x3ff, r.Uint64()&0x3ff, math.Exp(2*r.Float64()))
+		}
+		d.Compact(200)
+		return d
+	}
+	r := xmath.NewRand(8)
+	boxes := make([]structure.Range, 50)
+	for i := range boxes {
+		boxes[i] = structure.Range{randIvQ(r, 1024), randIvQ(r, 1024)}
+	}
+	want := build()
+	wantNodes := want.Nodes()
+	for run := 0; run < 8; run++ {
+		got := build()
+		gotNodes := got.Nodes()
+		if len(gotNodes) != len(wantNodes) {
+			t.Fatalf("run %d: %d cells, first run %d", run, len(gotNodes), len(wantNodes))
+		}
+		for i, n := range gotNodes {
+			w := wantNodes[i]
+			if !slices.Equal(n.Region, w.Region) || math.Float64bits(n.Residual) != math.Float64bits(w.Residual) {
+				t.Fatalf("run %d: cell %d is %v holding %v, first run %v holding %v", run, i, n.Region, n.Residual, w.Region, w.Residual)
+			}
+		}
+		for _, box := range boxes {
+			if g, w := got.EstimateRange(box), want.EstimateRange(box); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("run %d: box %v estimates %v, first run %v", run, box, g, w)
+			}
+		}
 	}
 }

@@ -19,10 +19,10 @@
 //     emptiness tests for multi-axis pruning.
 //   - For multi-axis summaries, a kd-partition over the sampled keys
 //     (internal/kd — the same KD-HIERARCHY of §4 used at build time, here
-//     with adjusted weight as the mass), flattened into a compact node
-//     array whose every subtree owns a contiguous span of a single item
-//     array. An axis-parallel box query descends the partition, taking
-//     fully covered subtrees wholesale and filtering only boundary leaves.
+//     with adjusted weight as the mass), kept as kd.Build returns it: a
+//     flat cell array whose every cell owns a contiguous span of one item
+//     array. An axis-parallel box query descends the cells, taking fully
+//     covered cells wholesale and filtering only boundary leaves.
 //
 // Estimates are bit-for-bit identical to the linear implementations in
 // internal/core: the index is only used to find the sampled keys inside the
@@ -60,7 +60,7 @@ import (
 )
 
 // maxLeafItems caps kd leaf size: small enough that boundary-leaf filtering
-// stays cheap, large enough that the flattened node array stays compact.
+// stays cheap, large enough that the cell array stays compact.
 const maxLeafItems = 16
 
 // Index is an immutable range-query index over a finished sample. All
@@ -79,9 +79,9 @@ type Index struct {
 
 	byAxis []axisIndex
 
-	// kd partition, compiled for multi-axis summaries only.
-	nodes []node
-	items []int32 // key ids arranged so every node's subtree is items[start:end)
+	// part is the kd partition over every key id, for multi-axis
+	// summaries only.
+	part *kd.Tree
 
 	// pool recycles per-query scratch bitmaps across goroutines.
 	pool sync.Pool
@@ -98,15 +98,6 @@ type axisIndex struct {
 	// prefix[i] is the plain left-to-right sum of adjusted weights over
 	// order[:i]; len(prefix) == size+1.
 	prefix []float64
-}
-
-// node is one flattened kd-partition node. Left child is the next node in
-// the array (pre-order layout); leaves have axis == -1.
-type node struct {
-	axis       int32
-	split      uint64
-	right      int32 // index of the right child (internal nodes only)
-	start, end int32 // span in Index.items owned by the subtree
 }
 
 // New compiles an index over a sample of weighted keys: coords[d][k] is key
@@ -188,8 +179,8 @@ func buildAxis(coords []uint64, adj []float64, keys, tmpKeys []uint64, tmpOrder 
 	return ax
 }
 
-// buildKD constructs the kd-partition over all sampled keys (mass = adjusted
-// weight) and flattens it into the pre-order node/item arrays.
+// buildKD builds the kd-partition over all sampled keys, with adjusted
+// weight as the mass.
 func (ix *Index) buildKD() error {
 	ids := make([]int, ix.size)
 	for i := range ids {
@@ -198,37 +189,12 @@ func (ix *Index) buildKD() error {
 	// The kd builder works over a columnar dataset view; the summary's
 	// columns are exactly that (totalWeight is unused by kd).
 	ds := &structure.Dataset{Axes: ix.axes, Coords: ix.coords}
-	tree, err := kd.Build(ds, ids, ix.adj, kd.Config{MaxLeafItems: maxLeafItems})
+	part, err := kd.Build(ds, ids, ix.adj, kd.Config{MaxLeafItems: maxLeafItems})
 	if err != nil {
 		return fmt.Errorf("queryidx: %w", err)
 	}
-	// A binary partition with L leaves has exactly 2L-1 nodes; pre-size both
-	// flattened arrays so compilation appends never regrow them.
-	ix.nodes = make([]node, 0, 2*tree.NumLeaves()-1)
-	ix.items = make([]int32, 0, ix.size)
-	ix.flatten(tree.Root)
+	ix.part = part
 	return nil
-}
-
-// flatten appends the subtree rooted at n in pre-order and returns its node
-// index.
-func (ix *Index) flatten(n *kd.Node) int32 {
-	me := int32(len(ix.nodes))
-	ix.nodes = append(ix.nodes, node{start: int32(len(ix.items))})
-	if n.IsLeaf() {
-		for _, id := range n.Items {
-			ix.items = append(ix.items, int32(id))
-		}
-		ix.nodes[me].axis = -1
-	} else {
-		ix.flatten(n.Left) // == me+1
-		right := ix.flatten(n.Right)
-		ix.nodes[me].axis = int32(n.Axis)
-		ix.nodes[me].split = n.Split
-		ix.nodes[me].right = right
-	}
-	ix.nodes[me].end = int32(len(ix.items))
-	return me
 }
 
 // Size returns the number of indexed sample keys.
@@ -404,43 +370,44 @@ func (ix *Index) mark(r structure.Range, sc *scratch) bool {
 	for d, a := range ix.axes {
 		sc.box[d] = structure.Interval{Lo: 0, Hi: a.DomainSize() - 1}
 	}
-	ix.markKD(0, sc.box, r, sc)
+	ix.markKD(int32(len(ix.part.Cells)-1), sc.box, r, sc)
 	return true
 }
 
-// markKD descends the flattened kd partition. box is the region owned by
-// node n (mutated on descent and restored before returning).
+// markKD descends the kd partition from cell n, the root being the last
+// cell. box is the region cell n owns (mutated on descent and restored
+// before returning).
 func (ix *Index) markKD(n int32, box, r structure.Range, sc *scratch) {
-	nd := &ix.nodes[n]
+	c := &ix.part.Cells[n]
 	if contains(r, box) {
-		for _, k := range ix.items[nd.start:nd.end] {
-			sc.set(k)
+		for _, k := range ix.part.Items[c.Lo:c.Hi] {
+			sc.set(int32(k))
 		}
 		return
 	}
-	if nd.axis < 0 { // boundary leaf: filter
-		for _, k := range ix.items[nd.start:nd.end] {
-			if ix.inRange(int(k), r) {
-				sc.set(k)
+	if c.Axis < 0 { // boundary leaf: filter
+		for _, k := range ix.part.Items[c.Lo:c.Hi] {
+			if ix.inRange(k, r) {
+				sc.set(int32(k))
 			}
 		}
 		return
 	}
-	d := int(nd.axis)
+	d := int(c.Axis)
 	iv := structure.Interval{Lo: 0, Hi: ^uint64(0)}
 	if d < len(r) {
 		iv = r[d]
 	}
-	if iv.Lo <= nd.split {
+	if iv.Lo <= c.Split {
 		saved := box[d].Hi
-		box[d].Hi = nd.split
-		ix.markKD(n+1, box, r, sc)
+		box[d].Hi = c.Split
+		ix.markKD(c.Left, box, r, sc)
 		box[d].Hi = saved
 	}
-	if iv.Hi > nd.split {
+	if iv.Hi > c.Split {
 		saved := box[d].Lo
-		box[d].Lo = nd.split + 1
-		ix.markKD(nd.right, box, r, sc)
+		box[d].Lo = c.Split + 1
+		ix.markKD(c.Right, box, r, sc)
 		box[d].Lo = saved
 	}
 }

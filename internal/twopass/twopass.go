@@ -13,7 +13,8 @@
 //
 // The partition is structure dependent:
 //   - Product structures: a kd-hierarchy (internal/kd) built over the
-//     small-weight keys of S′; cells are its leaves.
+//     small-weight keys of S′; cells are its leaves, and pass 2 routes each
+//     key down kd's flat cell array to its leaf.
 //   - Order structures: S′'s small keys sorted by coordinate; cells are the
 //     gaps between consecutive sampled keys.
 //   - Explicit hierarchies and disjoint ranges: see Hierarchy and Disjoint.
@@ -22,8 +23,9 @@
 // routed to its cell by its coordinates and pair-aggregated against the
 // cell's single active key; keys reaching p = 1 enter the sample. After the
 // pass, the surviving active keys are aggregated following the partition's
-// own structure (kd hierarchy carry-up, or a left-to-right scan for order),
-// so the final movement of probability mass stays local.
+// own structure (kd hierarchy carry-up in one pass over the cell array, or
+// a left-to-right scan for order), so the final movement of probability
+// mass stays local.
 //
 // Every construction rewinds its source before each pass, so a source can
 // be sampled any number of times, and the result is a pure function of
@@ -350,6 +352,8 @@ func checkAxis(axes []structure.Axis, axis int) error {
 
 // ---- Product structures: kd partition -------------------------------------
 
+// kdPartition's pass-2 cells are the leaves of a kd-hierarchy over the
+// guide, numbered by their Leaf.
 type kdPartition struct {
 	tree *kd.Tree
 }
@@ -357,16 +361,21 @@ type kdPartition struct {
 func (l kdPartition) locate(pt []uint64) int { return l.tree.Locate(pt) }
 func (l kdPartition) numCells() int          { return l.tree.NumLeaves() }
 
+// finalize carries the leaves' active keys up the hierarchy, pairing at
+// each internal kd cell the survivors of its two children. Cells lists every
+// kd cell after its children, so one pass in order aggregates as a
+// post-order walk would. survivor[n] is the pass-2 cell whose key is left
+// unsettled under kd cell n, or -1.
 func (l kdPartition) finalize(st *state, r xmath.Rand) int {
-	var walk func(n *kd.Node) int
-	walk = func(n *kd.Node) int {
-		if n.IsLeaf() {
-			return st.activeCell(n.LeafID)
+	survivor := make([]int, len(l.tree.Cells))
+	for n, c := range l.tree.Cells {
+		if c.Axis < 0 {
+			survivor[n] = st.activeCell(int(c.Leaf))
+		} else {
+			survivor[n] = st.aggregatePair(survivor[c.Left], survivor[c.Right], r)
 		}
-		a, b := walk(n.Left), walk(n.Right)
-		return st.aggregatePair(a, b, r)
 	}
-	return walk(l.tree.Root)
+	return survivor[len(survivor)-1]
 }
 
 // Product builds a structure-aware VarOpt sample of size s over a

@@ -88,15 +88,16 @@ func NewWeightCells(ds *structure.Dataset, maxDepth int) (*WeightCells, error) {
 		return nil, err
 	}
 	wc := &WeightCells{byDepth: make([][]structure.Range, maxDepth+1)}
-	var walk func(n *kd.Node, depth int, box structure.Range)
-	walk = func(n *kd.Node, depth int, box structure.Range) {
+	var walk func(n int32, depth int, box structure.Range)
+	walk = func(n int32, depth int, box structure.Range) {
 		if depth <= maxDepth {
 			wc.byDepth[depth] = append(wc.byDepth[depth], append(structure.Range(nil), box...))
 		}
 		if depth >= maxDepth {
 			return
 		}
-		if n.IsLeaf() {
+		c := tree.Cells[n]
+		if c.Axis < 0 {
 			// A branch that bottomed out early (typically a single heavy
 			// key) persists as its own cell at every deeper level, keeping
 			// each level a full partition of the domain.
@@ -107,12 +108,12 @@ func NewWeightCells(ds *structure.Dataset, maxDepth int) (*WeightCells, error) {
 		}
 		left := append(structure.Range(nil), box...)
 		right := append(structure.Range(nil), box...)
-		left[n.Axis].Hi = n.Split
-		right[n.Axis].Lo = n.Split + 1
-		walk(n.Left, depth+1, left)
-		walk(n.Right, depth+1, right)
+		left[c.Axis].Hi = c.Split
+		right[c.Axis].Lo = c.Split + 1
+		walk(c.Left, depth+1, left)
+		walk(c.Right, depth+1, right)
 	}
-	walk(tree.Root, 0, ds.FullRange())
+	walk(int32(len(tree.Cells)-1), 0, ds.FullRange()) // the root is the last cell
 	return wc, nil
 }
 
