@@ -359,6 +359,28 @@ func BenchmarkIndexedEstimateRange(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkHeavyHitters ranks a full-domain box of a 4,096-key summary for
+// its k = 3 heaviest keys, the serving path of a heavyhitters request.
+func BenchmarkHeavyHitters(b *testing.B) {
+	ds, _ := fixtures(b)
+	sum, err := structaware.Build(ds, structaware.Config{Size: 4096, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	is, err := sum.Index()
+	if err != nil {
+		b.Fatal(err)
+	}
+	full := ds.FullRange()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if keys, _ := is.HeavyHitters(full, 3); len(keys) != 3 {
+			b.Fatalf("%d keys", len(keys))
+		}
+	}
+}
+
 // ---- Micro: core primitives -------------------------------------------------
 
 func BenchmarkPairAggregate(b *testing.B) {

@@ -16,14 +16,15 @@
 // pairs, 500K ticket records); smaller scales keep the comparison shapes at
 // a fraction of the runtime.
 //
-// -backends runs the head-to-head backend comparison instead of a figure:
-// every backend kind (sample, qdigest, wavelet, sketch) is built at the
-// same element budget (-backend-size) over the network and tickets
-// datasets and scored on uniform-area and uniform-weight batteries — mean
-// and max relative error against exact answers plus single-threaded query
-// throughput — written as JSON (see internal/expt.BackendsReport). The
-// sketch keeps at least one counter per row per dyadic level pair, so on a
-// fine grid it can exceed the budget.
+// -backends runs the head-to-head §6 comparison instead of a figure: each
+// family the figures plot (aware, qdigest, wavelet, sketch) is built by the
+// figures' own construction at the same element budget (-backend-size)
+// over the network and tickets datasets and scored on uniform-area and
+// uniform-weight batteries — mean and max relative error against exact
+// answers plus single-threaded query throughput — written as JSON (see
+// internal/expt.BackendsReport). The sketch keeps at least one counter per
+// row per dyadic level pair, so on a fine grid it can exceed the budget; a
+// row that does carries "over_budget": true.
 //
 // -ingest floods a sasserve's HTTP ingest endpoint (an http:// or https://
 // base URL) with binary frames of seeded synthetic keys, one frame per

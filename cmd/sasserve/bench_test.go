@@ -180,7 +180,7 @@ func BenchmarkIngestDecodeJSON(b *testing.B) {
 			if err := decodeColumnarBody(body, batch); err != nil {
 				b.Fatal(err)
 			}
-			if err := validateBatch(axes, &batch.Batch); err != nil {
+			if _, err := validateBatch(axes, &batch.Batch); err != nil {
 				b.Fatal(err)
 			}
 			batch.release()
@@ -204,7 +204,7 @@ func BenchmarkIngestDecodeFrame(b *testing.B) {
 			if err := decodeFrameBody(body, 2, batch); err != nil {
 				b.Fatal(err)
 			}
-			if err := validateBatch(axes, &batch.Batch); err != nil {
+			if _, err := validateBatch(axes, &batch.Batch); err != nil {
 				b.Fatal(err)
 			}
 			batch.release()

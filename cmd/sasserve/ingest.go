@@ -14,6 +14,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -87,30 +88,35 @@ func (st *store) withLive(h func(http.ResponseWriter, *http.Request, *liveSummar
 }
 
 // handlePushKeys ingests one batch of weighted keys into the live summary.
-// The batch is atomic: every coordinate and weight is validated before it
-// reaches the ingest queue, so a 4xx means nothing was ingested. A full queue
-// is 429 with a Retry-After hint — the server sheds load explicitly rather
-// than buffering without bound.
+// The batch is atomic: every coordinate and weight is validated, and the
+// summary's weight bound checked, before it reaches the ingest queue, so a
+// 4xx means nothing was ingested. A full queue is 429 with a Retry-After
+// hint — the server sheds load explicitly rather than buffering without
+// bound.
 func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *liveSummary) {
 	batch, ok := decodePushBody(w, r, len(ls.axes))
 	if !ok {
 		return
 	}
 	rows := batch.Rows()
-	if err := validateBatch(ls.axes, &batch.Batch); err != nil {
+	sum, err := validateBatch(ls.axes, &batch.Batch)
+	if err != nil {
 		batch.release()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := ls.enqueue(batch); err != nil {
+	if err := ls.enqueue(batch, sum); err != nil {
 		batch.release()
-		if err == errIngestQueueFull {
+		switch {
+		case errors.Is(err, errWeightBound):
+			writeError(w, http.StatusBadRequest, "%v", err)
+		case errors.Is(err, errIngestQueueFull):
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests,
 				"live summary %q ingest queue is full; retry shortly", ls.name)
-			return
+		default:
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
 		}
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, pushResponse{
@@ -122,38 +128,42 @@ func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *live
 	fault.Point(faultPostAck)
 }
 
-// validateBatch is the single admission check both ingest bodies (frame
+// validateBatch is the single per-batch check both ingest bodies (frame
 // and columnar JSON) and WAL replay run before a batch may enter a
 // builder: shape, row cap, axis domains, weight validity. Frame decoding
 // already guarantees rectangularity; the JSON path gets it checked here.
-func validateBatch(axes []structure.Axis, b *wire.Batch) error {
+// It returns the batch's weight sum (+Inf when that overflows), which the
+// summary's weight bound (liveSummary.admit) is checked against.
+func validateBatch(axes []structure.Axis, b *wire.Batch) (float64, error) {
 	rows := len(b.Weights)
 	if rows == 0 {
-		return fmt.Errorf("at least one key is required")
+		return 0, fmt.Errorf("at least one key is required")
 	}
 	if rows > maxKeysPerPush {
-		return fmt.Errorf("%d keys exceed the per-request limit of %d", rows, maxKeysPerPush)
+		return 0, fmt.Errorf("%d keys exceed the per-request limit of %d", rows, maxKeysPerPush)
 	}
 	if len(b.Coords) != len(axes) {
-		return fmt.Errorf("coords has %d columns, want %d (one per axis)", len(b.Coords), len(axes))
+		return 0, fmt.Errorf("coords has %d columns, want %d (one per axis)", len(b.Coords), len(axes))
 	}
 	for d := range b.Coords {
 		if len(b.Coords[d]) != rows {
-			return fmt.Errorf("coords[%d] has %d rows for %d weights", d, len(b.Coords[d]), rows)
+			return 0, fmt.Errorf("coords[%d] has %d rows for %d weights", d, len(b.Coords[d]), rows)
 		}
 		dom := axes[d].DomainSize()
 		for i, x := range b.Coords[d] {
 			if x >= dom {
-				return fmt.Errorf("key %d: coordinate %d out of domain on axis %d", i, x, d)
+				return 0, fmt.Errorf("key %d: coordinate %d out of domain on axis %d", i, x, d)
 			}
 		}
 	}
+	var sum float64
 	for i, wt := range b.Weights {
 		if err := ipps.ValidateWeight(wt); err != nil {
-			return fmt.Errorf("key %d: %v", i, err)
+			return 0, fmt.Errorf("key %d: %v", i, err)
 		}
+		sum += wt
 	}
-	return nil
+	return sum, nil
 }
 
 // pushRequest is the columnar JSON ingest body: coords[d][i] is key i's

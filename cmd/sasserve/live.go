@@ -50,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -125,6 +126,21 @@ var errIngestQueueFull = errors.New("ingest queue is full")
 // errIngestStopped reports an enqueue after shutdown began.
 var errIngestStopped = errors.New("live ingestion has stopped")
 
+// maxLiveWeight bounds the total weight a live summary accepts: each
+// weight may be finite while their sum is not, and a builder holding such
+// keys can never be snapshotted again. VarOpt keeps a summary's HT total
+// equal to its input total, so every sum a snapshot takes and every
+// estimate it serves stays under the bound. The served confidence interval
+// reaches about 6.6 times the total and its bracketing search doubles past
+// that, hence the factor 64 (at half the largest float64, estimate and
+// total responses failed with a non-finite bound).
+const maxLiveWeight = math.MaxFloat64 / 64
+
+// errWeightBound reports a batch that would take a live summary's accepted
+// weight total past maxLiveWeight — the HTTP 400 case; in WAL replay it
+// fails recovery.
+var errWeightBound = errors.New("batch would take the live summary's total weight past its bound")
+
 // ingestJob is one unit of queue work: a batch to push, or (batch == nil)
 // a marker whose done channel closes once the worker reaches it — the
 // queue is FIFO, so a reached marker proves every batch enqueued before it
@@ -166,6 +182,11 @@ type liveSummary struct {
 	// dirty marks keys accepted since the last published snapshot. enqueue
 	// sets it; rotate clears it under rotMu and sets it again on failure.
 	dirty atomic.Bool
+	// weight is the total weight accepted, starting from the recovered
+	// base's HT total: every published summary estimates it. recoverLive
+	// and recoverWAL set it before the worker starts; enqueue checks and
+	// grows it under walMu.
+	weight float64
 
 	// walMu serializes every send on q, so enqueue's capacity check is
 	// exact (only the worker consumes) and WAL order is queue order, and
@@ -192,23 +213,29 @@ type liveSummary struct {
 	pub atomic.Uint64
 }
 
-// enqueue hands one validated batch to the worker, transferring ownership
-// of the batch, or returns errIngestQueueFull (the handler's 429) when the
-// queue is full.
+// enqueue hands one validated batch, whose weights sum to sum, to the
+// worker, transferring ownership of the batch. It returns errWeightBound
+// (the handler's 400) when the batch would take the summary past
+// maxLiveWeight, and errIngestQueueFull (the handler's 429) when the queue
+// is full.
 //
 // With a WAL, the batch is appended (and made as durable as the sync
 // policy promises) before the queue handoff, all under walMu, which is
 // what makes the ack that follows crash-safe. The ordering matters twice
-// over: backpressure is checked first, so a 429 leaves no WAL record, and
-// the append precedes the send, because a successful send transfers batch
-// ownership to the worker. The capacity check is exact rather than
-// advisory because every sender holds walMu and only the worker consumes:
-// once it passes, the send below cannot block.
-func (ls *liveSummary) enqueue(b *ingestBatch) error {
+// over: the weight bound and backpressure are checked first, so a 400 or
+// a 429 leaves no WAL record, and the append precedes the send, because a
+// successful send transfers batch ownership to the worker. The capacity
+// check is exact rather than advisory because every sender holds walMu
+// and only the worker consumes: once it passes, the send below cannot
+// block.
+func (ls *liveSummary) enqueue(b *ingestBatch, sum float64) error {
 	ls.walMu.Lock()
 	defer ls.walMu.Unlock()
 	if ls.stopped {
 		return errIngestStopped
+	}
+	if err := ls.admit(sum); err != nil {
+		return err
 	}
 	if len(ls.q) == cap(ls.q) {
 		return errIngestQueueFull
@@ -228,7 +255,18 @@ func (ls *liveSummary) enqueue(b *ingestBatch) error {
 	rows := int64(b.Rows())
 	ls.q <- ingestJob{batch: b}
 	ls.accepted.Add(rows)
+	ls.weight += sum
 	ls.dirty.Store(true)
+	return nil
+}
+
+// admit refuses a batch whose weights, summing to sum, would take the
+// accepted total past maxLiveWeight. Callers hold walMu or own the summary
+// before its worker starts.
+func (ls *liveSummary) admit(sum float64) error {
+	if !(ls.weight+sum <= maxLiveWeight) {
+		return fmt.Errorf("%w %g: its weights sum to %g and %g is accepted", errWeightBound, maxLiveWeight, sum, ls.weight)
+	}
 	return nil
 }
 
@@ -343,7 +381,8 @@ func (st *store) initLive(specs []cliutil.Assignment, lc liveConfig) error {
 // files and segment windows both witness attempts, and the maximum of the
 // two is where this process resumes numbering. Replayed keys count as
 // accepted (they are in this process's builder and will be in its next
-// snapshot) and dirty the summary so that snapshot actually happens. The
+// snapshot), under the same weight bound as a push, and dirty the summary
+// so that snapshot actually happens. The
 // worker is not running yet, so the builder is pushed directly, in WAL
 // order.
 func (st *store) recoverWAL(ls *liveSummary, lc liveConfig, loadedSeq uint64) error {
@@ -358,9 +397,14 @@ func (st *store) recoverWAL(ls *liveSummary, lc liveConfig, loadedSeq uint64) er
 	}
 	dec := wire.Decoder{Dims: len(ls.axes), MaxRows: maxKeysPerPush}
 	stats, err := wal.Replay(lc.dir, ls.name, loadedSeq, dec, func(b *wire.Batch) error {
-		if err := validateBatch(ls.axes, b); err != nil {
+		sum, err := validateBatch(ls.axes, b)
+		if err != nil {
 			return err
 		}
+		if err := ls.admit(sum); err != nil {
+			return err
+		}
+		ls.weight += sum
 		return ls.b.PushBatch(b.Coords, b.Weights)
 	})
 	if err != nil {
@@ -449,6 +493,7 @@ func (st *store) recoverLive(ls *liveSummary) (uint64, error) {
 		}
 		e.live, e.seq = true, sn.seq
 		ls.base = e.idx.Summary()
+		ls.weight = e.idx.EstimateTotal()
 		ls.pub.Store(sn.seq)
 		st.install(e)
 		st.logf("recovered live %q from %s (snapshot %d, %d keys)", ls.name, sn.path, sn.seq, e.idx.Size())

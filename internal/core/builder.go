@@ -16,12 +16,12 @@ import (
 // Builder is the streaming construction API: push weighted keys one at a
 // time — from a file, a socket, stdin, or a shard of a partitioned
 // population — and finalize into a Summary, without ever materializing a
-// Dataset. Working memory is bounded by Config.Buffer (default
-// Oversample×Size) regardless of stream length: ingestion runs through the
-// shared pipeline of internal/ingest (a mergeable stream VarOpt reservoir
-// that retains candidate coordinates), and Finalize re-samples the
-// reservoir down to the target size with the same structure-aware closing
-// pass (engine.Summarize) that Build and SampleParallel finish with, so the
+// Dataset. Working memory is bounded by Config.Buffer (default 5×Size)
+// regardless of stream length: ingestion runs through the shared pipeline
+// of internal/ingest (a mergeable stream VarOpt reservoir that retains
+// candidate coordinates), and Finalize re-samples the reservoir down to the
+// target size with the same structure-aware closing pass
+// (engine.Summarize) that Build and SampleParallel finish with, so the
 // resulting Summary has the same guarantees: exact size
 // min(Size, positive keys), unbiased Horvitz–Thompson estimates for
 // arbitrary subset sums, and the paper's structural spread over the
@@ -82,11 +82,7 @@ func NewBuilder(axes []structure.Axis, cfg Config) (*Builder, error) {
 // buffer resolves the Builder reservoir capacity from the Config.
 func (c Config) buffer() (int, error) {
 	if c.Buffer == 0 {
-		over := c.Oversample
-		if over <= 0 {
-			over = 5
-		}
-		return over * c.Size, nil
+		return oversample * c.Size, nil
 	}
 	if c.Buffer < c.Size {
 		return 0, fmt.Errorf("core: buffer %d below sample size %d", c.Buffer, c.Size)

@@ -66,19 +66,20 @@ type Config struct {
 	Size int
 	// Method selects the scheme; the zero value is Aware.
 	Method Method
-	// Oversample sets the two-pass guide-sample factor and the streaming
-	// Builder's default buffer multiple (default 5).
-	Oversample int
 	// Seed makes the construction deterministic; 0 means seed 1.
 	Seed uint64
 	// Buffer bounds the streaming Builder's working memory: the number of
 	// candidate keys its reservoir retains during ingestion. 0 means
-	// Oversample×Size; explicit values below Size are rejected (the
-	// reservoir must be at least the target size for the final merge to
-	// preserve unbiasedness). Build ignores it — the dataset-backed path
-	// closes over the full dataset.
+	// 5×Size; explicit values below Size are rejected (the reservoir must
+	// be at least the target size for the final merge to preserve
+	// unbiasedness). Build ignores it — the dataset-backed path closes over
+	// the full dataset.
 	Buffer int
 }
+
+// oversample is the two-pass guide-sample factor (s′ = 5s, which the paper
+// finds suffices) and the streaming Builder's default buffer multiple.
+const oversample = 5
 
 func (c Config) rand() *xmath.SplitMix {
 	seed := c.Seed
@@ -136,7 +137,11 @@ func Build(ds *structure.Dataset, cfg Config) (*Summary, error) {
 		}
 		return &Summary{Axes: ds.Axes, Coords: res.Coords, Weights: res.Weights, Tau: res.Tau, Method: cfg.Method}, nil
 	case Aware, Oblivious, Systematic:
-		kept, tau, err := engine.Close(ds, nil, make([]float64, ds.Len()), cfg.Size, closeMode(cfg.Method), r, engine.NewArena())
+		items := make([]int, ds.Len())
+		for i := range items {
+			items[i] = i
+		}
+		kept, tau, err := engine.Close(ds, items, make([]float64, ds.Len()), cfg.Size, closeMode(cfg.Method), r, engine.NewArena())
 		if err != nil {
 			return nil, mapErr(err)
 		}
@@ -212,7 +217,7 @@ func mapErr(err error) error {
 // columns, read in place through a zero-copy source.
 func buildTwoPass(ds *structure.Dataset, cfg Config, r *xmath.SplitMix) (*twopass.Result, error) {
 	src := &twopass.DatasetSource{DS: ds}
-	tc := twopass.Config{Oversample: cfg.Oversample}
+	tc := twopass.Config{Oversample: oversample}
 	if ds.Dims() == 1 {
 		if ds.Axes[0].Kind == structure.Explicit {
 			// §5's ancestor partition: ∆ < 1 w.h.p. on hierarchy nodes,

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"structaware/internal/hierarchy"
@@ -116,7 +117,9 @@ func sas2Hash(t *testing.T, s *Summary) string {
 
 // goldenHashes pins the exact SAS2 bytes each construction path emits at
 // Seed 7 on the golden dataset (the two-pass order and hierarchy paths on
-// golden1D over their own axes, build-aware-3d on golden3D), locking the
+// golden1D over their own axes, the build-<method>-<axis> paths on golden1D
+// over an ordered, a bit-trie and an explicit axis, build-aware-3d on
+// golden3D), locking the
 // determinism contract of DESIGN.md §7: a change to sort order, RNG
 // consumption, or aggregation order on a construction path shows up here
 // as a hash change and must be deliberate. One exception: over distinct
@@ -140,11 +143,22 @@ var goldenHashes = map[string]string{
 	"build-twopass-product":   "693160302cf588c27c1b34bcdcfe7d11a268f62ce34223cb0fdf6fb233fd87c8",
 	"build-twopass-order":     "4286647a868a92cfbec49be4841cfc03116c4352185231290aeae01acc7c46e7",
 	"build-twopass-hierarchy": "91a60677dc93811cd4fe22ed801f126290fd8bea188c393042ff15e8f4116b23",
+
+	"build-aware-order":         "26ded2a83aac963ffa23a50ed9eb00d83ec297725d33f9cbd43b986c33355b92",
+	"build-aware-bittrie":       "d033fbb35542a3338d0359f9227c17a4f9c2913b37b4dcf0b0d36260ee290e84",
+	"build-aware-explicit":      "95a2b69e730dc9f4bf9716a8060ec6425da90c401fe0573a272524ae6d5b25e4",
+	"build-oblivious-order":     "38292d2014055d67509bf863ee77b6151c83b765f493acb36e9147caf7c2d3f2",
+	"build-oblivious-bittrie":   "353e68ec7e0e374dadb32111771b0fe8a96fd3a81b71f4f41764890f2e5ecdef",
+	"build-oblivious-explicit":  "be103a7fb0dee1510e466e42e60b88ac0caed261308623a5ee8ddabb79d623a1",
+	"build-systematic-order":    "0788214cd43418a9606fa8a36b0f0f0e2cb0bbca00d558b13846ea6702dd3824",
+	"build-systematic-bittrie":  "bd55ed43ea708f84fd94ae02723b24dc53c8269b60c8b24e83214dff5fef00ea",
+	"build-systematic-explicit": "7be5ea5d41e904e96e57bf8aa3b3337a28c30750d8b40aecf36826d6e7cfe28d",
 }
 
 // goldenBuild runs one named construction path over the golden dataset, over
-// its 1-D counterpart for the two-pass order and hierarchy paths, or over
-// its 3-axis counterpart for build-aware-3d.
+// its 1-D counterpart for the two-pass order and hierarchy paths and the
+// build-<method>-<axis> paths, or over its 3-axis counterpart for
+// build-aware-3d.
 func goldenBuild(t *testing.T, ds *structure.Dataset, path string) *Summary {
 	t.Helper()
 	const size, seed = 400, 7
@@ -185,12 +199,34 @@ func goldenBuild(t *testing.T, ds *structure.Dataset, path string) *Summary {
 			sum, err = b.Finalize()
 		}
 	default:
-		t.Fatalf("unknown path %q", path)
+		method, axis := golden1DPath(t, path)
+		sum, err = Build(golden1D(t, axis), Config{Size: size, Seed: seed, Method: method})
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
 	return sum
+}
+
+// golden1DPath resolves a "build-<method>-<axis>" golden to a main-memory
+// method and one of golden1D's three axis kinds: ordered, bit-trie, or
+// goldenTree's explicit hierarchy.
+func golden1DPath(t *testing.T, path string) (Method, structure.Axis) {
+	t.Helper()
+	method, kind, _ := strings.Cut(strings.TrimPrefix(path, "build-"), "-")
+	methods := map[string]Method{"aware": Aware, "oblivious": Oblivious, "systematic": Systematic}
+	m, ok := methods[method]
+	switch {
+	case !ok:
+	case kind == "order":
+		return m, structure.OrderedAxis(12)
+	case kind == "bittrie":
+		return m, structure.BitTrieAxis(12)
+	case kind == "explicit":
+		return m, structure.ExplicitAxis(goldenTree(t))
+	}
+	t.Fatalf("unknown path %q", path)
+	return 0, structure.Axis{}
 }
 
 // TestGoldenSummaries locks byte-identical SAS2 output at fixed seeds across

@@ -73,14 +73,59 @@ func (is *IndexedSummary) RepresentativeKeys(r structure.Range, limit int) ([][]
 
 // HeavyHitters returns the k sampled keys of largest adjusted weight inside
 // box r, heaviest first, with their adjusted weights. Ties keep key order,
-// so the ranking is deterministic. It ranks the key ids and builds only the
-// keys it returns.
+// so the ranking is deterministic. One pass over the box keeps the k
+// heaviest in a heap, only those k are sorted, and only the keys returned
+// are built.
 func (is *IndexedSummary) HeavyHitters(r structure.Range, k int) ([][]uint64, []float64) {
+	if k <= 0 {
+		return nil, nil
+	}
 	ids := is.ix.Keys(r)
-	slices.SortStableFunc(ids, func(a, b int32) int {
-		return cmp.Compare(is.ix.AdjustedWeight(int(b)), is.ix.AdjustedWeight(int(a)))
-	})
-	return is.keys(ids[:min(k, len(ids))])
+	// rank orders keys heaviest first, then by key id.
+	rank := func(a, b int32) int {
+		if c := cmp.Compare(is.ix.AdjustedWeight(int(b)), is.ix.AdjustedWeight(int(a))); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	if k < len(ids) {
+		// top is a heap with its last-ranked key at the root. ids arrive
+		// in key order, so a later key ranks ahead of the root exactly
+		// when it is heavier, and then replaces it.
+		top := ids[:k]
+		for i := k/2 - 1; i >= 0; i-- {
+			siftDown(top, i, rank)
+		}
+		floor := is.ix.AdjustedWeight(int(top[0]))
+		for _, id := range ids[k:] {
+			if w := is.ix.AdjustedWeight(int(id)); w > floor {
+				top[0] = id
+				siftDown(top, 0, rank)
+				floor = is.ix.AdjustedWeight(int(top[0]))
+			}
+		}
+		ids = top
+	}
+	slices.SortFunc(ids, rank)
+	return is.keys(ids)
+}
+
+// siftDown restores the heap below position i, keeping the key that ranks
+// last at the root.
+func siftDown(h []int32, i int, rank func(a, b int32) int) {
+	for {
+		last := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && rank(h[last], h[c]) < 0 {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 // keys returns the coordinates and adjusted weights of the given sample

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"structaware/internal/hierarchy"
@@ -169,6 +171,51 @@ func TestIndexedSummaryAfterSerialization(t *testing.T) {
 		got, want := is.EstimateRange(box), sum.EstimateRange(box)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: indexed-from-bytes %v != linear %v", trial, got, want)
+		}
+	}
+}
+
+// TestHeavyHittersMatchStableSort checks HeavyHitters' top-k selection
+// against the ranking it replaced, kept here as the reference: stably sort
+// the box's keys (in key order) by adjusted weight, heaviest first, and
+// take the first k. Every light key's adjusted weight is τ, so most
+// comparisons are ties that key order must break.
+func TestHeavyHittersMatchStableSort(t *testing.T) {
+	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
+	ds := indexedDataset(t, axes, 4000, 5)
+	sum, err := Build(ds, Config{Size: 300, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	is, err := sum.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xmath.NewRand(56)
+	widths := []float64{0.02, 0.2, 0.5, 1.0}
+	for trial := 0; trial < 200; trial++ {
+		box := randomIdxBox(axes, widths[trial%len(widths)], r)
+		keys, ws := sum.RepresentativeKeys(box, 0)
+		order := make([]int, len(ws))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ws[b], ws[a]) })
+		m := len(ws)
+		for _, k := range []int{1, 3, m - 1, m, m + 5} {
+			if k < 1 {
+				continue
+			}
+			gk, gw := is.HeavyHitters(box, k)
+			want := order[:min(k, m)]
+			if len(gk) != len(want) || len(gw) != len(want) {
+				t.Fatalf("trial %d k=%d: %d keys, want %d", trial, k, len(gk), len(want))
+			}
+			for i, j := range want {
+				if math.Float64bits(gw[i]) != math.Float64bits(ws[j]) || !slices.Equal(gk[i], keys[j]) {
+					t.Fatalf("trial %d k=%d rank %d: key %v weight %v, want %v weight %v", trial, k, i, gk[i], gw[i], keys[j], ws[j])
+				}
+			}
 		}
 	}
 }

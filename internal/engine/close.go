@@ -35,15 +35,15 @@ const (
 // weights, fills the candidate probabilities, normalizes their mass to an
 // integer, and closes them with the selected pass.
 //
-// items lists the candidate dataset indices; nil means every item. p is
-// caller-provided scratch of length ds.Len(); only entries at item positions
-// are written (shard-parallel callers share one vector across disjoint index
-// ranges). On return p[i] is 1 for kept items and 0 otherwise, kept holds
-// the sampled indices ascending, and tau is the IPPS threshold (0 when the
-// population fit, i.e. the sample is exact). kept may be empty without error
-// when the items carry no positive weight; callers decide whether that is
-// fatal. a supplies the build's scratch (one arena per worker); nil uses a
-// call-local arena.
+// items lists the candidate dataset indices; nil means every item in index
+// order. p is caller-provided scratch of length ds.Len(); only entries at
+// item positions are written (shard-parallel callers share one vector
+// across disjoint index ranges). On return p[i] is 1 for kept items and 0
+// otherwise, kept holds the sampled indices ascending, and tau is the IPPS
+// threshold (0 when the population fit, i.e. the sample is exact). kept
+// may be empty without error when the items carry no positive weight;
+// callers decide whether that is fatal. a supplies the build's scratch (one
+// arena per worker); nil uses a call-local arena.
 func Close(ds *structure.Dataset, items []int, p []float64, size int, mode CloseMode, r xmath.Rand, a *Arena) (kept []int, tau float64, err error) {
 	if size <= 0 {
 		return nil, 0, ipps.ErrBadSize
@@ -51,53 +51,50 @@ func Close(ds *structure.Dataset, items []int, p []float64, size int, mode Close
 	if a == nil {
 		a = NewArena()
 	}
-	ws := ds.Weights
-	if items != nil {
-		if lo, ok := contiguous(items); ok {
-			// Columnar fast path: a contiguous shard's candidate weights are
-			// a sub-column of the dataset — no gather copy needed.
-			ws = ds.Weights[lo : lo+len(items)]
-		} else {
-			ws = a.weights(len(items))
-			for k, i := range items {
-				ws[k] = ds.Weights[i]
-			}
+	if items == nil {
+		items = indexRange(0, ds.Len())
+	}
+	var ws []float64
+	if lo, ok := contiguous(items); ok {
+		// Columnar fast path: a contiguous shard's candidate weights are
+		// a sub-column of the dataset — no gather copy needed.
+		ws = ds.Weights[lo : lo+len(items)]
+	} else {
+		ws = a.weights(len(items))
+		for k, i := range items {
+			ws[k] = ds.Weights[i]
 		}
 	}
 	tau, err = ipps.Threshold(ws, size)
 	if err != nil {
 		return nil, 0, err
 	}
-	if items == nil {
-		for i, w := range ds.Weights {
-			p[i] = ippsProbability(w, tau)
-		}
-		if tau > 0 {
-			ipps.NormalizeToInteger(p, 1e-6)
-		}
-	} else {
-		for _, i := range items {
-			p[i] = ippsProbability(ds.Weights[i], tau)
-		}
-		if tau > 0 {
-			normalizeCandidates(p, items)
-		}
+	for _, i := range items {
+		p[i] = ippsProbability(ds.Weights[i], tau)
+	}
+	if tau > 0 {
+		normalizeCandidates(p, items)
 	}
 	if err := closePass(ds, items, p, mode, r, a); err != nil {
 		return nil, 0, err
 	}
-	if items == nil {
-		kept = paggr.SampleIndices(p)
-	} else {
-		kept = make([]int, 0, size)
-		for _, i := range items {
-			if p[i] == 1 {
-				kept = append(kept, i)
-			}
+	kept = make([]int, 0, size)
+	for _, i := range items {
+		if p[i] == 1 {
+			kept = append(kept, i)
 		}
-		xsort.Ints(kept, &a.Sort)
 	}
+	xsort.Ints(kept, &a.Sort)
 	return kept, tau, nil
+}
+
+// indexRange returns the dataset indices lo, lo+1, …, hi−1.
+func indexRange(lo, hi int) []int {
+	items := make([]int, hi-lo)
+	for k := range items {
+		items[k] = lo + k
+	}
+	return items
 }
 
 // contiguous reports whether items is exactly [lo, lo+len) ascending, the
@@ -133,15 +130,9 @@ func ippsProbability(w, tau float64) float64 {
 func closePass(ds *structure.Dataset, items []int, p []float64, mode CloseMode, r xmath.Rand, a *Arena) error {
 	switch mode {
 	case CloseOblivious:
-		var shuffled []int
-		if items == nil {
-			shuffled = xmath.Perm(r, ds.Len())
-		} else {
-			order := xmath.Perm(r, len(items))
-			shuffled = make([]int, len(items))
-			for k, o := range order {
-				shuffled[k] = items[o]
-			}
+		shuffled := xmath.Perm(r, len(items))
+		for k, o := range shuffled {
+			shuffled[k] = items[o]
 		}
 		left := paggr.AggregateSequence(p, shuffled, r)
 		paggr.ResolveLeftover(p, left, r)

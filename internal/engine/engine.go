@@ -185,11 +185,7 @@ func shardBounds(n, w int) [][2]int {
 // shard with at most cfg.Size positive items keeps them all (threshold 0),
 // which the merge step then thresholds globally.
 func sampleShard(ds *structure.Dataset, p []float64, lo, hi int, cfg Config, r xmath.Rand, a *Arena) (varopt.Shard, error) {
-	items := make([]int, hi-lo)
-	for k := range items {
-		items[k] = lo + k
-	}
-	kept, tau, err := Close(ds, items, p, cfg.Size, cfg.mode(), r, a)
+	kept, tau, err := Close(ds, indexRange(lo, hi), p, cfg.Size, cfg.mode(), r, a)
 	if err != nil {
 		return varopt.Shard{}, err
 	}
@@ -202,13 +198,12 @@ func sampleShard(ds *structure.Dataset, p []float64, lo, hi int, cfg Config, r x
 
 // Summarize runs the paper's structure-aware closing pass over the listed
 // items, driving every fractional entry of p among them to 0/1 in place
-// (entries outside items must already be settled). A nil items slice means
-// every item of the dataset. One-dimensional datasets dispatch on the axis
-// kind — hierarchy axes get the ∆ < 1 scheme, ordered axes the ∆ < 2 order
-// scheme — and multi-dimensional datasets use KD-HIERARCHY (§4). It is
-// shared by the serial builder (internal/core, over all items) and the
-// parallel merge (over the shard candidates). a supplies the build's
-// scratch; nil uses a call-local arena.
+// (entries outside items must already be settled). One-dimensional
+// datasets dispatch on the axis kind — hierarchy axes get the ∆ < 1
+// scheme, ordered axes the ∆ < 2 order scheme — and multi-dimensional
+// datasets use KD-HIERARCHY (§4). It is shared by the serial builder
+// (internal/core, over all items) and the parallel merge (over the shard
+// candidates). a supplies the build's scratch; nil uses a call-local arena.
 func Summarize(ds *structure.Dataset, items []int, p []float64, r xmath.Rand, a *Arena) error {
 	if a == nil {
 		a = NewArena()
@@ -217,20 +212,10 @@ func Summarize(ds *structure.Dataset, items []int, p []float64, r xmath.Rand, a 
 		summarize1D(ds, 0, items, p, r, a)
 		return nil
 	}
-	var fractional []int
-	if items == nil {
-		fractional = a.ints(len(p))
-		for i, pi := range p {
-			if pi > 0 && pi < 1 {
-				fractional = append(fractional, i)
-			}
-		}
-	} else {
-		fractional = a.ints(len(items))
-		for _, i := range items {
-			if pi := p[i]; pi > 0 && pi < 1 {
-				fractional = append(fractional, i)
-			}
+	fractional := a.ints(len(items))
+	for _, i := range items {
+		if pi := p[i]; pi > 0 && pi < 1 {
+			fractional = append(fractional, i)
 		}
 	}
 	switch {
@@ -251,15 +236,9 @@ func summarize1D(ds *structure.Dataset, axis int, items []int, p []float64, r xm
 		aware.BitTrie(p, order, ds.Coords[axis], ax.Bits, r)
 	case structure.Explicit:
 		itemsAtLeaf := make([][]int, ax.Tree.NumLeaves())
-		if items == nil {
-			for i, pos := range ds.Coords[axis] {
-				itemsAtLeaf[pos] = append(itemsAtLeaf[pos], i)
-			}
-		} else {
-			for _, i := range items {
-				pos := ds.Coords[axis][i]
-				itemsAtLeaf[pos] = append(itemsAtLeaf[pos], i)
-			}
+		for _, i := range items {
+			pos := ds.Coords[axis][i]
+			itemsAtLeaf[pos] = append(itemsAtLeaf[pos], i)
 		}
 		aware.Hierarchy(ax.Tree, itemsAtLeaf, p, r)
 	default:
@@ -269,25 +248,16 @@ func summarize1D(ds *structure.Dataset, axis int, items []int, p []float64, r xm
 }
 
 // CoordOrder returns the items sorted ascending by their coordinate on the
-// axis — the visit order of the one-dimensional summarizers, shared with
-// internal/core's systematic path. A nil items slice means every item of
-// the dataset; the input slice is never reordered. The returned slice is
-// arena-owned scratch (valid until the arena's next use); equal coordinates
-// keep their order in items (stable radix), so the visit order is a
-// deterministic function of the inputs.
+// axis — the visit order of the one-dimensional summarizers and of the
+// systematic closing pass. The input slice is never reordered. The
+// returned slice is arena-owned scratch (valid until the arena's next
+// use); equal coordinates keep their order in items (stable radix), so the
+// visit order is a deterministic function of the inputs.
 func CoordOrder(ds *structure.Dataset, axis int, items []int, a *Arena) []int {
 	if a == nil {
 		a = NewArena()
 	}
-	var order []int
-	if items == nil {
-		order = a.ints(ds.Len())
-		for i := 0; i < ds.Len(); i++ {
-			order = append(order, i)
-		}
-	} else {
-		order = append(a.ints(len(items)), items...)
-	}
+	order := append(a.ints(len(items)), items...)
 	xsort.SortBy(order, ds.Coords[axis], &a.Sort)
 	return order
 }

@@ -4,28 +4,35 @@ import (
 	"fmt"
 	"time"
 
-	"structaware/internal/backend"
+	"structaware/internal/core"
 	"structaware/internal/structure"
-	"structaware/internal/twopass"
 	"structaware/internal/workload"
 	"structaware/internal/xmath"
 )
 
-// The backends comparison (sasbench -backends) builds every backend kind at
-// one matched element budget over the evaluation datasets and scores them
-// head-to-head on the same query batteries: accuracy against exact answers
-// and query throughput. The result is a JSON document: the repo's own
-// cross-backend evidence for the paper's central comparison.
+// The backends comparison (sasbench -backends) builds each family of the
+// paper's §6 comparison with BuildSummary, the figures' own constructions,
+// at one matched element budget over the evaluation datasets, and scores
+// them head-to-head on the same query batteries: accuracy against exact
+// answers and query throughput. The result is a JSON document: the repo's
+// own cross-family evidence for the paper's central comparison.
 
-// BackendStats is one backend's score on one query battery.
+// CompareMethods lists the families the comparison builds, in report order:
+// the §5 two-pass structure-aware sample, the streaming q-digest, the
+// wavelet and the sketch.
+var CompareMethods = []string{MAware, MQDigest, MWavelet, MSketch}
+
+// BackendStats is one family's score on one query battery.
 type BackendStats struct {
-	// Kind is the backend family (sample, qdigest, wavelet, sketch).
+	// Kind is the family's method name (aware, qdigest, wavelet, sketch).
 	Kind string `json:"kind"`
 	// Elements is the realized summary footprint: at most the requested
 	// budget (thresholding and compaction may retain fewer elements),
 	// except for the sketch, which keeps at least one counter per row per
 	// dyadic level pair and so exceeds budgets below that floor.
 	Elements int `json:"elements"`
+	// OverBudget marks a row whose Elements exceed the budget.
+	OverBudget bool `json:"over_budget,omitempty"`
 	// BuildMillis is the construction time for this dataset.
 	BuildMillis float64 `json:"build_ms"`
 	// MeanRelErr and MaxRelErr are |est−exact|/exact over the battery,
@@ -40,7 +47,7 @@ type BackendStats struct {
 	QueriesPerSec float64 `json:"queries_per_sec"`
 }
 
-// BackendBattery is one query battery's scores across all backends.
+// BackendBattery is one query battery's scores across all families.
 type BackendBattery struct {
 	// Name identifies the battery shape (uniform-area, uniform-weight).
 	Name string `json:"name"`
@@ -73,14 +80,11 @@ type BackendsReport struct {
 // µs-scale queries average over timer noise.
 const minThroughputWindow = 50 * time.Millisecond
 
-// CompareBackends runs the head-to-head comparison: every backend kind at
-// the same element budget, over the network and tickets datasets, scored on
-// uniform-area and uniform-weight batteries.
+// CompareBackends runs the head-to-head comparison: every family of
+// CompareMethods at the same element budget, over the network and tickets
+// datasets, scored on uniform-area and uniform-weight batteries.
 func CompareBackends(o Options, size int) (*BackendsReport, error) {
 	o = o.defaults()
-	if size <= 0 {
-		size = backend.DefaultSize
-	}
 	rep := &BackendsReport{Size: size, Queries: o.Queries, Scale: o.Scale, Seed: o.Seed}
 	for _, src := range []struct {
 		name string
@@ -106,22 +110,25 @@ func compareOnDataset(o Options, ds *structure.Dataset, name string, size int) (
 	total := ds.TotalWeight()
 	dr := BackendDataset{Name: name, Keys: ds.Len(), TotalWeight: total}
 
-	// Build all four backends from the identical columnar stream at the
-	// identical budget — the matched-memory premise of the comparison.
-	type built struct {
-		kind  backend.Kind
-		be    *backend.Backend
-		build time.Duration
-	}
-	builds := make([]built, 0, len(backend.Kinds))
-	for _, kind := range backend.Kinds {
-		start := time.Now()
-		be, err := backend.Build(ds.Axes, &twopass.DatasetSource{DS: ds},
-			backend.Config{Kind: kind, Size: size, Seed: o.Seed})
+	// Build every family over the identical dataset at the identical
+	// budget — the matched-memory premise of the comparison.
+	builds := make([]Built, 0, len(CompareMethods))
+	for _, m := range CompareMethods {
+		b, err := BuildSummary(m, ds, size, o.Seed)
 		if err != nil {
-			return BackendDataset{}, fmt.Errorf("expt: build %s/%s: %w", name, kind, err)
+			return BackendDataset{}, fmt.Errorf("%w on %s", err, name)
 		}
-		builds = append(builds, built{kind, be, time.Since(start)})
+		if sum, ok := b.Summary.(*core.Summary); ok {
+			// A sample is scored through the index sasserve serves from,
+			// so its throughput is the serving path's; the build time
+			// includes compiling it.
+			start := time.Now()
+			if b.Summary, err = sum.Index(); err != nil {
+				return BackendDataset{}, fmt.Errorf("expt: index %s on %s: %w", m, name, err)
+			}
+			b.BuildTime += time.Since(start)
+		}
+		builds = append(builds, b)
 	}
 
 	batteries, err := backendBatteries(o, ds)
@@ -137,10 +144,11 @@ func compareOnDataset(o Options, ds *structure.Dataset, name string, size int) (
 			}
 		}
 		for _, b := range builds {
-			st := scoreBackend(b.be, bat.queries, exact, total)
-			st.Kind = string(b.kind)
-			st.Elements = b.be.Size()
-			st.BuildMillis = float64(b.build.Microseconds()) / 1e3
+			st := scoreBackend(b.Summary, bat.queries, exact, total)
+			st.Kind = b.Name
+			st.Elements = b.Summary.Size()
+			st.OverBudget = st.Elements > size
+			st.BuildMillis = float64(b.BuildTime.Microseconds()) / 1e3
 			bb.Backends = append(bb.Backends, st)
 		}
 		dr.Batteries = append(dr.Batteries, bb)
@@ -192,12 +200,12 @@ func backendBatteries(o Options, ds *structure.Dataset) ([]namedBattery, error) 
 
 // scoreBackend answers the battery once for accuracy, then replays it for
 // at least minThroughputWindow to measure single-threaded throughput.
-func scoreBackend(be *backend.Backend, queries []structure.Query, exact []float64, total float64) BackendStats {
+func scoreBackend(s Summary, queries []structure.Query, exact []float64, total float64) BackendStats {
 	var st BackendStats
 	var relSum, absSum xmath.KahanSum
 	scored := 0
 	for i, q := range queries {
-		est := be.EstimateQuery(q)
+		est := s.EstimateQuery(q)
 		d := est - exact[i]
 		if d < 0 {
 			d = -d
@@ -225,7 +233,7 @@ func scoreBackend(be *backend.Backend, queries []structure.Query, exact []float6
 	reps, start := 0, time.Now()
 	for time.Since(start) < minThroughputWindow {
 		for _, q := range queries {
-			be.EstimateQuery(q)
+			s.EstimateQuery(q)
 		}
 		reps++
 	}

@@ -5,7 +5,8 @@
 #               serve it with sasserve, query its estimate, total, quantile,
 #               representatives and heavy hitters over HTTP, and check a
 #               NaN phi and the removed -backend flag are refused;
-#   write side: start a live summary, push keys over HTTP, force a
+#   write side: start a live summary, check a batch whose weights sum
+#               past its bound is refused, push keys over HTTP, force a
 #               snapshot, query it, SIGTERM the server (must exit 0,
 #               flushing a final snapshot), restart from -snapshot-dir and
 #               re-query the recovered summary;
@@ -63,6 +64,15 @@ post() { # post <url> <body> (empty body allowed)
         curl -fsS -X POST -H 'Content-Type: application/json' -d "$2" "$1"
     else
         wget -qO- --header 'Content-Type: application/json' --post-data="$2" "$1"
+    fi
+}
+
+post_status() { # post_status <url> <body>: the HTTP status code of a POST, whatever it is
+    if command -v curl >/dev/null; then
+        curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' -d "$2" "$1"
+    else
+        { wget -S -qO /dev/null --header 'Content-Type: application/json' --post-data="$2" "$1" 2>&1 || true; } |
+            awk '/^ *HTTP\//{code=$2} END{print code}'
     fi
 }
 
@@ -141,6 +151,14 @@ HH_KEYS="$(echo "$HH" | sed -n 's/.*"keys":\(\[[^"]*\]\),"range".*/\1/p' | grep 
 NAN_STATUS="$(status "http://127.0.0.1:$PORT/v1/summaries/net/quantile?phi=NaN")"
 echo "quantile?phi=NaN: $NAN_STATUS"
 [ "$NAN_STATUS" = "400" ] || { echo "quantile?phi=NaN answered $NAN_STATUS, want 400" >&2; exit 1; }
+
+echo "== refuse a batch whose weights sum past the live summary's bound (want 400)"
+# Each weight is finite, but their sum overflows: admission refuses the
+# batch before it is logged, and the summary keeps accepting and publishing.
+OVERFLOW_STATUS="$(post_status "http://127.0.0.1:$PORT/v1/summaries/flows/keys" \
+    '{"coords":[[1,2,3],[1,2,3]],"weights":[1.7e308,1.7e308,1]}')"
+echo "overflowing batch: $OVERFLOW_STATUS"
+[ "$OVERFLOW_STATUS" = "400" ] || { echo "overflowing batch answered $OVERFLOW_STATUS, want 400" >&2; exit 1; }
 
 echo "== push keys into the live summary"
 BODY='{"coords":[[5,17,99,1033,5,2040],[7,23,99,4000,7,100]],"weights":[2,3.5,1,10,4,0.5]}'

@@ -152,9 +152,9 @@ func SampleParallel(ds *Dataset, cfg Config, workers int) (*Summary, error) {
 // weighted keys from any source (a file, a socket, stdin, one shard of a
 // partitioned population) and Finalize into a Summary without materializing
 // a Dataset. Ingestion runs through a mergeable stream VarOpt reservoir of
-// Config.Buffer keys (default Oversample×Size), and finalization uses the
-// same structure-aware closing pass as Build, so the resulting Summary has
-// the same guarantees over the retained candidates. Only the Aware and
+// Config.Buffer keys (default 5×Size), and finalization uses the same
+// structure-aware closing pass as Build, so the resulting Summary has the
+// same guarantees over the retained candidates. Only the Aware and
 // Oblivious methods stream.
 //
 // Push is allocation-free in steady state; columnar callers should prefer
