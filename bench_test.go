@@ -543,7 +543,7 @@ func BenchmarkKDSummarize(b *testing.B) {
 		copy(work, items)
 		copy(p, p0)
 		b.StartTimer()
-		if err := kd.Summarize(ds, work, p, kd.Config{}, r); err != nil {
+		if err := kd.Summarize(ds, work, p, r); err != nil {
 			b.Fatal(err)
 		}
 	}

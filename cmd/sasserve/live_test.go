@@ -923,7 +923,7 @@ func TestWALReplayRefusesOverflowingTotal(t *testing.T) {
 	st := newStore(nil, 4096, t.Logf)
 	cfg := liveConfig{size: 2, seed: liveTestCfg.Seed, dir: dir, walSync: wal.PolicyInterval}
 	err = st.initLive([]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}}, cfg)
-	if !errors.Is(err, wal.ErrApply) || !strings.Contains(err.Error(), errWeightBound.Error()) {
+	if !errors.Is(err, wal.ErrApply) || !errors.Is(err, errWeightBound) {
 		t.Fatalf("recovery of an overflowing wal: %v, want the weight bound", err)
 	}
 }

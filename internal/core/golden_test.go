@@ -122,23 +122,23 @@ func sas2Hash(t *testing.T, s *Summary) string {
 // golden3D), locking the
 // determinism contract of DESIGN.md §7: a change to sort order, RNG
 // consumption, or aggregation order on a construction path shows up here
-// as a hash change and must be deliberate. One exception: over distinct
-// keys split to one-key leaves, the order of equal coordinates inside the
-// kd-hierarchy only changes how its median's mass sums round, which these
-// inputs do not reach; internal/kd's reference tests pin that order. On
-// mismatch the test failure prints the observed hash — copy it here when
-// the change is intended.
+// as a hash change and must be deliberate. One exception: the order of
+// equal coordinates inside the kd-hierarchy changes only how its median's
+// mass sums round and the order in which a node below the closing pass's
+// cut aggregates, which these inputs need not reach; internal/kd's
+// reference tests pin that order. On mismatch the test failure prints the
+// observed hash — copy it here when the change is intended.
 //
 // The comparison runs on amd64 only: Go may fuse a*b+c into FMA on other
 // architectures, which can legitimately flip low-order float bits. The
 // run-twice and Push≡PushBatch equalities below hold everywhere.
 var goldenHashes = map[string]string{
-	"build-aware":      "67cb8675bb79391072cacb3362450bba95223e5a06345287c2b3639cf8aa5786",
-	"build-aware-3d":   "f3b16bf29842827b0e00a1bbe8f4b1b4f411460afd9ba1b612ab950a7d770676",
+	"build-aware":      "782bde287ae341e4f1dd742efdfe304cb62b2494856ffe6a2cce25487e23a38e",
+	"build-aware-3d":   "dfec44d1c16fae4d92a3969043b297f72ed8619d55f902ee35b902f729a0b868",
 	"build-oblivious":  "1f4dcd150ea9fdf17463fb140555d79476fda87fdf57b4a676d34233d4be3963",
 	"build-systematic": "9b42cb21df30c6f8b9ebe6b29c6a6457671d74e16c9d0257be73424d94914189",
-	"parallel-w3":      "d2bb23d94fc659f8b803f69db73066be2595f3f45f929e0fc5368fcceea5be7e",
-	"builder-stream":   "05297e85ce09b8389c8287e2119bd25d0fe10364eb49380a8531b37cd1b6d5c2",
+	"parallel-w3":      "f4062412bf0d82cce4b2472f5422a0fd24ebaf56964e5b724c739eb691131944",
+	"builder-stream":   "c2d59111346b1c963fe62172525cf2bfe8f1da2161ec90c2f48b43d90faf5155",
 
 	"build-twopass-product":   "693160302cf588c27c1b34bcdcfe7d11a268f62ce34223cb0fdf6fb233fd87c8",
 	"build-twopass-order":     "4286647a868a92cfbec49be4841cfc03116c4352185231290aeae01acc7c46e7",

@@ -220,7 +220,7 @@ func Summarize(ds *structure.Dataset, items []int, p []float64, r xmath.Rand, a 
 	}
 	switch {
 	case len(fractional) > 1:
-		return kd.Summarize(ds, fractional, p, kd.Config{}, r)
+		return kd.Summarize(ds, fractional, p, r)
 	case len(fractional) == 1:
 		paggr.ResolveLeftover(p, fractional[0], r)
 	}

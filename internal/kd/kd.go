@@ -9,9 +9,11 @@
 // One recursion builds the hierarchy, and it has two consumers. Build keeps
 // it as a Tree: one flat array of cells in post-order, each owning a
 // contiguous span of the reordered items, which the query index, the
-// two-pass construction and the workloads read directly. Summarize
-// pair-aggregates in post-order as the recursion returns, so the closing
-// pass never materializes a node.
+// two-pass construction and the workloads read directly; it splits down to
+// Config.MaxLeafItems. Summarize pair-aggregates in post-order as the
+// recursion returns, so the closing pass never materializes a node, and it
+// stops splitting at a node whose mass is below one, below which the order
+// of aggregation no longer changes the sample's distribution.
 //
 // The recursion sorts once: at the root it stably sorts the items once per
 // axis, and at each split it stably partitions every axis's list into the
@@ -51,12 +53,16 @@ import (
 	"structaware/internal/xsort"
 )
 
-// Config controls construction.
+// Config controls Build.
 type Config struct {
 	// MaxLeafItems stops splitting when a node holds at most this many
-	// items. Default (0) means 1: split to single keys, as Algorithm 2 does.
+	// items. Default (0) means 1: split to single keys.
 	MaxLeafItems int
 }
+
+// massCut is the closing pass's cut: Summarize leaves unsplit every node
+// whose mass is below it.
+const massCut = 1 - xmath.Eps
 
 // Cell is one node of the hierarchy: a box of the domain and the items in
 // it. An internal cell splits its box on Axis into its Left child, the
@@ -116,7 +122,8 @@ func Build(ds *structure.Dataset, items []int, p []float64, cfg Config) (*Tree, 
 	}
 	// At most len(items) leaves, so at most 2·len(items)−1 cells.
 	t := &Tree{Cells: make([]Cell, 0, 2*len(items)-1), Items: items}
-	_, t.maxDepth = construct(ds, items, p, cfg, t)
+	// No mass is below 0, so Build never cuts.
+	_, t.maxDepth = construct(ds, items, p, cfg.MaxLeafItems, 0, t)
 	if len(t.Cells) <= cap(t.Cells)/2 {
 		// Leaves of several items leave most slots unused, and the tree
 		// outlives the build (the query index keeps it): drop them.
@@ -126,17 +133,33 @@ func Build(ds *structure.Dataset, items []int, p []float64, cfg Config) (*Tree, 
 }
 
 // Summarize drives the probability vector p to 0/1 by pair-aggregating
-// along the kd-hierarchy that Build(ds, items, p, cfg) would return, with
-// lowest-LCA pair selection (post-order carry-up), exactly as the hierarchy
-// summarization of §3 applied to this tree. Any final fractional leftover
-// is resolved unbiasedly. Each node aggregates as soon as its children
-// have, so no node is kept. Like Build, it overwrites items with the
-// leaves' items, which must be distinct.
-func Summarize(ds *structure.Dataset, items []int, p []float64, cfg Config, r xmath.Rand) error {
+// along the kd-hierarchy that Build(ds, items, p, Config{}) would return,
+// with lowest-LCA pair selection (post-order carry-up), as the hierarchy
+// summarization of §3 applied to this tree, except that a node whose mass
+// is below 1 − xmath.Eps is not split: it aggregates its items in one list
+// order, as a leaf does. Any final fractional leftover is resolved
+// unbiasedly. Each node aggregates as soon as its children have, so no node
+// is kept. Like Build, it overwrites items with the leaves' items, which
+// must be distinct.
+//
+// The cut leaves the sample's distribution as the full-depth pass draws it.
+// Inside a node of mass P below 1 every pair sums below 1, so each pair
+// aggregation settles one entry at 0: m fractional items take m − 1 draws
+// in any order, and item i ends up carrying P with probability p_i/P. So
+// the sample has its exact size, its Horvitz–Thompson estimates stay
+// unbiased, and every node of Build's full-depth hierarchy keeps Δ < 1: a
+// node below the cut holds at most one item against a mass below 1.
+//
+// A node's mass is the sum of its records in the list of its first axis
+// that admits a split, the sum the weighted median then splits by, and a
+// node below the cut aggregates its records in that list's order, by their
+// coordinate on that axis. The root is no exception: a root below the cut
+// is sorted like any other and aggregated in that order.
+func Summarize(ds *structure.Dataset, items []int, p []float64, r xmath.Rand) error {
 	if err := check(ds, items); err != nil {
 		return err
 	}
-	left, _ := construct(ds, items, p, cfg, closer{p: p, r: r})
+	left, _ := construct(ds, items, p, 1, massCut, closer{p: p, r: r})
 	if left.item >= 0 {
 		p[left.item] = left.p
 	}
@@ -268,6 +291,7 @@ type builder struct {
 	lists    [][]rec
 	items    []int // receives each leaf's items at its positions
 	maxLeaf  int
+	cut      float64 // a node whose mass is below it is a leaf
 	maxDepth int
 
 	tmp           []rec    // spare list: root sort buffer, partition overflow, run sort buffer
@@ -276,9 +300,10 @@ type builder struct {
 }
 
 // construct runs the recursion over items, which check has accepted, and
-// returns the root's handle and the deepest level reached.
-func construct[H any](ds *structure.Dataset, items []int, p []float64, cfg Config, v visitor[H]) (root H, depth int) {
-	b := &builder{coords: ds.Coords, items: items, maxLeaf: cfg.MaxLeafItems}
+// returns the root's handle and the deepest level reached. A node of at
+// most maxLeaf items (at least 1), or of mass below cut, is a leaf.
+func construct[H any](ds *structure.Dataset, items []int, p []float64, maxLeaf int, cut float64, v visitor[H]) (root H, depth int) {
+	b := &builder{coords: ds.Coords, items: items, maxLeaf: maxLeaf, cut: cut}
 	if b.maxLeaf <= 0 {
 		b.maxLeaf = 1
 	}
@@ -390,16 +415,27 @@ func node[H any](b *builder, v visitor[H], lo, hi, depth, order, grand int) H {
 	if depth > b.maxDepth {
 		b.maxDepth = depth
 	}
+	// A leaf lists its items in its parent's order. The root is such a leaf
+	// only when its items share every coordinate, and then the stable sort
+	// left every list in the order of items.
+	leafList := max(order, 0)
 	if hi-lo > b.maxLeaf {
 		// Try axes starting at depth mod d until one admits a split
 		// (identical coordinates on an axis make it unsplittable there).
 		dims := len(b.lists)
 		for attempt := 0; attempt < dims; attempt++ {
 			axis := (depth + attempt) % dims
-			k, split, ok := weightedMedian(b.lists[axis][lo:hi])
-			if !ok {
+			l := b.lists[axis][lo:hi]
+			if l[0].own == l[len(l)-1].own {
 				continue
 			}
+			total := mass(l)
+			if total < b.cut {
+				// Below the cut: a leaf in this list's order.
+				leafList = axis
+				break
+			}
+			k, split := weightedMedian(l, total)
 			mid := lo + k
 			b.partition(lo, mid, hi, axis, split, order, grand)
 			left := node(b, v, lo, mid, depth+1, axis, order)
@@ -409,10 +445,7 @@ func node[H any](b *builder, v visitor[H], lo, hi, depth, order, grand int) H {
 		// All axes degenerate: co-located keys (deduplication upstream
 		// makes this unreachable for distinct keys, but stay robust).
 	}
-	// A leaf lists its items in its parent's order. The root is a leaf here
-	// only when its items share every coordinate, and then the stable sort
-	// left every list in the order of items.
-	recs := b.lists[max(order, 0)][lo:hi:hi]
+	recs := b.lists[leafList][lo:hi:hi]
 	out := b.items[lo:hi:hi]
 	for k := range recs {
 		out[k] = recs[k].item
@@ -420,11 +453,22 @@ func node[H any](b *builder, v visitor[H], lo, hi, depth, order, grand int) H {
 	return v.leaf(out, recs)
 }
 
+// mass sums the masses of l's records in list order.
+//
+//sasvet:hotpath
+func mass(l []rec) float64 {
+	total := 0.0
+	for i := range l {
+		total += l[i].p
+	}
+	return total
+}
+
 // weightedMedian returns the split position k (l[:k] left, l[k:] right)
-// of a list sorted by its own coordinate, and the inclusive left-side
-// coordinate bound, choosing the coordinate boundary that best balances
-// probability mass, the first of equals. ok is false when every item
-// shares one coordinate.
+// of a list sorted by its own coordinate, whose first and last coordinates
+// differ, and the inclusive left-side coordinate bound, choosing the
+// coordinate boundary that best balances probability mass, the first of
+// equals. total is mass(l).
 //
 // Masses are non-negative and rounding is monotone, so the signed gap
 // prefix − (total − prefix) never decreases along the list. The scan
@@ -433,14 +477,7 @@ func node[H any](b *builder, v visitor[H], lo, hi, depth, order, grand int) H {
 // better.
 //
 //sasvet:hotpath
-func weightedMedian(l []rec) (k int, split uint64, ok bool) {
-	if l[0].own == l[len(l)-1].own {
-		return 0, 0, false
-	}
-	total := 0.0
-	for i := range l {
-		total += l[i].p
-	}
+func weightedMedian(l []rec, total float64) (k int, split uint64) {
 	bestK, bestGap := -1, 0.0
 	prefix := 0.0
 	for idx := 0; idx < len(l)-1; idx++ {
@@ -460,7 +497,7 @@ func weightedMedian(l []rec) (k int, split uint64, ok bool) {
 			break
 		}
 	}
-	return bestK, l[bestK-1].own, true
+	return bestK, l[bestK-1].own
 }
 
 // partition splits the node [lo, hi) at mid on axis: in every other list

@@ -197,7 +197,7 @@ func TestSummarizeExactSizeAndBoxDiscrepancy(t *testing.T) {
 			p[i] *= scale
 		}
 		p0 := append([]float64(nil), p...)
-		if err := Summarize(ds, allItems(n), p, Config{}, r); err != nil {
+		if err := Summarize(ds, allItems(n), p, r); err != nil {
 			t.Fatal(err)
 		}
 		if got := len(paggr.SampleIndices(p)); got != int(target) {
@@ -296,7 +296,7 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(ds, nil, nil, Config{}); err == nil {
 		t.Fatal("empty items must error")
 	}
-	if err := Summarize(ds, nil, nil, Config{}, r); err == nil {
+	if err := Summarize(ds, nil, nil, r); err == nil {
 		t.Fatal("empty items must error")
 	}
 }
@@ -340,7 +340,7 @@ func TestSummarizeAllocsIndependentOfSize(t *testing.T) {
 		p, items := make([]float64, len(p0)), allItems(ds.Len())
 		summarize = testing.AllocsPerRun(3, func() {
 			copy(p, p0)
-			if err := Summarize(ds, items, p, Config{}, r); err != nil {
+			if err := Summarize(ds, items, p, r); err != nil {
 				t.Fatal(err)
 			}
 		})

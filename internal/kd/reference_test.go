@@ -18,7 +18,9 @@ import (
 // and cuts them at the weighted median, building one heap-allocated node
 // per node, and Summarize then walks the finished tree. It is kept as the
 // reference that Build must match cell for cell and that Summarize must
-// match draw for draw.
+// match draw for draw. For the closing pass it applies Summarize's cut: a
+// node whose mass, summed in its first splittable axis's order, is below
+// 1 − xmath.Eps is a leaf in that order, the root included.
 
 // refNode is a node of the reference tree. Leaves carry their items and
 // internal nodes their split.
@@ -37,14 +39,16 @@ type refTree struct {
 	root     *refNode
 	leaves   int
 	maxDepth int
+	cut      float64 // a node whose mass is below it is a leaf
 }
 
-// buildReference is Build by per-node sorting.
-func buildReference(ds *structure.Dataset, items []int, p []float64, cfg Config) *refTree {
+// buildReference is Build by per-node sorting, or with cut 1 − xmath.Eps
+// the hierarchy Summarize aggregates along.
+func buildReference(ds *structure.Dataset, items []int, p []float64, cfg Config, cut float64) *refTree {
 	if cfg.MaxLeafItems <= 0 {
 		cfg.MaxLeafItems = 1
 	}
-	t := &refTree{}
+	t := &refTree{cut: cut}
 	t.root = t.build(ds, items, p, cfg, new(xsort.Scratch), 0)
 	return t
 }
@@ -61,16 +65,19 @@ func (t *refTree) build(ds *structure.Dataset, items []int, p []float64, cfg Con
 	dims := ds.Dims()
 	for attempt := 0; attempt < dims; attempt++ {
 		axis := (depth + attempt) % dims
-		k, split, ok := weightedMedianSplit(ds.Coords[axis], items, p, s)
+		k, split, total, ok := weightedMedianSplit(ds.Coords[axis], items, p, s)
 		if !ok {
 			continue
+		}
+		if total < t.cut {
+			break // a leaf in the order the sort left
 		}
 		n := &refNode{axis: axis, split: split, leaf: -1}
 		n.left = t.build(ds, items[:k], p, cfg, s, depth+1)
 		n.right = t.build(ds, items[k:], p, cfg, s, depth+1)
 		return n
 	}
-	// All axes degenerate: co-located keys.
+	// All axes degenerate (co-located keys), or below the cut.
 	return t.newLeaf(items)
 }
 
@@ -84,13 +91,12 @@ func (t *refTree) newLeaf(items []int) *refNode {
 
 // weightedMedianSplit sorts items by their coordinate on the given axis
 // (stable radix: equal coordinates keep their current order) and returns the
-// split position k (items[:k] left, items[k:] right) and the inclusive
+// split position k (items[:k] left, items[k:] right), the inclusive
 // left-side coordinate bound, choosing the coordinate boundary that best
-// balances probability mass. ok is false when every item shares one
-// coordinate.
-func weightedMedianSplit(coords []uint64, items []int, p []float64, s *xsort.Scratch) (k int, split uint64, ok bool) {
+// balances probability mass, and the items' mass summed in sorted order. ok
+// is false when every item shares one coordinate.
+func weightedMedianSplit(coords []uint64, items []int, p []float64, s *xsort.Scratch) (k int, split uint64, total float64, ok bool) {
 	xsort.SortBy(items, coords, s)
-	total := 0.0
 	for _, i := range items {
 		total += p[i]
 	}
@@ -110,9 +116,9 @@ func weightedMedianSplit(coords []uint64, items []int, p []float64, s *xsort.Scr
 		}
 	}
 	if bestK == -1 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
-	return bestK, coords[items[bestK-1]], true
+	return bestK, coords[items[bestK-1]], total, true
 }
 
 // summarize is Summarize over a built tree.
@@ -153,8 +159,9 @@ type refInput struct {
 // in a few high bits above constant low digits), so that the root sort runs
 // odd and even numbers of passes and skips digits; one axis is sometimes
 // constant. The masses are fine, coarse (eighths, whose sums are exact),
-// extreme (refMasses), or coarse and mirrored along axis 0 (mirror). The
-// items are a shuffled subset of the keys, or all of them when mirrored.
+// extreme (refMasses), coarse and mirrored along axis 0 (mirror), or near
+// the cut (cutMasses over one k). The items are a shuffled subset of the
+// keys, or all of them when mirrored.
 func randomRefInput(r *xmath.SplitMix) refInput {
 	dims := 2 + r.Intn(3)
 	n := 1 + r.Intn(400)
@@ -181,9 +188,11 @@ func randomRefInput(r *xmath.SplitMix) refInput {
 		}
 	}
 	p := make([]float64, n)
-	kind := r.Intn(4)
+	kind, k := r.Intn(5), 2+r.Intn(7)
 	for i := range p {
 		switch {
+		case kind == 4:
+			p[i] = cutMasses[r.Intn(len(cutMasses))] / float64(k)
 		case kind == 2 && r.Intn(2) == 0:
 			p[i] = refMasses[r.Intn(len(refMasses))]
 		case kind%2 == 0:
@@ -222,6 +231,13 @@ var refMasses = []float64{
 	1 - xmath.Eps, 1 - xmath.Eps/2, 1, 1e17,
 }
 
+// cutMasses, divided by one k, give k items a mass within a few ULPs of
+// the closing pass's cut at 1 − xmath.Eps, or of 1, on either side of it.
+var cutMasses = []float64{
+	math.Nextafter(1-xmath.Eps, 0), 1 - xmath.Eps, math.Nextafter(1-xmath.Eps, 1),
+	1 - 0x1p-51, 1, 1 + 0x1p-50,
+}
+
 // mirror makes the masses a palindrome along axis 0: it cuts the keys to a
 // multiple of k, gives key i the coordinate c = i mod k on axis 0 and the
 // mass of key min(c, k−1−c). With k odd and exact sums, the root's two
@@ -241,19 +257,20 @@ func mirror(in *refInput, k int) {
 	}
 }
 
-// decodeRefInput reads a case from fuzz bytes: a header of the axis count,
-// the leaf size and mirror flag, the constant axis and mirror width, each
-// axis's width and a seed, then one record per key of a coordinate byte
-// per axis and a mass byte. A coordinate byte fills the top 8 bits of its
-// axis's 1–64-bit width, above low bits the seed fixes; a mass byte is
-// (1+b)/256, or one of refMasses from 240 up. The seed shuffles the items
-// and seeds the closing pass. ok is false when the bytes hold no whole key.
+// decodeRefInput reads a case from fuzz bytes: a header of the axis count
+// and cut divisor k, the leaf size and mirror flag, the constant axis and
+// mirror width, each axis's width and a seed, then one record per key of a
+// coordinate byte per axis and a mass byte. A coordinate byte fills the top
+// 8 bits of its axis's 1–64-bit width, above low bits the seed fixes; a
+// mass byte is (1+b)/256, one of cutMasses over k from 224, or one of
+// refMasses from 240 up. The seed shuffles the items and seeds the closing
+// pass. ok is false when the bytes hold no whole key.
 func decodeRefInput(data []byte) (in refInput, ok bool) {
 	const header = 3 + 4 + 8
 	if len(data) < header {
 		return in, false
 	}
-	dims := 2 + int(data[0])%3
+	dims, k := 2+int(data[0])%3, 2+int(data[0]/3)%7
 	in.maxLeaf = 1
 	if data[1]%2 == 1 {
 		in.maxLeaf = 8
@@ -285,10 +302,12 @@ func decodeRefInput(data []byte) (in refInput, ok bool) {
 	}
 	in.p = make([]float64, n)
 	for i := range in.p {
-		b := int(body[i*(dims+1)+dims])
-		if b >= 240 {
+		switch b := int(body[i*(dims+1)+dims]); {
+		case b >= 240:
 			in.p[i] = refMasses[(b-240)%len(refMasses)]
-		} else {
+		case b >= 224:
+			in.p[i] = cutMasses[(b-224)%len(cutMasses)] / float64(k)
+		default:
 			in.p[i] = float64(1+b) / 256
 		}
 	}
@@ -308,7 +327,7 @@ func checkBuildMatchesReference(t *testing.T, in refInput) {
 	t.Helper()
 	cfg := Config{MaxLeafItems: in.maxLeaf}
 	wantItems := slices.Clone(in.items)
-	want := buildReference(in.ds, wantItems, in.p, cfg)
+	want := buildReference(in.ds, wantItems, in.p, cfg, 0)
 	gotItems := slices.Clone(in.items)
 	got, err := Build(in.ds, gotItems, in.p, cfg)
 	if err != nil {
@@ -360,15 +379,16 @@ func checkBuildMatchesReference(t *testing.T, in refInput) {
 
 // checkCloseMatchesReference runs the closing pass both ways from one seed
 // and requires bitwise-equal probabilities and the same number of draws.
+// The closing pass splits down to single items above the cut, so the case's
+// leaf size does not apply.
 func checkCloseMatchesReference(t *testing.T, in refInput) {
 	t.Helper()
-	cfg := Config{MaxLeafItems: in.maxLeaf}
 	want := slices.Clone(in.p)
 	wantRand := xmath.NewRand(in.seed)
-	buildReference(in.ds, slices.Clone(in.items), want, cfg).summarize(want, wantRand)
+	buildReference(in.ds, slices.Clone(in.items), want, Config{}, 1-xmath.Eps).summarize(want, wantRand)
 	got := slices.Clone(in.p)
 	gotRand := xmath.NewRand(in.seed)
-	if err := Summarize(in.ds, slices.Clone(in.items), got, cfg, gotRand); err != nil {
+	if err := Summarize(in.ds, slices.Clone(in.items), got, gotRand); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {

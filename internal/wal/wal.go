@@ -85,9 +85,10 @@ const (
 	DefaultSyncEvery = 100 * time.Millisecond
 )
 
-// Replay faults. ErrApply wraps an error returned by the caller's apply
-// function (as opposed to a decode fault of the segment bytes): an apply
-// error is never a tolerable torn tail.
+// Replay faults. An error returned by the caller's apply function (as
+// opposed to a decode fault of the segment bytes) comes back wrapped
+// together with ErrApply, so errors.Is matches either; an apply error is
+// never a tolerable torn tail.
 var (
 	ErrSegmentHeader = errors.New("wal: bad segment header")
 	ErrApply         = errors.New("wal: apply record")
@@ -653,7 +654,7 @@ func parseSegmentHeader(data []byte) (rest []byte, baseSeq uint64, err error) {
 // clean end on a record boundary. A decode fault stops the replay at the
 // last good boundary — the caller decides whether that is a tolerable
 // torn tail (final segment) or fatal corruption (any sealed segment); an
-// fn error is wrapped in ErrApply and is always fatal. ReplaySegment
+// fn error is wrapped with ErrApply and is always fatal. ReplaySegment
 // never panics on arbitrary input (FuzzWALDecode holds it to that).
 func ReplaySegment(data []byte, dec wire.Decoder, fn func(*wire.Batch) error) (records int, keys int64, good int, fault error) {
 	var batch wire.Batch
@@ -668,7 +669,7 @@ func ReplaySegment(data []byte, dec wire.Decoder, fn func(*wire.Batch) error) (r
 			return records, keys, good, err
 		}
 		if err := fn(&batch); err != nil {
-			return records, keys, good, fmt.Errorf("%w: %v", ErrApply, err)
+			return records, keys, good, fmt.Errorf("%w: %w", ErrApply, err)
 		}
 		records++
 		keys += int64(batch.Rows())

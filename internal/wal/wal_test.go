@@ -353,6 +353,37 @@ func TestApplyErrorFatalEvenOnFinalSegment(t *testing.T) {
 	}
 }
 
+// TestApplyErrorKeepsItsCause: a replay that the apply function stops
+// returns an error that errors.Is matches to the function's own error as
+// well as to ErrApply, so recovery can tell its causes apart.
+func TestApplyErrorKeepsItsCause(t *testing.T) {
+	dir := t.TempDir()
+	l := openTestLog(t, dir, 0, nil)
+	for k := 0; k < 2; k++ {
+		c, w := testBatch(k, 3)
+		if err := l.Append(c, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refused := errors.New("refused")
+	applied := 0
+	st, err := Replay(dir, "net", 0, wire.Decoder{Dims: 2}, func(*wire.Batch) error {
+		if applied++; applied == 2 {
+			return fmt.Errorf("second record: %w", refused)
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrApply) || !errors.Is(err, refused) {
+		t.Fatalf("apply error surfaced as %v, want ErrApply wrapping the refusal", err)
+	}
+	if st.Records != 1 {
+		t.Fatalf("replay applied %d records before the refusal, want 1", st.Records)
+	}
+}
+
 func TestPolicyAlwaysRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir, 2, func(o *Options) { o.Policy = PolicyAlways })
