@@ -537,6 +537,7 @@ func BenchmarkKDSummarize(b *testing.B) {
 	ds, items, p0 := kdShard(b)
 	work, p := make([]int, len(items)), make([]float64, len(p0))
 	r := xmath.NewRand(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

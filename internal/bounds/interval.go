@@ -63,7 +63,9 @@ func lowerEndpoint(est, tau, delta float64) float64 {
 }
 
 // upperEndpoint finds the largest w (>= est) whose lower-tail probability of
-// producing an estimate as small as est is still >= delta.
+// producing an estimate as small as est is still >= delta. The bracket stops
+// at the largest float64: when even that weight is not rejected, the
+// endpoint is not representable and the result is +Inf.
 func upperEndpoint(est, tau, delta float64) float64 {
 	if est <= 0 {
 		// Pr[no key of J sampled | weight w] <= e^(−w/tau) (Eq. 3 with a=0);
@@ -75,14 +77,20 @@ func upperEndpoint(est, tau, delta float64) float64 {
 	if step < est {
 		step = est
 	}
-	a, b := est, est+step
+	a, b := est, min(est+step, math.MaxFloat64)
 	for i := 0; i < 200 && EstimateTail(b, est, tau) >= delta; i++ {
+		if b == math.MaxFloat64 {
+			return math.Inf(1)
+		}
 		a = b
-		b += step
+		b = min(b+step, math.MaxFloat64)
 		step *= 2
 	}
 	for i := 0; i < 200 && b-a > 1e-9*(1+b); i++ {
 		mid := (a + b) / 2
+		if math.IsInf(mid, 1) {
+			mid = a/2 + b/2 // a + b overflowed
+		}
 		if EstimateTail(mid, est, tau) >= delta {
 			a = mid
 		} else {

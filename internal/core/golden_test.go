@@ -122,23 +122,24 @@ func sas2Hash(t *testing.T, s *Summary) string {
 // golden3D), locking the
 // determinism contract of DESIGN.md §7: a change to sort order, RNG
 // consumption, or aggregation order on a construction path shows up here
-// as a hash change and must be deliberate. One exception: the order of
-// equal coordinates inside the kd-hierarchy changes only how its median's
-// mass sums round and the order in which a node below the closing pass's
-// cut aggregates, which these inputs need not reach; internal/kd's
-// reference tests pin that order. On mismatch the test failure prints the
+// as a hash change and must be deliberate. One exception: the
+// kd-hierarchy orders equal coordinates by their position in its input, and
+// a change to that order shows only in how a median's mass sums round and
+// the order in which a node below the closing pass's cut aggregates, which
+// these inputs need not reach; internal/kd's reference tests pin that
+// order. On mismatch the test failure prints the
 // observed hash — copy it here when the change is intended.
 //
 // The comparison runs on amd64 only: Go may fuse a*b+c into FMA on other
 // architectures, which can legitimately flip low-order float bits. The
 // run-twice and Push≡PushBatch equalities below hold everywhere.
 var goldenHashes = map[string]string{
-	"build-aware":      "782bde287ae341e4f1dd742efdfe304cb62b2494856ffe6a2cce25487e23a38e",
-	"build-aware-3d":   "dfec44d1c16fae4d92a3969043b297f72ed8619d55f902ee35b902f729a0b868",
+	"build-aware":      "7158b87ee84a936b8e2186b5746dfe6056f9688cda61ea03c63adbf985e3a157",
+	"build-aware-3d":   "247f4b1cad3bc8a89dd4879c42916ad6eb5c6ef752c496faea80d7e35c1a43a5",
 	"build-oblivious":  "1f4dcd150ea9fdf17463fb140555d79476fda87fdf57b4a676d34233d4be3963",
 	"build-systematic": "9b42cb21df30c6f8b9ebe6b29c6a6457671d74e16c9d0257be73424d94914189",
-	"parallel-w3":      "f4062412bf0d82cce4b2472f5422a0fd24ebaf56964e5b724c739eb691131944",
-	"builder-stream":   "c2d59111346b1c963fe62172525cf2bfe8f1da2161ec90c2f48b43d90faf5155",
+	"parallel-w3":      "614a990aef1486c52b7008684628109ce1f4737ca1db1e0279ee6bcfccd30c53",
+	"builder-stream":   "ff0c47a532113f3761a51ca6de267e574e6198da09184ca805722ff1ef89e553",
 
 	"build-twopass-product":   "693160302cf588c27c1b34bcdcfe7d11a268f62ce34223cb0fdf6fb233fd87c8",
 	"build-twopass-order":     "4286647a868a92cfbec49be4841cfc03116c4352185231290aeae01acc7c46e7",

@@ -1,8 +1,12 @@
 package kd_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"structaware/internal/ipps"
@@ -59,20 +63,72 @@ func checkHierarchyDiscrepancy(t *testing.T, ds *structure.Dataset, items []int,
 	}
 }
 
+// networkShardHierarchy is the SHA-256 of kd.Build's cells over
+// networkShard's input at its default Config, in the encoding
+// hashCells uses.
+const networkShardHierarchy = "495dd7cb6ce220b3e11a80a4e16bba8cb9622654409df685ddf123d009a909d8"
+
+// TestBuildKeepsNetworkShardHierarchy pins every split and leaf of the
+// full-depth tree over the data perfbench builds: a change to how the
+// recursion orders its lists must not move any of them there.
+func TestBuildKeepsNetworkShardHierarchy(t *testing.T) {
+	ds, items, p := networkShard(t)
+	tree, err := kd.Build(ds, slices.Clone(items), p, kd.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashCells(tree.Cells); got != networkShardHierarchy {
+		t.Fatalf("%d cells hash to %s, want %s", len(tree.Cells), got, networkShardHierarchy)
+	}
+}
+
+// hashCells returns the hex SHA-256 of every cell's Axis, Split, Leaf, Lo
+// and Hi, little-endian, cell after cell.
+func hashCells(cells []kd.Cell) string {
+	h := sha256.New()
+	buf := make([]byte, 0, 24)
+	for _, c := range cells {
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(c.Axis))
+		buf = binary.LittleEndian.AppendUint64(buf, c.Split)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Leaf))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Lo))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Hi))
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// shard holds networkShard's input, built once for the package's tests.
+var shard struct {
+	once  sync.Once
+	ds    *structure.Dataset
+	items []int
+	p     []float64
+	err   error
+}
+
 // networkShard is BenchmarkKDSummarize's input: the first half of 2^20
 // workload.Network pairs on two 20-bit axes, and the items of that half
 // that are fractional at its IPPS threshold for 4,096 keys, with their
-// probabilities.
+// probabilities. Every caller shares one copy and must not modify it.
 func networkShard(t *testing.T) (*structure.Dataset, []int, []float64) {
 	t.Helper()
+	shard.once.Do(func() { shard.ds, shard.items, shard.p, shard.err = buildNetworkShard() })
+	if shard.err != nil {
+		t.Fatal(shard.err)
+	}
+	return shard.ds, shard.items, shard.p
+}
+
+func buildNetworkShard() (*structure.Dataset, []int, []float64, error) {
 	ds, err := workload.Network(workload.NetworkConfig{Pairs: 1 << 20, Bits: 20, Seed: 5})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, err
 	}
 	half := ds.Weights[:ds.Len()/2]
 	tau, err := ipps.Threshold(half, 4096)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, err
 	}
 	p := make([]float64, ds.Len())
 	copy(p, ipps.Probabilities(half, tau))
@@ -82,5 +138,5 @@ func networkShard(t *testing.T) (*structure.Dataset, []int, []float64) {
 			items = append(items, i)
 		}
 	}
-	return ds, items, p
+	return ds, items, p, nil
 }

@@ -19,17 +19,20 @@
 // axis, and at each split it stably partitions every axis's list into the
 // two children (Wald and Havran, "On building fast kd-trees for ray
 // tracing, and on doing that in O(N log N)", IEEE RT 2006). Each list then
-// holds a node's items in exactly the order a stable sort of the node's
-// items by that axis would give them, so the hierarchy is the one a per-node
-// sort builds, down to the order of equal coordinates.
+// holds a node's items by that axis's coordinate and equal coordinates by
+// their position in the items given to the root. A split falls between two
+// distinct coordinates, so equal coordinates always go to one child: their
+// order never decides a split, only how a mass sum rounds and the order in
+// which the closing pass aggregates a node below mass one.
 //
 // The pass is bound by the memory it moves, so every step reads the
 // records sequentially and touches as few bytes as it can: the root sorts
 // the records themselves, with no key array beside them; the weighted
-// median stops scanning where the mass balance crosses zero; and the closing
-// pass takes each item's mass from its record and carries leftover
-// probabilities up the recursion, so it writes p only where an entry
-// settles and never reads it at random.
+// median stops scanning where the mass balance crosses zero; a child takes
+// its mass from the partition that wrote its records rather than from a
+// pass of its own; and the closing pass takes each item's mass from its
+// record and carries leftover probabilities up the recursion, so it writes
+// p only where an entry settles and never reads it at random.
 //
 // The same tree doubles as the space partition of the I/O-efficient two-pass
 // construction (§5): built over the pass-1 sample S′, its leaves are the
@@ -44,13 +47,13 @@ package kd
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
 	"structaware/internal/paggr"
 	"structaware/internal/structure"
 	"structaware/internal/xmath"
-	"structaware/internal/xsort"
 )
 
 // Config controls Build.
@@ -114,8 +117,8 @@ func (t *Tree) MaxDepth() int { return t.maxDepth }
 // while the tree is in use. The built tree is a deterministic function of
 // (ds, items order, p) — part of the determinism contract of DESIGN.md §7.
 // Each node orders its items by their coordinate on its split axis,
-// breaking ties by the order its parent gave them (at the root, the order
-// of items), and a leaf lists its items in the order its parent gave them.
+// breaking ties by their position in items, and a leaf lists its items in
+// the order its parent gave them (at the root, the order of items).
 func Build(ds *structure.Dataset, items []int, p []float64, cfg Config) (*Tree, error) {
 	if err := check(ds, items); err != nil {
 		return nil, err
@@ -152,9 +155,10 @@ func Build(ds *structure.Dataset, items []int, p []float64, cfg Config) (*Tree, 
 //
 // A node's mass is the sum of its records in the list of its first axis
 // that admits a split, the sum the weighted median then splits by, and a
-// node below the cut aggregates its records in that list's order, by their
-// coordinate on that axis. The root is no exception: a root below the cut
-// is sorted like any other and aggregated in that order.
+// node below the cut aggregates its records in that list's order: by their
+// coordinate on that axis, equal coordinates by their position in items.
+// The root is no exception: a root below the cut is sorted like any other
+// and aggregated in that order.
 func Summarize(ds *structure.Dataset, items []int, p []float64, r xmath.Rand) error {
 	if err := check(ds, items); err != nil {
 		return err
@@ -275,8 +279,8 @@ func (c closer) pair(a, b held) held {
 }
 
 // rec is one item's entry in an axis list: its coordinate on the list's own
-// axis, its coordinate on the axis the node being split splits (the key of
-// the partition and of the run sort), its mass and its index.
+// axis, its coordinate on the axis the node being split splits (the
+// partition's key), its mass and its index.
 type rec struct {
 	own, key uint64
 	p        float64
@@ -285,7 +289,7 @@ type rec struct {
 
 // builder is the state of one construction. Every node owns the positions
 // [lo, hi) of every list, and each list holds the node's items ordered by
-// its own axis's coordinate, equal coordinates in the node's order.
+// its own axis's coordinate, equal coordinates by their position in items.
 type builder struct {
 	coords   [][]uint64
 	lists    [][]rec
@@ -293,10 +297,7 @@ type builder struct {
 	maxLeaf  int
 	cut      float64 // a node whose mass is below it is a leaf
 	maxDepth int
-
-	tmp           []rec    // spare list: root sort buffer, partition overflow, run sort buffer
-	keys, tmpKeys []uint64 // run sort keys
-	counts        [256]int // run sort histogram
+	tmp      []rec // spare list: root sort buffer, partition overflow
 }
 
 // construct runs the recursion over items, which check has accepted, and
@@ -322,15 +323,11 @@ func construct[H any](ds *structure.Dataset, items []int, p []float64, maxLeaf i
 // sortLists fills one list per axis with the items in their input order
 // and stably sorts each by its own coordinate. With two axes a list's key
 // is always the other axis's coordinate; with more, partition refills it.
-// The run sort's key arrays are as long as the longest run of equal own
-// coordinate in a root list: a node's run in a list holds some of the
-// items of the root's run of that coordinate, so no run is longer.
 func (b *builder) sortLists(p []float64) {
 	n, dims := len(b.items), len(b.coords)
 	b.tmp = make([]rec, n)
 	b.lists = make([][]rec, dims)
 	counts := make([][radix]int, maxDigits)
-	longest := 0
 	for a := range b.lists {
 		l := make([]rec, n)
 		own, key := b.coords[a], b.coords[(a+1)%dims]
@@ -340,24 +337,7 @@ func (b *builder) sortLists(p []float64) {
 			bound |= own[i]
 		}
 		b.lists[a], b.tmp = sortRecords(l, b.tmp, bound, counts)
-		longest = max(longest, longestRun(b.lists[a]))
 	}
-	b.keys, b.tmpKeys = make([]uint64, longest), make([]uint64, longest)
-}
-
-// longestRun returns the length of the longest run of equal own
-// coordinate in l, which is sorted by it.
-func longestRun(l []rec) int {
-	longest := 0
-	for s := 0; s < len(l); {
-		e := s + 1
-		for e < len(l) && l[e].own == l[s].own {
-			e++
-		}
-		longest = max(longest, e-s)
-		s = e
-	}
-	return longest
 }
 
 // The root sort's digits: 11 bits, so that 20-bit coordinates take two
@@ -410,8 +390,9 @@ func sortRecords(l, spare []rec, bound uint64, counts [][radix]int) (sorted, fre
 // node builds the node over positions [lo, hi) at the given depth and
 // returns its handle. order is the parent's split axis, whose list holds
 // the items in the node's order, or -1 at the root, whose order is that of
-// items; grand is the grandparent's split axis, or -1.
-func node[H any](b *builder, v visitor[H], lo, hi, depth, order, grand int) H {
+// items. first is the mass of the list of axis depth mod d over [lo, hi),
+// as mass would sum it, or -1 when the parent did not sum it.
+func node[H any](b *builder, v visitor[H], lo, hi, depth, order int, first float64) H {
 	if depth > b.maxDepth {
 		b.maxDepth = depth
 	}
@@ -429,7 +410,10 @@ func node[H any](b *builder, v visitor[H], lo, hi, depth, order, grand int) H {
 			if l[0].own == l[len(l)-1].own {
 				continue
 			}
-			total := mass(l)
+			total := first
+			if attempt > 0 || total < 0 {
+				total = mass(l)
+			}
 			if total < b.cut {
 				// Below the cut: a leaf in this list's order.
 				leafList = axis
@@ -437,9 +421,9 @@ func node[H any](b *builder, v visitor[H], lo, hi, depth, order, grand int) H {
 			}
 			k, split := weightedMedian(l, total)
 			mid := lo + k
-			b.partition(lo, mid, hi, axis, split, order, grand)
-			left := node(b, v, lo, mid, depth+1, axis, order)
-			right := node(b, v, mid, hi, depth+1, axis, order)
+			leftMass, rightMass := b.partition(lo, mid, hi, axis, split, (depth+1)%dims)
+			left := node(b, v, lo, mid, depth+1, axis, leftMass)
+			right := node(b, v, mid, hi, depth+1, axis, rightMass)
 			return v.join(axis, split, left, right)
 		}
 		// All axes degenerate: co-located keys (deduplication upstream
@@ -503,26 +487,15 @@ func weightedMedian(l []rec, total float64) (k int, split uint64) {
 // partition splits the node [lo, hi) at mid on axis: in every other list
 // the records whose coordinate on axis is at most split move, in order, to
 // [lo, mid), and the rest to [mid, hi). The split axis's own list is
-// already in place.
-//
-// A child orders equal coordinates by the split axis first, so each list
-// must then re-sort the runs of equal own coordinate that the split axis
-// orders differently. Within a run, list a is ordered by the splits of the
-// node's ancestors, nearest first, those on axis a aside: by the parent's
-// axis (order) when that is not a, and otherwise by the grandparent's
-// (grand) when that is not a either. A list whose runs the split axis
-// already leads needs no re-sort: with two axes that alternate, every list
-// from the root's grandchildren down.
+// already in place. It returns the masses of the two sides of list next,
+// or -1 for both when next is the split axis.
 //
 //sasvet:hotpath
-func (b *builder) partition(lo, mid, hi, axis int, split uint64, order, grand int) {
+func (b *builder) partition(lo, mid, hi, axis int, split uint64, next int) (left, right float64) {
+	left, right = -1, -1
 	for a, l := range b.lists {
 		if a == axis {
 			continue
-		}
-		lead := order
-		if a == order {
-			lead = grand
 		}
 		seg := l[lo:hi]
 		if len(b.lists) > 2 {
@@ -531,57 +504,41 @@ func (b *builder) partition(lo, mid, hi, axis int, split uint64, order, grand in
 				seg[k].key = c[seg[k].item]
 			}
 		}
-		w := splitRecords(seg, b.tmp, split)
-		if lead != axis {
-			b.sortRuns(seg[:w])
-			b.sortRuns(seg[w:])
+		lm, rm := splitRecords(seg, b.tmp, split)
+		if a == next {
+			left, right = lm, rm
 		}
 	}
+	return left, right
 }
 
 // splitRecords stably moves the records of l whose key is at most split to
 // its front and the rest behind them, through tmp (at least as long as l),
-// and returns how many went to the front. Each record is written to both
-// sides and one side keeps it, so the loop does not branch on the split.
+// and returns the masses of the two sides, each summed in list order as
+// mass sums it. Each record is written to both sides and one side keeps
+// it, and each mass is added to both sums, as itself on its own side and as
+// +0 on the other: a sum that starts at +0 is never -0, and adding +0
+// leaves any other value as it is. So the loop does not branch on the
+// split.
 //
 //sasvet:hotpath
-func splitRecords(l, tmp []rec, split uint64) int {
+func splitRecords(l, tmp []rec, split uint64) (left, right float64) {
 	tmp = tmp[:len(l)]
 	w, j := 0, 0
 	for _, r := range l {
 		l[w], tmp[j] = r, r
-		left := 0
+		side := 0
 		if r.key <= split {
-			left = 1
+			side = 1
 		}
-		w += left
-		j += 1 - left
+		w += side
+		j += 1 - side
+		p, keep := math.Float64bits(r.p), -uint64(side)
+		left += math.Float64frombits(p & keep)
+		right += math.Float64frombits(p &^ keep)
 	}
 	copy(l[w:], tmp[:j])
-	return w
-}
-
-// sortRuns stably sorts by key each run of equal own coordinate in l whose
-// keys are out of order.
-//
-//sasvet:hotpath
-func (b *builder) sortRuns(l []rec) {
-	for s := 0; s < len(l); {
-		e, sorted := s+1, true
-		for ; e < len(l) && l[e].own == l[s].own; e++ {
-			if l[e].key < l[e-1].key {
-				sorted = false
-			}
-		}
-		if !sorted {
-			run := l[s:e]
-			for k := range run {
-				b.keys[k] = run[k].key
-			}
-			xsort.SortPairs(b.keys[:len(run)], run, b.tmpKeys, b.tmp, &b.counts)
-		}
-		s = e
-	}
+	return left, right
 }
 
 // Locate descends the tree with the given point (one coordinate per axis)

@@ -13,14 +13,16 @@ import (
 	"structaware/internal/xsort"
 )
 
-// The construction below is the one this package used before it sorted
-// once per axis: every node stably radix-sorts its items by the split axis
-// and cuts them at the weighted median, building one heap-allocated node
-// per node, and Summarize then walks the finished tree. It is kept as the
-// reference that Build must match cell for cell and that Summarize must
-// match draw for draw. For the closing pass it applies Summarize's cut: a
-// node whose mass, summed in its first splittable axis's order, is below
-// 1 − xmath.Eps is a leaf in that order, the root included.
+// The construction below sorts per node, as this package did before it
+// sorted once per axis: every node orders its items by their position in
+// the root's items, stably radix-sorts them by the split axis and cuts them
+// at the weighted median, building one heap-allocated node per node, and
+// Summarize then walks the finished tree. Every node thus orders equal
+// coordinates by root position. It is kept as the reference that Build must
+// match cell for cell and that Summarize must match draw for draw. For the
+// closing pass it applies Summarize's cut: a node whose mass, summed in its
+// first splittable axis's order, is below 1 − xmath.Eps is a leaf in that
+// order, the root included.
 
 // refNode is a node of the reference tree. Leaves carry their items and
 // internal nodes their split.
@@ -39,7 +41,8 @@ type refTree struct {
 	root     *refNode
 	leaves   int
 	maxDepth int
-	cut      float64 // a node whose mass is below it is a leaf
+	cut      float64  // a node whose mass is below it is a leaf
+	rank     []uint64 // each item's position in the root's items
 }
 
 // buildReference is Build by per-node sorting, or with cut 1 − xmath.Eps
@@ -48,7 +51,10 @@ func buildReference(ds *structure.Dataset, items []int, p []float64, cfg Config,
 	if cfg.MaxLeafItems <= 0 {
 		cfg.MaxLeafItems = 1
 	}
-	t := &refTree{cut: cut}
+	t := &refTree{cut: cut, rank: make([]uint64, ds.Len())}
+	for k, i := range items {
+		t.rank[i] = uint64(k)
+	}
 	t.root = t.build(ds, items, p, cfg, new(xsort.Scratch), 0)
 	return t
 }
@@ -60,6 +66,7 @@ func (t *refTree) build(ds *structure.Dataset, items []int, p []float64, cfg Con
 	if len(items) <= cfg.MaxLeafItems {
 		return t.newLeaf(items)
 	}
+	xsort.SortBy(items, t.rank, s)
 	// Try axes starting at depth mod d until one admits a split (identical
 	// coordinates on an axis make it unsplittable there).
 	dims := ds.Dims()
@@ -401,12 +408,62 @@ func checkCloseMatchesReference(t *testing.T, in refInput) {
 	}
 }
 
+// exactMasses reports whether every mass is a multiple of 1/256 in
+// [0, 1], so that any sum of fewer than 2^44 of them is exact in any order:
+// the eighths of randomRefInput and decodeRefInput's (1+b)/256.
+func exactMasses(p []float64) bool {
+	for _, m := range p {
+		if !(m >= 0 && m <= 1) || m*256 != math.Trunc(m*256) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBuildIgnoresTieOrder builds over the case's items and over a
+// shuffled copy when every mass sum is exact, and requires the same cells
+// and the same set of items in every leaf: a split falls between distinct
+// coordinates, so the order of equal ones reaches a tree only through the
+// rounding of mass sums.
+func checkBuildIgnoresTieOrder(t *testing.T, in refInput) {
+	t.Helper()
+	if !exactMasses(in.p) {
+		return
+	}
+	cfg := Config{MaxLeafItems: in.maxLeaf}
+	want, err := Build(in.ds, slices.Clone(in.items), in.p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := slices.Clone(in.items)
+	xmath.Shuffle(xmath.NewRand(in.seed+1), shuffled)
+	got, err := Build(in.ds, shuffled, in.p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Cells, want.Cells) {
+		t.Fatalf("shuffled items build %d cells, unlike the %d over the items in order", len(got.Cells), len(want.Cells))
+	}
+	for _, c := range got.Cells {
+		if c.Axis >= 0 {
+			continue
+		}
+		g, w := slices.Sorted(slices.Values(got.Items[c.Lo:c.Hi])), slices.Sorted(slices.Values(want.Items[c.Lo:c.Hi]))
+		if !slices.Equal(g, w) {
+			t.Fatalf("leaf %d holds %v over shuffled items, %v over the items in order", c.Leaf, g, w)
+		}
+	}
+}
+
 // TestBuildMatchesReference: the record-list construction builds the tree
-// per-node sorting builds, over inputs full of ties and repeated keys.
+// per-node sorting builds, over inputs full of ties and repeated keys, and
+// with exact masses the same tree over shuffled items.
 func TestBuildMatchesReference(t *testing.T) {
 	r := xmath.NewRand(11)
 	for trial := 0; trial < 600; trial++ {
-		checkBuildMatchesReference(t, randomRefInput(r))
+		in := randomRefInput(r)
+		checkBuildMatchesReference(t, in)
+		checkBuildIgnoresTieOrder(t, in)
 	}
 }
 
@@ -420,7 +477,7 @@ func TestCloseMatchesReference(t *testing.T) {
 }
 
 // FuzzBuildMatchesReference runs both comparisons on inputs decoded from
-// the fuzzer's bytes.
+// the fuzzer's bytes, and with exact masses the shuffled-items check.
 func FuzzBuildMatchesReference(f *testing.F) {
 	r := xmath.NewRand(13)
 	for k := 0; k < 8; k++ {
@@ -437,5 +494,6 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		}
 		checkBuildMatchesReference(t, in)
 		checkCloseMatchesReference(t, in)
+		checkBuildIgnoresTieOrder(t, in)
 	})
 }
