@@ -51,6 +51,9 @@ func lowerEndpoint(est, tau, delta float64) float64 {
 	a, b := 0.0, est
 	for i := 0; i < 200 && b-a > 1e-9*(1+est); i++ {
 		mid := (a + b) / 2
+		if math.IsInf(mid, 1) {
+			mid = a/2 + b/2 // a + b overflowed
+		}
 		// mid is strictly inside (0, est), where EstimateTail is the genuine
 		// increasing upper-tail bound.
 		if EstimateTail(mid, est, tau) < delta {

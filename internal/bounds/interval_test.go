@@ -104,6 +104,19 @@ func TestEstimateBoundFiniteWhenRepresentable(t *testing.T) {
 	}
 }
 
+// TestLowerEndpointPastHalfMaxFloat64: the lower endpoint's bisection
+// takes its midpoint without overflowing once the estimate passes half the
+// largest float64. Eq. 4 depends only on w/τ and h/τ, so the endpoint
+// scales with the estimate and τ.
+func TestLowerEndpointPastHalfMaxFloat64(t *testing.T) {
+	const w = 1e-4 * math.MaxFloat64
+	unit, _ := EstimateInterval(7000, 1, 0.025)
+	lo, _ := EstimateInterval(7000*w, w, 0.025)
+	if want := unit * w; math.Abs(lo-want) > 1e-6*want {
+		t.Fatalf("lower endpoint %v, want %v scaled from %v", lo, want, unit)
+	}
+}
+
 // TestEstimateBoundPinned: bounds that never came near the largest float64
 // keep their bits; the values were computed before the bracket was capped.
 func TestEstimateBoundPinned(t *testing.T) {

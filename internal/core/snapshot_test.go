@@ -31,9 +31,12 @@ func sameSummary(t *testing.T, got, want *Summary, label string) {
 // taken mid-stream is bit-identical to a fresh Builder fed the same prefix
 // and finalized; (2) the snapshotted Builder keeps ingesting, and its
 // Finalize is bit-identical to a fresh Builder fed the whole stream — the
-// snapshot left no trace. The buffer is far smaller than the stream, so
-// both reservoir overflow and arena compaction happen on each side of the
-// snapshot point.
+// snapshot left no trace. The buffer is far smaller than the stream, so the
+// reservoir overflows before the snapshot point and keeps replacing items
+// after it. The coordinate arena, which holds admitted keys only, is never
+// swept mid-stream here: this stream's admissions do not fill its
+// 4×buffer slots, so only Guide's final sweep runs. The ingest package's
+// TestSnapshotDoesNotConsume and TestPushBatchMatchesPush cover sweeps.
 func TestBuilderSnapshotDeterminism(t *testing.T) {
 	ds := make2D(t, 4000, 14, 53)
 	half := ds.Len() / 2

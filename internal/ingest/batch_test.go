@@ -47,26 +47,32 @@ func admitted(t *testing.T, ws []float64, k int, seed uint64) int {
 
 // TestPushBatchMatchesPush: a columnar batch must be byte-equivalent to the
 // same keys pushed one at a time — same reservoir, same threshold, same
-// retained coordinates (the batch path is a fast path, not a variant) — and
-// a snapshot taken between two batches must equal a per-key ingester fed
-// the same prefix. The longer case drops almost every key on arrival, so
-// the arena holds coordinates for a small fraction of the pushes.
+// retained coordinates, same arena sweeps (the batch path is a fast path,
+// not a variant) — and a snapshot taken between two batches must equal a
+// per-key ingester fed the same prefix. The longer cases drop almost every
+// key on arrival, so the arena holds coordinates for a small fraction of
+// the pushes. "no-threshold" has no threshold tracker, as a live builder's
+// ingester has none; "sweep-in-batch" has a capacity so small that the
+// arena is swept inside the second batch.
 func TestPushBatchMatchesPush(t *testing.T) {
-	const capacity = 64
 	for _, tc := range []struct {
-		name            string
-		n, split        int
-		maxAdmittedFrac float64
+		name                    string
+		capacity, thresholdSize int
+		n, split                int
+		maxAdmittedFrac         float64
+		wantSweepInSecondBatch  bool
 	}{
-		{"overflowing", 3000, 1234, 0.2},
-		{"mostly-dropped", 40000, 23456, 0.02},
+		{"overflowing", 64, 16, 3000, 1234, 0.2, false},
+		{"mostly-dropped", 64, 16, 40000, 23456, 0.02, false},
+		{"no-threshold", 64, 0, 40000, 23456, 0.02, false},
+		{"sweep-in-batch", 4, 16, 40000, 23456, 0.002, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cols, ws := batchFixture(tc.n)
-			if a := admitted(t, ws, capacity, 5); float64(a) > tc.maxAdmittedFrac*float64(tc.n) {
+			if a := admitted(t, ws, tc.capacity, 5); float64(a) > tc.maxAdmittedFrac*float64(tc.n) {
 				t.Fatalf("%d of %d keys admitted; the case needs at most %v", a, tc.n, tc.maxAdmittedFrac)
 			}
-			cfg := Config{Capacity: capacity, Dims: 2, ThresholdSize: 16}
+			cfg := Config{Capacity: tc.capacity, Dims: 2, ThresholdSize: tc.thresholdSize}
 			pushKeys := func(g *Ingester, lo, hi int) {
 				pt := make([]uint64, 2)
 				for i := lo; i < hi; i++ {
@@ -101,9 +107,14 @@ func TestPushBatchMatchesPush(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sweeps := bat.sweeps
 			if err := bat.PushBatch([][]uint64{cols[0][tc.split:], cols[1][tc.split:]}, ws[tc.split:]); err != nil {
 				t.Fatal(err)
 			}
+			if tc.wantSweepInSecondBatch && bat.sweeps == sweeps {
+				t.Fatal("no arena sweep ran inside the second batch")
+			}
+			sameArena(t, bat, one)
 
 			to, okO := one.Tau()
 			tb, okB := bat.Tau()
@@ -113,6 +124,20 @@ func TestPushBatchMatchesPush(t *testing.T) {
 			sameGuide(t, bat, one, "PushBatch vs Push")
 			sameGuide(t, snap, prefix, "mid-stream snapshot vs Push prefix")
 		})
+	}
+}
+
+// sameArena requires two ingesters' coordinate arenas to have been swept
+// as often and to hold the same row in every slot.
+func sameArena(t *testing.T, got, want *Ingester) {
+	t.Helper()
+	if got.sweeps != want.sweeps || len(got.slotRows) != len(want.slotRows) {
+		t.Fatalf("arena: %d sweeps, %d slots vs %d sweeps, %d slots", got.sweeps, len(got.slotRows), want.sweeps, len(want.slotRows))
+	}
+	for i := range got.slotRows {
+		if got.slotRows[i] != want.slotRows[i] {
+			t.Fatalf("arena slot %d holds row %d vs %d", i, got.slotRows[i], want.slotRows[i])
+		}
 	}
 }
 

@@ -162,6 +162,37 @@ func (st *Stream) Tau() float64 { return st.tau }
 //
 //sasvet:hotpath
 func (st *Stream) Process(index int, w float64) (kept bool, err error) {
+	// Small-arrival step. An arrival is small when the reservoir is full,
+	// 0 < w < τ, there are m ≥ 1 light items, and the raised threshold
+	// τ′ = (m·τ + w)/m stays below the heap minimum: no heap item is
+	// demoted and the arrival is the only explicit drop candidate. One
+	// uniform decides its drop, with probability 1 − w/τ′; when it is kept
+	// a second draw picks the light item it displaces. These are the draws
+	// and decisions the general step below makes for such an arrival, at
+	// O(1) and without the demotion buffer. Once the reservoir is long past
+	// its fill phase nearly every arrival is small. A zero, negative or
+	// non-finite weight never passes the gate, so it needs no validation.
+	if m := len(st.light); 0 < w && w < st.tau && m > 0 && m+len(st.heavy) == st.k {
+		// The product is rounded on its own, as in the general step: Go
+		// may fuse x*y + z into one FMA on some architectures, and both
+		// steps must round τ′ the same way to make the same decisions.
+		tauNew := (float64(float64(m)*st.tau) + w) / float64(m)
+		if len(st.heavy) == 0 || st.heavy[0].Weight > tauNew {
+			st.seen++
+			st.tau = tauNew
+			if st.r.Float64() < 1-w/tauNew {
+				return false, nil
+			}
+			// The general step removes light[j] by moving the last light
+			// item into its place and then appends the arrival; doing both
+			// in place keeps the light order, and with it every later
+			// draw's target, the same.
+			j := st.r.Uint64() % uint64(m)
+			st.light[j] = st.light[m-1]
+			st.light[m-1] = StreamItem{Index: index, Weight: w}
+			return true, nil
+		}
+	}
 	if err := ipps.ValidateWeight(w); err != nil {
 		return false, err
 	}
@@ -171,12 +202,11 @@ func (st *Stream) Process(index int, w float64) (kept bool, err error) {
 	st.seen++
 	demoted := st.scratch[:0]
 	if w < st.tau && len(st.heavy)+len(st.light) == st.k {
-		// Small-item fast path: once the reservoir has overflowed (τ > 0 and
-		// full), an arrival below τ can never be heavy — it is immediately a
-		// small candidate. Skipping the heap round trip produces the exact
-		// demotion sequence the heap path would (the new item is strictly
-		// lighter than every heavy item, so it would be popped first) at O(1)
-		// instead of O(log k).
+		// A small arrival that demotes heap items (or meets no light item):
+		// it is a small candidate at once, never heavy. Skipping the heap
+		// round trip produces the exact demotion sequence the heap path
+		// would (the new item is strictly lighter than every heavy item, so
+		// it would be popped first).
 		demoted = append(demoted, StreamItem{Index: index, Weight: w})
 	} else {
 		st.heavy.push(StreamItem{Index: index, Weight: w})
@@ -186,9 +216,10 @@ func (st *Stream) Process(index int, w float64) (kept bool, err error) {
 	}
 
 	// Raise the threshold: demote heap minima into the small-candidate pool
-	// until the heap minimum exceeds τ' = L/(t-1).
+	// until the heap minimum exceeds τ' = L/(t-1). The product is rounded
+	// on its own, as in the small-arrival step.
 	t := len(st.light)
-	L := float64(t) * st.tau
+	L := float64(float64(t) * st.tau)
 	for _, d := range demoted {
 		L += d.Weight
 		t++
