@@ -9,8 +9,11 @@ package main
 //
 //	go test -run '^$' -bench '^BenchmarkIngest' ./cmd/sasserve
 //
+// BenchmarkEstimateGET is the query-plane counterpart: one served estimate
+// through the handler, from the answer cache and past it.
+//
 // These are layer numbers for local comparison; perfbench measures the
-// served ingest path end to end.
+// served ingest and query paths end to end.
 
 import (
 	"bytes"
@@ -24,9 +27,12 @@ import (
 	"testing"
 
 	"structaware/internal/cliutil"
+	"structaware/internal/core"
+	"structaware/internal/loadgen"
 	"structaware/internal/structure"
 	"structaware/internal/wal"
 	"structaware/internal/wire"
+	"structaware/internal/workload"
 	"structaware/internal/xmath"
 )
 
@@ -91,7 +97,7 @@ func jsonBodies(b *testing.B) [][]byte {
 // snapshots (and, unless pol is off, a write-ahead log) there.
 func benchLiveStore(b *testing.B, dir string, pol wal.Policy) *store {
 	b.Helper()
-	st := newStore(nil, 4096, func(string, ...any) {})
+	st := newStore(nil, func(string, ...any) {})
 	err := st.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
 		liveConfig{size: 4096, seed: 1, queue: 4096, dir: dir, walSync: pol},
@@ -225,6 +231,51 @@ func BenchmarkIngestWAL(b *testing.B) {
 		b.Run(pol.String(), func(b *testing.B) {
 			b.SetBytes(int64(wire.FrameSize(2, benchPerFrame) * len(bodies)))
 			benchIngestHTTP(b, benchLiveStore(b, b.TempDir(), pol), frameContentType, bodies, 1)
+		})
+	}
+}
+
+// BenchmarkEstimateGET serves single-range estimate GETs through the
+// handler, over a summary shaped like perfbench query's: 4,096 keys on two
+// 20-bit axes from workload.Network, queried with loadgen.AreaBoxes boxes
+// of at most a tenth of each axis. hit answers from the answer cache; miss
+// adds cache=off, so every request parses its range, estimates it, bounds
+// it and encodes the body. Run with
+//
+//	go test -run '^$' -bench '^BenchmarkEstimateGET' -benchmem ./cmd/sasserve
+func BenchmarkEstimateGET(b *testing.B) {
+	ds, err := workload.Network(workload.NetworkConfig{Pairs: 1 << 17, Bits: 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sum, err := core.Build(ds, core.Config{Size: 4096, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := sum.Index()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := newStore(nil, func(string, ...any) {})
+	st.install(&entry{name: "net", idx: idx})
+	h := st.handler()
+	dom := uint64(1) << 20
+	texts := loadgen.RangeTexts(loadgen.AreaBoxes([]uint64{dom, dom}, 256, 0.10, 1))
+	for _, mode := range []struct{ name, suffix string }{{"hit", ""}, {"miss", "&cache=off"}} {
+		b.Run(mode.name, func(b *testing.B) {
+			reqs := make([]*http.Request, len(texts))
+			for i, text := range texts {
+				reqs[i] = httptest.NewRequest("GET", "/v1/summaries/net/estimate?range="+text+mode.suffix, nil)
+			}
+			w := &discardResponseWriter{h: make(http.Header)}
+			for _, req := range reqs { // the hit run's priming misses
+				h.ServeHTTP(w, req)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(w, reqs[i%len(reqs)])
+			}
 		})
 	}
 }

@@ -30,7 +30,7 @@ import (
 // 2×10-bit domain, with an explicit ingest queue depth.
 func queueStore(t *testing.T, queue int) *store {
 	t.Helper()
-	st := newStore(nil, 4096, t.Logf)
+	st := newStore(nil, t.Logf)
 	err := st.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}},
 		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, queue: queue},
@@ -196,7 +196,7 @@ func TestWALLogsPostedFrame(t *testing.T) {
 func TestConcurrentProducersMatchOneBuilder(t *testing.T) {
 	const producers, frames, per = 4, 25, 100
 	dir := t.TempDir()
-	st := newStore(nil, 4096, t.Logf)
+	st := newStore(nil, t.Logf)
 	// An ack does not wait for the worker, so a worker starved of CPU lets
 	// acked batches pile up in the queue; with room for every frame, no
 	// scheduling can make a push a 429.

@@ -39,7 +39,7 @@ const liveAxesSpec = "bittrie:10,bittrie:10"
 // snapshots with one offline Builder fed the same batches in ack order.
 func liveStore(t *testing.T, dir string, sources ...serveSource) *store {
 	t.Helper()
-	st := newStore(sources, 4096, t.Logf)
+	st := newStore(sources, t.Logf)
 	if err := st.loadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestLiveIngestErrors(t *testing.T) {
 	// misleading "bad JSON body" 400). A frame body's cap is the size of a
 	// max-rows frame for its summary's axis count, so an 8-axis summary
 	// takes maxKeysPerPush keys in one frame, and not one byte more.
-	wide := newStore(nil, 4096, t.Logf)
+	wide := newStore(nil, t.Logf)
 	err := wide.initLive(
 		[]cliutil.Assignment{{Name: "wide", Value: strings.Repeat("bittrie:8,", 7) + "bittrie:8"}},
 		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed},
@@ -475,7 +475,7 @@ func TestLivePersistRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st4 := newStore(nil, 4096, t.Logf)
+	st4 := newStore(nil, t.Logf)
 	err = st4.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}},
 		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, dir: dir},
@@ -728,7 +728,7 @@ func TestLiveWALRecover(t *testing.T) {
 		size: liveTestCfg.Size, seed: liveTestCfg.Seed,
 		dir: dir, walSync: wal.PolicyInterval,
 	}
-	st1 := newStore(nil, 4096, t.Logf)
+	st1 := newStore(nil, t.Logf)
 	if err := st1.loadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +748,7 @@ func TestLiveWALRecover(t *testing.T) {
 	t.Cleanup(st1.closeWALs)
 	t.Cleanup(st1.closeLive)
 
-	st2 := newStore(nil, 4096, t.Logf)
+	st2 := newStore(nil, t.Logf)
 	if err := st2.loadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +808,7 @@ func TestLiveWALRecover(t *testing.T) {
 // whose snapshots and interval-synced WAL live in dir.
 func walStore(t *testing.T, dir string) *store {
 	t.Helper()
-	st := newStore(nil, 4096, t.Logf)
+	st := newStore(nil, t.Logf)
 	if err := st.loadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -920,7 +920,7 @@ func TestWALReplayRefusesOverflowingTotal(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := newStore(nil, 4096, t.Logf)
+	st := newStore(nil, t.Logf)
 	cfg := liveConfig{size: 2, seed: liveTestCfg.Seed, dir: dir, walSync: wal.PolicyInterval}
 	err = st.initLive([]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}}, cfg)
 	if !errors.Is(err, wal.ErrApply) || !errors.Is(err, errWeightBound) {
@@ -977,7 +977,7 @@ func TestSnapshotOfOverflowingBatchFails(t *testing.T) {
 // /healthz answers 200 the whole time — the distinction orchestrators
 // gate traffic on during snapshot recovery and WAL replay.
 func TestReadyzGate(t *testing.T) {
-	st := newStore(nil, 4096, t.Logf)
+	st := newStore(nil, t.Logf)
 	srv := httptest.NewServer(st.handler())
 	defer srv.Close()
 

@@ -14,13 +14,6 @@
 //
 //	sasserve [-addr :8337] [flags] [name=path.sas ...]
 //
-//	-cache-size n          per-summary answer-cache capacity, in cached
-//	                       responses (default 4096, 0 disables). Answers are
-//	                       keyed on the literal range text and valid for one
-//	                       serving epoch; a reload or snapshot rotation swaps
-//	                       the entry and drops its cache wholesale, so a
-//	                       stale answer can never be served. A single-range
-//	                       GET may append &cache=off to bypass the cache.
 //	-live name=axes        writable summary over the given key domain
 //	                       (axes like "bittrie:32,bittrie:32"; repeatable)
 //	-live-size n           sample size of each live snapshot (default 1000);
@@ -76,6 +69,13 @@
 // keys, and estimate and total responses carry the paper's exponential
 // tail bounds at 95% as confidence-interval fields.
 //
+// Single-range estimates are answered through a per-summary answer cache
+// of 4096 response bodies, keyed on the literal range text and valid for
+// one serving epoch: a reload or snapshot rotation swaps the entry and
+// drops its cache wholesale, so a stale answer can never be served. A
+// single-range GET may append &cache=off to bypass the cache; the bytes
+// are the same either way.
+//
 // The serving summaries are immutable and shared: every request goroutine
 // queries the same compiled structure with no locks on the hot path, so
 // read throughput scales with cores; writes decode and validate on the
@@ -109,7 +109,6 @@ func main() {
 	var liveSpecs []string
 	var (
 		addr         = flag.String("addr", ":8337", "HTTP listen address")
-		cacheSize    = flag.Int("cache-size", 4096, "per-summary answer-cache capacity in responses (0 disables)")
 		liveSize     = flag.Int("live-size", 1000, "target sample size of live-summary snapshots")
 		liveSeed     = flag.Uint64("live-seed", 1, "construction seed for live summaries")
 		ingestQueue  = flag.Int("ingest-queue", 0, "pending-batch queue cap per live summary (0 = default)")
@@ -125,7 +124,6 @@ func main() {
 	tool := cliutil.New("sasserve")
 	tool.CheckUsage(cliutil.FirstError(
 		cliutil.Required("-addr", *addr),
-		cliutil.NonNegative("-cache-size", *cacheSize),
 		cliutil.Positive("-live-size", *liveSize),
 		cliutil.NonNegative("-ingest-queue", *ingestQueue),
 		cliutil.NonNegativeDuration("-snapshot-interval", *snapInterval),
@@ -176,7 +174,7 @@ func main() {
 	}
 
 	logger := log.New(os.Stderr, "sasserve: ", log.LstdFlags)
-	st := newStore(sources, *cacheSize, logger.Printf)
+	st := newStore(sources, logger.Printf)
 
 	// SIGTERM/SIGINT start a graceful shutdown; SIGHUP hot-reloads files.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

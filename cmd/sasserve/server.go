@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -57,11 +56,6 @@ type entry struct {
 	// invalidation beyond being dropped with the entry it belongs to.
 	epoch uint64
 	cache *anscache.Cache
-	// bodyPrefix is the pre-rendered static head of this entry's
-	// single-range response bodies (`{"summary":"...","epoch":N,"ranges":["`),
-	// or nil when the name cannot be emitted into JSON verbatim, disabling
-	// the pre-rendered fast path for this entry.
-	bodyPrefix []byte
 }
 
 // bound is the half-width of the serveConfidence interval around est: the
@@ -113,8 +107,6 @@ type store struct {
 	// answers 503 until then.
 	ready atomic.Bool
 
-	// cacheCap sizes the per-entry answer cache (-cache-size; 0 disables).
-	cacheCap int
 	// epochs numbers every installed entry, process-unique and increasing.
 	epochs atomic.Uint64
 
@@ -122,8 +114,12 @@ type store struct {
 	entries map[string]*entry
 }
 
-func newStore(sources []serveSource, cacheCap int, logf func(format string, args ...any)) *store {
-	return &store{sources: sources, cacheCap: cacheCap, logf: logf, entries: make(map[string]*entry)}
+// answerCacheSize is the capacity of each entry's answer cache, in
+// response bodies.
+const answerCacheSize = 4096
+
+func newStore(sources []serveSource, logf func(format string, args ...any)) *store {
+	return &store{sources: sources, logf: logf, entries: make(map[string]*entry)}
 }
 
 // live resolves a live summary by name, safely against the startup window
@@ -150,14 +146,7 @@ func (st *store) liveCount() int {
 // request consults.
 func (st *store) install(e *entry) {
 	e.epoch = st.epochs.Add(1)
-	e.cache = anscache.New(st.cacheCap)
-	if jsonPlain(e.name) {
-		p := append([]byte(`{"summary":"`), e.name...)
-		p = append(p, `","epoch":`...)
-		p = strconv.AppendUint(p, e.epoch, 10)
-		p = append(p, `,"ranges":["`...)
-		e.bodyPrefix = p
-	}
+	e.cache = anscache.New(answerCacheSize)
 	st.mu.Lock()
 	st.entries[e.name] = e
 	st.mu.Unlock()
@@ -229,7 +218,7 @@ type summaryMeta struct {
 	// Epoch identifies the immutable serving generation behind every
 	// answer; it increases on each reload, recovery, or snapshot rotation.
 	Epoch uint64 `json:"epoch"`
-	// Answer-cache counters for this epoch's entry (both zero with -cache-size 0).
+	// Answer-cache counters for this epoch's entry.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// Live-snapshot provenance, absent on file-backed summaries.
@@ -368,19 +357,27 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledEncodeBuf = 1 << 16
 
+// encodeJSON appends v's JSON encoding to buf, as every response body is
+// encoded: without HTML escaping, ending in a newline. It writes nothing
+// when it fails, which it does for a value JSON cannot carry, such as a NaN
+// or ±Inf estimate from a poisoned summary.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
+}
+
 // writeJSON answers status with v as its JSON body. A value the encoder
-// refuses — a NaN or ±Inf estimate from a poisoned summary — fails closed:
-// a 500 with an errorResponse, never a 200 with an empty body.
+// refuses fails closed: a 500 with an errorResponse, never a 200 with an
+// empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		// Encode writes nothing when it fails, so buf is still empty, and
-		// an errorResponse (one string) always encodes.
+	if err := encodeJSON(buf, v); err != nil {
+		// buf is still empty, and an errorResponse (one string) always
+		// encodes.
 		status = http.StatusInternalServerError
-		_ = enc.Encode(errorResponse{Error: "cannot render response: " + err.Error()})
+		_ = encodeJSON(buf, errorResponse{Error: "cannot render response: " + err.Error()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
@@ -391,8 +388,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// writeRawJSON writes a pre-rendered 200 response body (the single-range
-// fast path, cached or freshly rendered — both produce identical bytes).
+// writeRawJSON writes an encoded 200 response body: a single-range
+// estimate, from the answer cache or freshly encoded.
 func writeRawJSON(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
@@ -516,12 +513,15 @@ func parseBoxes(texts []string, e *entry) ([]structure.Range, error) {
 func estimate(e *entry, texts []string, boxes []structure.Range) estimateResponse {
 	resp := estimateResponse{Summary: e.name, Epoch: e.epoch, Ranges: texts, Confidence: serveConfidence}
 	if len(boxes) == 1 {
-		// The union of one box is that box; one traversal answers both.
-		resp.Estimates = []float64{e.idx.EstimateRange(boxes[0])}
-		resp.Total = resp.Estimates[0]
-	} else {
-		resp.Estimates, resp.Total = e.idx.EstimateRanges(structure.Query(boxes))
+		// The union of one box is that box; one traversal and one bound
+		// answer both.
+		est := e.idx.EstimateRange(boxes[0])
+		bound := e.bound(est)
+		resp.Estimates, resp.Total = []float64{est}, est
+		resp.Bounds, resp.TotalBound = []float64{bound}, bound
+		return resp
 	}
+	resp.Estimates, resp.Total = e.idx.EstimateRanges(structure.Query(boxes))
 	resp.Bounds = make([]float64, len(resp.Estimates))
 	for i, est := range resp.Estimates {
 		resp.Bounds[i] = e.bound(est)
@@ -590,121 +590,38 @@ func unescapeQueryValue(s string) (string, error) {
 	return url.QueryUnescape(s)
 }
 
-// jsonPlain reports whether s appears verbatim inside a JSON string under
-// the server's non-HTML-escaping encoder: printable ASCII with no quote or
-// backslash. Only such strings participate in pre-rendered bodies and cache
-// keys; anything else takes the reflective encoder path.
-func jsonPlain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	return true
-}
-
 // serveSingleEstimate answers the hot request shape — one range against one
-// summary — through the entry's answer cache. A hit writes the previously
-// rendered body with zero estimate work; a miss parses, estimates, renders
-// once, and caches the body keyed on the literal range text (so a hit also
-// skips parsing). Cached and uncached answers are byte-identical by
-// construction: both are produced by the same renderer, and the entry (and
-// with it the cache) is immutable for its whole epoch. A non-finite
-// estimate or bound is a 500, and nothing is cached for it.
+// summary — through the entry's answer cache. A hit writes the body cached
+// for the literal range text, with no parsing or estimate work. A miss
+// parses, estimates, encodes the body once into a slice of its own and
+// caches it. Cached and uncached answers are byte-identical: both come from
+// the same encoding, and the entry (and with it the cache) is immutable for
+// its whole epoch. A non-finite estimate or bound is a 500, and nothing is
+// cached for it.
 func serveSingleEstimate(w http.ResponseWriter, e *entry, text string, useCache bool) {
-	if e.bodyPrefix == nil || !jsonPlain(text) {
-		// Names or texts the pre-renderer cannot emit verbatim go through
-		// the reflective encoder, uncached.
-		boxes, err := parseBoxes([]string{text}, e)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, estimate(e, []string{text}, boxes))
-		return
-	}
 	if useCache {
 		if body, ok := e.cache.Get(text); ok {
 			writeRawJSON(w, body)
 			return
 		}
 	}
-	box, err := structure.ParseRange(text)
-	if err == nil {
-		err = box.Check(e.idx.Summary().Axes)
-	}
+	texts := []string{text}
+	boxes, err := parseBoxes(texts, e)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, err := renderSingleEstimate(e, text, box)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	// Not a jsonBufPool buffer: the cache keeps the body.
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, estimate(e, texts, boxes)); err != nil {
+		writeError(w, http.StatusInternalServerError, "cannot render response: %v", err)
 		return
 	}
+	body := buf.Bytes()
 	if useCache {
 		e.cache.Put(text, body)
 	}
 	writeRawJSON(w, body)
-}
-
-// renderSingleEstimate renders the single-range response body by hand,
-// byte-for-byte what writeJSON produces for the equivalent
-// estimateResponse — field order, float formatting (see appendJSONFloat),
-// omitempty behavior, and the encoder's trailing newline — without the
-// reflection walk. The equivalence is pinned by TestSingleRangeRenderParity.
-// Like the encoder, it refuses a NaN or ±Inf, which JSON cannot carry.
-func renderSingleEstimate(e *entry, text string, box structure.Range) ([]byte, error) {
-	est := e.idx.EstimateRange(box)
-	if !finite(est) {
-		return nil, fmt.Errorf("cannot render response: estimate %v is not finite", est)
-	}
-	bound := e.bound(est)
-	if !finite(bound) {
-		return nil, fmt.Errorf("cannot render response: bound %v is not finite", bound)
-	}
-	b := make([]byte, 0, len(e.bodyPrefix)+len(text)+112)
-	b = append(b, e.bodyPrefix...)
-	b = append(b, text...)
-	b = append(b, `"],"estimates":[`...)
-	b = appendJSONFloat(b, est)
-	b = append(b, `],"total":`...)
-	b = appendJSONFloat(b, est)
-	b = append(b, `,"confidence":`...)
-	b = appendJSONFloat(b, serveConfidence)
-	b = append(b, `,"bounds":[`...)
-	b = appendJSONFloat(b, bound)
-	b = append(b, ']')
-	if bound != 0 { // omitempty parity
-		b = append(b, `,"total_bound":`...)
-		b = appendJSONFloat(b, bound)
-	}
-	b = append(b, '}', '\n')
-	return b, nil
-}
-
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// appendJSONFloat appends f exactly as encoding/json renders a float64:
-// shortest decimal form, 'f' format except for magnitudes below 1e-6 or at
-// least 1e21, which use 'e' with a one-digit-minimum exponent. The smoke
-// test compares a rendered estimate against /total output textually, so
-// this parity is load-bearing, not cosmetic.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9, as encoding/json does.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // writeDecodeError answers a failed body decode: an exceeded size cap is
@@ -737,8 +654,8 @@ func (st *store) handleEstimatePost(w http.ResponseWriter, r *http.Request, e *e
 		return
 	}
 	if len(req.Ranges) == 1 {
-		// Same fast path (and cache) as the single-range GET, so the two
-		// verbs answer the same question with identical bytes.
+		// Same cache as the single-range GET, so the two verbs answer the
+		// same question with identical bytes.
 		serveSingleEstimate(w, e, req.Ranges[0], true)
 		return
 	}

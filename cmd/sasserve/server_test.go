@@ -70,7 +70,7 @@ func testServer(t *testing.T, sum *core.Summary) (*httptest.Server, *store, stri
 	dir := t.TempDir()
 	path := filepath.Join(dir, "net.sas")
 	writeSummary(t, path, sum)
-	st := newStore([]serveSource{{name: "net", path: path}}, 4096, t.Logf)
+	st := newStore([]serveSource{{name: "net", path: path}}, t.Logf)
 	if err := st.loadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestMultipleSummaries(t *testing.T) {
 	pa, pb := filepath.Join(dir, "a.sas"), filepath.Join(dir, "b.sas")
 	writeSummary(t, pa, a)
 	writeSummary(t, pb, b)
-	st := newStore([]serveSource{{name: "a", path: pa}, {name: "b", path: pb}}, 4096, t.Logf)
+	st := newStore([]serveSource{{name: "a", path: pa}, {name: "b", path: pb}}, t.Logf)
 	if err := st.loadAll(); err != nil {
 		t.Fatal(err)
 	}

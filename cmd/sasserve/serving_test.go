@@ -1,12 +1,11 @@
 package main
 
-// Tests for the hot read path added for serving at p99: the single-range
-// render fast path (byte parity with the reflective encoder), the
-// epoch-keyed answer cache (correctness across snapshot rotations, hit/miss
-// accounting, cached == uncached bytes), the low-allocation contract of a
-// warm-cache GET, the 400 table of the fast parser, the 500s for answers
-// JSON cannot carry, and the soak gauntlet of concurrent readers against
-// live ingest and entry rotations.
+// Tests for the hot read path added for serving at p99: the epoch-keyed
+// answer cache (correctness across snapshot rotations, hit/miss accounting,
+// cached == uncached bytes, every summary name), the low-allocation
+// contract of a warm-cache GET, the 400 table of the fast parser, the 500s
+// for answers JSON cannot carry, and the soak gauntlet of concurrent
+// readers against live ingest and entry rotations.
 
 import (
 	"bytes"
@@ -16,6 +15,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -40,69 +40,6 @@ func getRaw(t *testing.T, url string) ([]byte, int) {
 		t.Fatal(err)
 	}
 	return body, resp.StatusCode
-}
-
-// TestSingleRangeRenderParity pins the contract renderSingleEstimate's
-// comment promises: the hand-rendered single-range body is byte-for-byte
-// what writeJSON produces for the equivalent estimateResponse — field
-// order, float formatting, omitempty behavior, trailing newline. The smoke
-// script compares rendered floats textually against /total, so a parity
-// break is a production bug, not a cosmetic one.
-func TestSingleRangeRenderParity(t *testing.T) {
-	sum := buildSummary(t, 21)
-	_, st, _ := testServer(t, sum)
-	e, ok := st.get("net")
-	if !ok {
-		t.Fatal("no entry")
-	}
-	if e.bodyPrefix == nil {
-		t.Fatal("plain-named entry has no pre-rendered body prefix")
-	}
-	for _, text := range []string{
-		"0:1023,0:1023",
-		"0:511,256:767",
-		"100:199,0:1023",
-		"0:0,0:0", // empty box: estimate 0, bound 0 — the omitempty branch
-		"1023:1023,1023:1023",
-	} {
-		box, err := structure.ParseRange(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := renderSingleEstimate(e, text, box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		writeJSON(rec, http.StatusOK, estimate(e, []string{text}, []structure.Range{box}))
-		if want := rec.Body.Bytes(); !bytes.Equal(got, want) {
-			t.Errorf("range %s:\nrendered  %s\nreflective %s", text, got, want)
-		}
-	}
-}
-
-// TestAppendJSONFloatMatchesEncodingJSON sweeps the float formatter over
-// every formatting regime encoding/json distinguishes — 'f' vs 'e', the
-// 1e-6 and 1e21 thresholds, one- and multi-digit exponents, negatives,
-// subnormals, and extremes — and demands byte equality with json.Marshal.
-func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
-	vals := []float64{
-		0, 1, -1, 0.5, -0.5, 1.0 / 3.0,
-		123456.789, 1e6, 1e20, 9.99e20,
-		1e21, -1e21, 1.5e22, 1e300, math.MaxFloat64,
-		1e-6, 9.999999e-7, 1e-7, -1e-7, 2.5e-9, 1e-300,
-		5e-324, math.SmallestNonzeroFloat64,
-		serveConfidence, 0.95, 1024.0, 16777217,
-	}
-	for _, f := range vals {
-		want, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONFloat(%g) = %s, want %s", f, got, want)
-		}
-	}
 }
 
 // TestAnswerCacheAcrossRotation is the cache-correctness contract: repeat
@@ -139,7 +76,7 @@ func TestAnswerCacheAcrossRotation(t *testing.T) {
 		t.Fatalf("cache=off differs from cached:\n%s\n%s", body1, bodyOff)
 	}
 
-	// POST with the same single range rides the same cache and renderer.
+	// POST with the same single range rides the same cache and encoding.
 	req, _ := json.Marshal(estimateRequest{Ranges: []string{text}})
 	resp, err := http.Post(srv.URL+"/v1/summaries/net/estimate", "application/json", bytes.NewReader(req))
 	if err != nil {
@@ -197,6 +134,71 @@ func TestAnswerCacheAcrossRotation(t *testing.T) {
 	}
 }
 
+// TestAnswerCacheServesEveryName holds the answer cache to summary names
+// and range texts that JSON must escape or that are not ASCII: a repeated
+// single-range GET hits, and the cached, cache=off and POST bodies are the
+// same bytes.
+func TestAnswerCacheServesEveryName(t *testing.T) {
+	dir := t.TempDir()
+	var sources []serveSource
+	for i, name := range []string{"café", `q"1`} {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.sas", i))
+		writeSummary(t, path, buildSummary(t, uint64(40+i)))
+		sources = append(sources, serveSource{name: name, path: path})
+	}
+	st := newStore(sources, t.Logf)
+	if err := st.loadAll(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(st.handler())
+	defer srv.Close()
+
+	for _, src := range sources {
+		for _, text := range []string{"0:511,0:1023", "0:511,\t256:767"} {
+			// Each range text gets a fresh epoch, so the counters start at 0.
+			e, _ := st.get(src.name)
+			fresh := *e
+			st.install(&fresh)
+
+			base := srv.URL + "/v1/summaries/" + url.PathEscape(src.name)
+			get := base + "/estimate?range=" + url.QueryEscape(text)
+			body1, code := getRaw(t, get)
+			if code != http.StatusOK {
+				t.Fatalf("%q %q: status %d body %s", src.name, text, code, body1)
+			}
+			body2, _ := getRaw(t, get)
+			if !bytes.Equal(body1, body2) {
+				t.Fatalf("%q %q: cache hit differs from miss:\n%s\n%s", src.name, text, body1, body2)
+			}
+			var meta summaryMeta
+			getJSON(t, base, http.StatusOK, &meta)
+			if meta.CacheHits != 1 || meta.CacheMisses != 1 {
+				t.Fatalf("%q %q: counters hits=%d misses=%d, want 1/1", src.name, text, meta.CacheHits, meta.CacheMisses)
+			}
+			if off, _ := getRaw(t, get+"&cache=off"); !bytes.Equal(body1, off) {
+				t.Fatalf("%q %q: cache=off differs from cached:\n%s\n%s", src.name, text, body1, off)
+			}
+			req, _ := json.Marshal(estimateRequest{Ranges: []string{text}})
+			resp, err := http.Post(base+"/estimate", "application/json", bytes.NewReader(req))
+			if err != nil {
+				t.Fatal(err)
+			}
+			posted, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if !bytes.Equal(body1, posted) {
+				t.Fatalf("%q %q: POST single-range differs from GET:\n%s\n%s", src.name, text, body1, posted)
+			}
+			var got estimateResponse
+			if err := json.Unmarshal(body1, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Summary != src.name || len(got.Ranges) != 1 || got.Ranges[0] != text {
+				t.Fatalf("summary %q ranges %q, want %q and [%q]", got.Summary, got.Ranges, src.name, text)
+			}
+		}
+	}
+}
+
 // discardResponseWriter is a reusable ResponseWriter so AllocsPerRun
 // measures the handler's allocations, not the recorder's.
 type discardResponseWriter struct{ h http.Header }
@@ -209,14 +211,14 @@ func (d *discardResponseWriter) WriteHeader(int)             {}
 // single-range GET through the full mux. The measured cost is the mux's
 // request clone plus the Content-Length string; the budget leaves headroom
 // for toolchain drift while still catching any per-request encode or parse
-// regression (the reflective path costs dozens).
+// (a miss, which parses, estimates and encodes, costs 13).
 const maxWarmGetAllocs = 10
 
 func TestWarmCacheSingleRangeAllocs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "net.sas")
 	writeSummary(t, path, buildSummary(t, 22))
-	st := newStore([]serveSource{{name: "net", path: path}}, 4096, t.Logf)
+	st := newStore([]serveSource{{name: "net", path: path}}, t.Logf)
 	if err := st.loadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +249,7 @@ func TestHeavyHittersAllocs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "net.sas")
 	writeSummary(t, path, buildSummary(t, 22))
-	st := newStore([]serveSource{{name: "net", path: path}}, 4096, t.Logf)
+	st := newStore([]serveSource{{name: "net", path: path}}, t.Logf)
 	if err := st.loadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +320,7 @@ func TestEstimateBadRanges(t *testing.T) {
 	}
 }
 
-// TestNonFiniteAnswersFail500 is the fail-closed contract of the renderers:
+// TestNonFiniteAnswersFail500 is the fail-closed contract of the encoder:
 // an estimate or bound JSON cannot carry is a 500 with a JSON error body on
 // every read endpoint — never a 200 with a NaN or an empty body — and the
 // single-range fast path caches nothing for it. Each case is a summary
@@ -351,7 +353,7 @@ func TestNonFiniteAnswersFail500(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := newStore([]serveSource{{name: "bad"}}, 4096, t.Logf)
+			st := newStore([]serveSource{{name: "bad"}}, t.Logf)
 			st.install(&entry{name: "bad", idx: idx})
 			srv := httptest.NewServer(st.handler())
 			defer srv.Close()
@@ -460,7 +462,7 @@ func TestServingSoakConsistency(t *testing.T) {
 
 	// seen maps "epoch range" to the exact response body: the same epoch
 	// must answer the same range identically for every reader, every time,
-	// whether the bytes came from the cache, a fresh render, or a POST.
+	// whether the bytes came from the cache, a fresh encoding, or a POST.
 	var seen sync.Map
 	check := func(text string, body []byte) (estimateResponse, bool) {
 		var got estimateResponse

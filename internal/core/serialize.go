@@ -44,8 +44,69 @@ var ErrVersion = errors.New("core: unsupported summary format version")
 // trigger absurd allocations.
 const maxSummarySize = 1 << 30
 
-// WriteTo serializes the summary. It implements io.WriterTo.
+// checkDims and checkSize are the shape rules of SAS2 that ReadSummary must
+// apply before it allocates; check applies them with the rest.
+func checkDims(dims int) error {
+	if dims == 0 || dims > structure.MaxAxes {
+		return fmt.Errorf("%w: %d dims", ErrBadFormat, dims)
+	}
+	return nil
+}
+
+func checkSize(size uint64) error {
+	if size > maxSummarySize {
+		return fmt.Errorf("%w: size %d", ErrBadFormat, size)
+	}
+	return nil
+}
+
+// check reports whether SAS2 holds s: 1 to structure.MaxAxes valid axes, at
+// most maxSummarySize keys with one coordinate per axis, every coordinate
+// inside its axis's domain, and a finite, non-negative tau and weights. It
+// is the one rule both sides of the format keep: WriteTo refuses what
+// ReadSummary would refuse to read back. A refusal wraps ErrBadFormat.
+func (s *Summary) check() error {
+	if err := checkDims(len(s.Axes)); err != nil {
+		return err
+	}
+	if math.IsNaN(s.Tau) || math.IsInf(s.Tau, 0) || s.Tau < 0 {
+		return fmt.Errorf("%w: tau %v", ErrBadFormat, s.Tau)
+	}
+	size := s.Size()
+	if err := checkSize(uint64(size)); err != nil {
+		return err
+	}
+	if len(s.Coords) != len(s.Axes) {
+		return fmt.Errorf("%w: %d coordinate columns for %d axes", ErrBadFormat, len(s.Coords), len(s.Axes))
+	}
+	for d, ax := range s.Axes {
+		if err := ax.Validate(); err != nil {
+			return fmt.Errorf("%w: axis %d: %v", ErrBadFormat, d, err)
+		}
+		if len(s.Coords[d]) != size {
+			return fmt.Errorf("%w: axis %d has %d coordinates for %d weights", ErrBadFormat, d, len(s.Coords[d]), size)
+		}
+		dom := ax.DomainSize()
+		for _, x := range s.Coords[d] {
+			if x >= dom {
+				return fmt.Errorf("%w: coordinate %d out of domain on axis %d", ErrBadFormat, x, d)
+			}
+		}
+	}
+	for _, w := range s.Weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("%w: weight %v", ErrBadFormat, w)
+		}
+	}
+	return nil
+}
+
+// WriteTo serializes the summary. It implements io.WriterTo. A summary
+// ReadSummary would refuse is refused before the first byte is written.
 func (s *Summary) WriteTo(w io.Writer) (int64, error) {
+	if err := s.check(); err != nil {
+		return 0, err
+	}
 	bw := bufio.NewWriter(w)
 	cw := &countingWriter{w: bw}
 	write := func(v interface{}) error {
@@ -95,7 +156,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // ReadSummary deserializes a summary written by WriteTo. Summaries written
-// by other format versions are rejected with ErrVersion.
+// by other format versions are rejected with ErrVersion, and a summary the
+// format cannot hold (see check) with ErrBadFormat.
 func ReadSummary(r io.Reader) (*Summary, error) {
 	br := bufio.NewReader(r)
 	read := func(v interface{}) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -118,14 +180,11 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 	if err := read(&tau); err != nil {
 		return nil, fmt.Errorf("%w: tau", ErrBadFormat)
 	}
-	if math.IsNaN(tau) || math.IsInf(tau, 0) || tau < 0 {
-		return nil, fmt.Errorf("%w: tau %v", ErrBadFormat, tau)
-	}
 	if err := read(&dims); err != nil {
 		return nil, fmt.Errorf("%w: dims", ErrBadFormat)
 	}
-	if dims == 0 || dims > 16 {
-		return nil, fmt.Errorf("%w: %d dims", ErrBadFormat, dims)
+	if err := checkDims(int(dims)); err != nil {
+		return nil, err
 	}
 	s := &Summary{Tau: tau, Method: Method(method), Axes: make([]structure.Axis, dims)}
 	for d := range s.Axes {
@@ -139,8 +198,8 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 	if err := read(&size); err != nil {
 		return nil, fmt.Errorf("%w: size", ErrBadFormat)
 	}
-	if size > maxSummarySize {
-		return nil, fmt.Errorf("%w: size %d", ErrBadFormat, size)
+	if err := checkSize(uint64(size)); err != nil {
+		return nil, err
 	}
 	s.Coords = make([][]uint64, dims)
 	for d := range s.Coords {
@@ -148,20 +207,13 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 		if err := read(s.Coords[d]); err != nil {
 			return nil, fmt.Errorf("%w: coords", ErrBadFormat)
 		}
-		for _, x := range s.Coords[d] {
-			if x >= s.Axes[d].DomainSize() {
-				return nil, fmt.Errorf("%w: coordinate %d out of domain on axis %d", ErrBadFormat, x, d)
-			}
-		}
 	}
 	s.Weights = make([]float64, size)
 	if err := read(s.Weights); err != nil {
 		return nil, fmt.Errorf("%w: weights", ErrBadFormat)
 	}
-	for _, w := range s.Weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("%w: weight %v", ErrBadFormat, w)
-		}
+	if err := s.check(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

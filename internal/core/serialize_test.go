@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 
 	"structaware/internal/structure"
@@ -102,5 +104,52 @@ func TestReadSummaryRejectsCorruption(t *testing.T) {
 func TestReadSummaryEmptyInput(t *testing.T) {
 	if _, err := ReadSummary(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input must error")
+	}
+}
+
+// TestWriteToRefusesWhatReadSummaryRefuses holds WriteTo to the format's one
+// check: a summary ReadSummary would refuse to read back is refused with
+// ErrBadFormat before a byte is written, and the widest summary the format
+// holds round-trips.
+func TestWriteToRefusesWhatReadSummaryRefuses(t *testing.T) {
+	// summary has one key at coordinate 1 on each of dims 4-bit axes.
+	summary := func(dims int) *Summary {
+		s := &Summary{Weights: []float64{2}, Tau: 1}
+		for d := 0; d < dims; d++ {
+			s.Axes = append(s.Axes, structure.BitTrieAxis(4))
+			s.Coords = append(s.Coords, []uint64{1})
+		}
+		return s
+	}
+	widest := summary(structure.MaxAxes)
+	var buf bytes.Buffer
+	if _, err := widest.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadSummary(&buf); err != nil || len(got.Axes) != structure.MaxAxes {
+		t.Fatalf("%d-axis summary read back as %v, %v", structure.MaxAxes, got, err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		spoil func(s *Summary)
+	}{
+		{"17 axes", func(s *Summary) { *s = *summary(structure.MaxAxes + 1) }},
+		{"no axes", func(s *Summary) { *s = *summary(0) }},
+		{"out of domain", func(s *Summary) { s.Coords[1][0] = 16 }},
+		{"ragged coordinates", func(s *Summary) { s.Coords[0] = nil }},
+		{"NaN weight", func(s *Summary) { s.Weights[0] = math.NaN() }},
+		{"negative tau", func(s *Summary) { s.Tau = -1 }},
+	} {
+		s := summary(2)
+		tc.spoil(s)
+		var buf bytes.Buffer
+		n, err := s.WriteTo(&buf)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: WriteTo error %v, want ErrBadFormat", tc.name, err)
+		}
+		if n != 0 || buf.Len() != 0 {
+			t.Errorf("%s: WriteTo wrote %d bytes (reported %d), want none", tc.name, buf.Len(), n)
+		}
 	}
 }

@@ -12,11 +12,10 @@
 // Two structures are compiled, matching the two shapes of structural range
 // the paper queries:
 //
-//   - Per axis, the sampled keys sorted by coordinate together with prefix
-//     sums of their Horvitz–Thompson adjusted weights. A one-dimensional
+//   - Per axis, the sampled keys sorted by coordinate. A one-dimensional
 //     interval resolves to a contiguous run of this array by binary search;
-//     the prefix sums give O(log s) slab weights (SlabWeight) and O(1)
-//     emptiness tests for multi-axis pruning.
+//     an empty run is the O(log s) emptiness test for multi-axis pruning,
+//     and the shortest run is the candidate list of a selective query.
 //   - For multi-axis summaries, a kd-partition over the sampled keys
 //     (internal/kd — the same KD-HIERARCHY of §4 used at build time, here
 //     with adjusted weight as the mass), kept as kd.Build returns it: a
@@ -95,9 +94,6 @@ type axisIndex struct {
 	// order[i] is the key id holding sorted[i]; ties are broken by key id so
 	// the layout is deterministic.
 	order []int32
-	// prefix[i] is the plain left-to-right sum of adjusted weights over
-	// order[:i]; len(prefix) == size+1.
-	prefix []float64
 }
 
 // New compiles an index over a sample of weighted keys: coords[d][k] is key
@@ -139,7 +135,7 @@ func New(axes []structure.Axis, coords [][]uint64, weights []float64, tau float6
 	tmpOrder := make([]int32, size)
 	var counts [256]int
 	for d := range axes {
-		ix.byAxis[d] = buildAxis(coords[d], ix.adj, keys, tmpKeys, tmpOrder, &counts)
+		ix.byAxis[d] = buildAxis(coords[d], keys, tmpKeys, tmpOrder, &counts)
 	}
 	if len(axes) > 1 && size > 0 {
 		if err := ix.buildKD(); err != nil {
@@ -154,12 +150,11 @@ func New(axes []structure.Axis, coords [][]uint64, weights []float64, tau float6
 	return ix, nil
 }
 
-// buildAxis sorts one axis by (coordinate, key id) and accumulates the
-// prefix sums of adjusted weights in that order. The sort is a stable radix
-// over an id-ascending start order, which yields exactly the (coordinate,
-// id) order without a comparison sort; keys and the ping-pong buffers come
-// from the caller so one compilation reuses them across axes.
-func buildAxis(coords []uint64, adj []float64, keys, tmpKeys []uint64, tmpOrder []int32, counts *[256]int) axisIndex {
+// buildAxis sorts one axis by (coordinate, key id). The sort is a stable
+// radix over an id-ascending start order, which yields exactly the
+// (coordinate, id) order without a comparison sort; keys and the ping-pong
+// buffers come from the caller so one compilation reuses them across axes.
+func buildAxis(coords []uint64, keys, tmpKeys []uint64, tmpOrder []int32, counts *[256]int) axisIndex {
 	n := len(coords)
 	order := make([]int32, n)
 	for i := range order {
@@ -167,15 +162,8 @@ func buildAxis(coords []uint64, adj []float64, keys, tmpKeys []uint64, tmpOrder 
 	}
 	copy(keys, coords)
 	xsort.SortPairs(keys[:n], order, tmpKeys, tmpOrder, counts)
-	ax := axisIndex{
-		sorted: make([]uint64, n),
-		order:  order,
-		prefix: make([]float64, n+1),
-	}
+	ax := axisIndex{sorted: make([]uint64, n), order: order}
 	copy(ax.sorted, keys[:n])
-	for i, k := range order {
-		ax.prefix[i+1] = ax.prefix[i] + adj[k]
-	}
 	return ax
 }
 
@@ -221,18 +209,6 @@ func (ix *Index) run(d int, iv structure.Interval) (lo, hi int) {
 		hi = lo // empty interval (Lo > Hi)
 	}
 	return lo, hi
-}
-
-// SlabWeight returns the summed adjusted weight of the sampled keys whose
-// coordinate on axis d lies in iv — the weight of the axis-aligned slab —
-// in O(log s) via the prefix sums. The result is the plain left-to-right
-// prefix difference: mathematically exact, within normal floating-point
-// rounding of the canonical-order sum (use Keys/EstimateRange when
-// bit-exact agreement with the linear scan matters).
-func (ix *Index) SlabWeight(d int, iv structure.Interval) float64 {
-	lo, hi := ix.run(d, iv)
-	p := ix.byAxis[d].prefix
-	return p[hi] - p[lo]
 }
 
 // scratch is the per-query working state: a bitmap with one bit per sample

@@ -287,26 +287,6 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestSlabWeight(t *testing.T) {
-	axes := []structure.Axis{structure.OrderedAxis(10), structure.OrderedAxis(10)}
-	f := randomFixture(axes, 300, 23)
-	ix, err := New(f.axes, f.coords, f.weights, f.tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xmath.NewRand(31)
-	for trial := 0; trial < 100; trial++ {
-		iv := randomRange(axes[:1], 0.3, r)[0]
-		d := trial % 2
-		slab := structure.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 1023}}
-		slab[d] = iv
-		got, want := ix.SlabWeight(d, iv), f.linearEstimate(slab)
-		if !xmath.AlmostEqual(got, want, 1e-9) {
-			t.Fatalf("axis %d slab %v: %v, want %v", d, iv, got, want)
-		}
-	}
-}
-
 // TestOverlongRangePanics mirrors the linear scan: a range with more
 // intervals than axes fails loudly instead of silently ignoring intervals.
 func TestOverlongRangePanics(t *testing.T) {

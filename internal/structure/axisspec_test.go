@@ -19,6 +19,10 @@ func TestParseAxisSpec(t *testing.T) {
 			t.Fatalf("axis %d: %+v, want %+v", d, axes[d], want[d])
 		}
 	}
+	widest := strings.TrimSuffix(strings.Repeat("ordered:4,", MaxAxes), ",")
+	if axes, err := ParseAxisSpec(widest); err != nil || len(axes) != MaxAxes {
+		t.Fatalf("ParseAxisSpec of %d axes = %d axes, %v", MaxAxes, len(axes), err)
+	}
 
 	for spec, wantErr := range map[string]string{
 		"":              "kind:bits",
@@ -30,6 +34,7 @@ func TestParseAxisSpec(t *testing.T) {
 		"quadtree:8":    "unknown axis kind",
 		"bittrie:32,,":  "kind:bits",
 		"bittrie:32:16": "bad bit width",
+		strings.Repeat("bittrie:8,", MaxAxes) + "bittrie:8": "17 axes exceed the limit of 16",
 	} {
 		_, err := ParseAxisSpec(spec)
 		if err == nil || !strings.Contains(err.Error(), wantErr) {

@@ -66,9 +66,13 @@ func (r Range) String() string {
 // linear 20-bit axis. This is how live summaries declare their domain on
 // the sasserve command line (a domain that, unlike a served file's, has no
 // serialized axis metadata to read). Explicit hierarchies have no textual
-// form — they need a whole tree — and are rejected with a hint.
+// form — they need a whole tree — and are rejected with a hint, as is a
+// domain of more than MaxAxes axes.
 func ParseAxisSpec(s string) ([]Axis, error) {
 	parts := strings.Split(s, ",")
+	if len(parts) > MaxAxes {
+		return nil, fmt.Errorf("structure: %d axes exceed the limit of %d", len(parts), MaxAxes)
+	}
 	axes := make([]Axis, 0, len(parts))
 	for _, part := range parts {
 		kind, bits, ok := strings.Cut(strings.TrimSpace(part), ":")

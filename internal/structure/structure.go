@@ -67,6 +67,10 @@ type Axis struct {
 	Tree *hierarchy.Tree
 }
 
+// MaxAxes is the most axes a serialized summary (internal/core's SAS2
+// format) holds, and so the most a live summary may declare.
+const MaxAxes = 16
+
 // OrderedAxis returns an ordered axis over [0, 2^bits).
 func OrderedAxis(bits int) Axis { return Axis{Kind: Ordered, Bits: bits} }
 

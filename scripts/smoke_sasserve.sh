@@ -4,7 +4,8 @@
 #   read side:  generate a dataset, sample it, dump the serialized summary,
 #               serve it with sasserve, query its estimate, total, quantile,
 #               representatives and heavy hitters over HTTP, and check a
-#               NaN phi and the removed -backend flag are refused;
+#               NaN phi, the removed -backend flag and a live domain of
+#               more axes than a snapshot file holds are refused;
 #   write side: start a live summary, check a batch whose weights sum
 #               past its bound is refused, push keys over HTTP, force a
 #               snapshot, query it, SIGTERM the server (must exit 0,
@@ -107,6 +108,14 @@ BACKEND_STATUS=0
 head -n 1 "$TMP/backend.err"
 [ "$BACKEND_STATUS" -eq 2 ] || { echo "sasserve -backend exited $BACKEND_STATUS, want 2" >&2; exit 1; }
 grep -q 'flag provided but not defined: -backend' "$TMP/backend.err" || { echo "-backend refusal does not name the flag" >&2; exit 1; }
+# A live summary declares at most the 16 axes a snapshot file holds; a
+# 17th is a usage error, not a server whose snapshots cannot be read back.
+WIDE_STATUS=0
+timeout 10 "$TMP/sasserve" -addr 127.0.0.1:0 -live "wide=$(printf 'bittrie:4,%.0s' $(seq 16))bittrie:4" \
+    2>"$TMP/wide.err" || WIDE_STATUS=$?
+head -n 1 "$TMP/wide.err"
+[ "$WIDE_STATUS" -eq 2 ] || { echo "sasserve -live with 17 axes exited $WIDE_STATUS, want 2" >&2; exit 1; }
+grep -q '17 axes exceed the limit of 16' "$TMP/wide.err" || { echo "17-axis refusal does not say why" >&2; exit 1; }
 # Two live summaries share the ingest plane: "flows" keeps the exact-sum
 # HTTP assertions below, "load" absorbs the frame floods. A 1-deep ingest
 # queue in front of each summary's one worker makes the 429 back-pressure
