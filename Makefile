@@ -52,7 +52,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -run XXX -bench 'SerialSample$$|ParallelSample|BuilderPush|KDSummarize' -benchmem .
+	$(GO) test -run XXX -bench 'SerialSample$$|ParallelSample|BuilderPush|BuilderSnapshot|KDSummarize' -benchmem .
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

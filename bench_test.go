@@ -262,10 +262,10 @@ func BenchmarkBuilderPushBatchSteady(b *testing.B) {
 }
 
 // BenchmarkBuilderSnapshot measures publishing one snapshot from a Builder
-// warmed with the full 1M-key input: the deep copy of the bounded reservoir
-// state plus the closing pass, i.e. the per-epoch cost of sasserve's live
-// snapshot rotation. The Builder is not consumed — cost depends on the
-// buffer (here the default 5×4096 keys), not on stream length.
+// warmed with the full 1M-key input: the in-place read of the reservoir
+// plus the closing pass, i.e. how long sasserve's live ingest worker stays
+// parked per snapshot rotation. The Builder is not consumed — cost depends
+// on the buffer (here the default 5×4096 keys), not on stream length.
 func BenchmarkBuilderSnapshot(b *testing.B) {
 	ds := bigFixture(b)
 	bld, err := structaware.NewBuilder(ds.Axes, structaware.Config{Size: 4096, Seed: 1})
@@ -568,17 +568,19 @@ func BenchmarkKDLocate(b *testing.B) {
 	if err := ing.PushBatch(ds.Coords, ds.Weights); err != nil {
 		b.Fatal(err)
 	}
-	reservoir, _ := ing.Guide()
+	reservoir, coords, _, err := ing.Reservoir()
+	if err != nil {
+		b.Fatal(err)
+	}
 	tau, _ := ing.Tau()
 	guide := &structure.Dataset{Axes: ds.Axes, Coords: make([][]uint64, ds.Dims())}
 	var p []float64
-	for _, it := range reservoir {
+	for k, it := range reservoir {
 		if it.Weight >= tau {
 			continue
 		}
-		pt, _ := ing.Point(it.Index)
-		for d, x := range pt {
-			guide.Coords[d] = append(guide.Coords[d], x)
+		for d := range coords {
+			guide.Coords[d] = append(guide.Coords[d], coords[d][k])
 		}
 		p = append(p, it.Weight/tau)
 	}

@@ -56,16 +56,10 @@ type Cache struct {
 	hits, misses atomic.Int64
 }
 
-// New returns a cache holding at most capacity answers (rounded up to a
-// multiple of the shard count, minimum one per shard). A non-positive
-// capacity returns nil, the "caching disabled" value: a nil *Cache answers
-// every Get with a miss (uncounted) and drops every Put, so callers need no
-// branches.
+// New returns a cache holding at most capacity answers, rounded up to a
+// multiple of the shard count with at least one per shard.
 func New(capacity int) *Cache {
-	if capacity <= 0 {
-		return nil
-	}
-	perShard := (capacity + numShards - 1) / numShards
+	perShard := max(1, (capacity+numShards-1)/numShards)
 	c := &Cache{seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i] = shard{m: make(map[string]*node, perShard), cap: perShard}
@@ -84,9 +78,6 @@ func (c *Cache) shardOf(key string) *shard {
 //
 //sasvet:hotpath
 func (c *Cache) Get(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
 	sh := c.shardOf(key)
 	sh.mu.Lock()
 	n, ok := sh.m[key]
@@ -108,9 +99,6 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 //
 //sasvet:hotpath
 func (c *Cache) Put(key string, val []byte) {
-	if c == nil {
-		return
-	}
 	sh := c.shardOf(key)
 	sh.mu.Lock()
 	if n, ok := sh.m[key]; ok {
@@ -132,9 +120,6 @@ func (c *Cache) Put(key string, val []byte) {
 
 // Len returns the number of resident answers.
 func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
 	total := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -147,9 +132,6 @@ func (c *Cache) Len() int {
 
 // Stats returns the lifetime hit and miss counts.
 func (c *Cache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
 	return c.hits.Load(), c.misses.Load()
 }
 

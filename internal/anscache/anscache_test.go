@@ -6,43 +6,30 @@ import (
 	"testing"
 )
 
+// TestGetPutAndCounters runs at a capacity of 0 too: every capacity gets
+// at least one slot per shard.
 func TestGetPutAndCounters(t *testing.T) {
-	c := New(64)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("hit on an empty cache")
-	}
-	c.Put("a", []byte("1"))
-	v, ok := c.Get("a")
-	if !ok || string(v) != "1" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
-	}
-	c.Put("a", []byte("2")) // refresh replaces the value
-	if v, _ := c.Get("a"); string(v) != "2" {
-		t.Fatalf("refreshed Get(a) = %q", v)
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats hits=%d misses=%d, want 2/1", hits, misses)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestNilCacheIsDisabled(t *testing.T) {
-	var c *Cache
-	if c := New(0); c != nil {
-		t.Fatal("New(0) should return the nil disabled cache")
-	}
-	c.Put("a", []byte("1"))
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("nil cache must always miss")
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatal("nil cache must not count")
-	}
-	if c.Len() != 0 {
-		t.Fatal("nil cache must be empty")
+	for _, capacity := range []int{64, 0} {
+		c := New(capacity)
+		if _, ok := c.Get("a"); ok {
+			t.Fatal("hit on an empty cache")
+		}
+		c.Put("a", []byte("1"))
+		v, ok := c.Get("a")
+		if !ok || string(v) != "1" {
+			t.Fatalf("capacity %d: Get(a) = %q, %v", capacity, v, ok)
+		}
+		c.Put("a", []byte("2")) // refresh replaces the value
+		if v, _ := c.Get("a"); string(v) != "2" {
+			t.Fatalf("capacity %d: refreshed Get(a) = %q", capacity, v)
+		}
+		hits, misses := c.Stats()
+		if hits != 2 || misses != 1 {
+			t.Fatalf("capacity %d: stats hits=%d misses=%d, want 2/1", capacity, hits, misses)
+		}
+		if c.Len() != 1 {
+			t.Fatalf("capacity %d: Len = %d, want 1", capacity, c.Len())
+		}
 	}
 }
 

@@ -13,6 +13,9 @@ import (
 	"structaware/internal/xmath"
 )
 
+// ErrFinalized is returned by every call on a Builder after Finalize.
+var ErrFinalized = errors.New("core: builder already finalized")
+
 // Builder is the streaming construction API: push weighted keys one at a
 // time — from a file, a socket, stdin, or a shard of a partitioned
 // population — and finalize into a Summary, without ever materializing a
@@ -37,8 +40,10 @@ import (
 // A Builder is not safe for concurrent use; shard-parallel callers run one
 // Builder per shard and combine the results with MergeSummaries. Finalize
 // consumes the Builder; Snapshot publishes the Summary the stream has
-// accumulated so far without consuming it, which is how a long-lived
-// Builder serves as the write buffer of a live serving system.
+// accumulated so far without consuming it: the reservoir is a VarOpt sample
+// of the stream at every instant, so Snapshot reads it in place, with no
+// copy of the ingestion state, and closes what it read. That is how a
+// long-lived Builder serves as the write buffer of a live serving system.
 type Builder struct {
 	axes []structure.Axis
 	cfg  Config
@@ -96,7 +101,7 @@ func (c Config) buffer() (int, error) {
 // rejected.
 func (b *Builder) Push(pt []uint64, w float64) error {
 	if b.done {
-		return ingest.ErrFinalized
+		return ErrFinalized
 	}
 	if len(pt) != len(b.axes) {
 		return fmt.Errorf("core: point has %d dims, want %d", len(pt), len(b.axes))
@@ -119,7 +124,7 @@ func (b *Builder) Push(pt []uint64, w float64) error {
 // ingested, exactly as per-key pushes would.
 func (b *Builder) PushBatch(coords [][]uint64, weights []float64) error {
 	if b.done {
-		return ingest.ErrFinalized
+		return ErrFinalized
 	}
 	if len(coords) != len(b.axes) {
 		return fmt.Errorf("core: batch has %d columns, want %d", len(coords), len(b.axes))
@@ -146,85 +151,59 @@ func (b *Builder) Pushed() int { return b.ing.Rows() }
 // used afterwards.
 func (b *Builder) Finalize() (*Summary, error) {
 	if b.done {
-		return nil, ingest.ErrFinalized
+		return nil, ErrFinalized
 	}
 	b.done = true
-	return b.close(b.ing, b.r)
+	return b.close(b.r)
 }
 
-// Snapshot finalizes a copy of the current stream state without consuming
-// the Builder: it deep-copies the reservoir and coordinate arena (O(Buffer)
-// work and memory, independent of stream length) and runs the same closing
-// pass Finalize runs, so the result is bit-for-bit the Summary Finalize
-// would return if the stream ended now. The Builder is untouched — further
+// Snapshot returns the Summary the stream has accumulated so far without
+// consuming the Builder. It reads the reservoir in place (O(Buffer) work
+// and memory, independent of stream length) and runs the same closing pass
+// Finalize runs, drawing from a clone of the Builder's generator state, so
+// the result is bit-for-bit the Summary Finalize would return if the
+// stream ended now. The read changes no Builder state, so further
 // Push/PushBatch/Finalize calls proceed exactly as if Snapshot had never
-// been called, because the closing pass of the copy draws from a clone of
-// the Builder's generator state. This is the write side of a serving
-// system: keep one long-lived Builder per stream and periodically publish
-// Snapshot results (see cmd/sasserve's live summaries).
+// been called. This is the write side of a serving system: keep one
+// long-lived Builder per stream and periodically publish Snapshot results
+// (see cmd/sasserve's live summaries).
 //
 // Snapshot before any positive-weight key has been pushed returns ErrNoData
 // (a Summary cannot be empty); the Builder remains usable. Snapshot after
-// Finalize reports the Builder as finalized.
+// Finalize returns ErrFinalized.
 func (b *Builder) Snapshot() (*Summary, error) {
 	if b.done {
-		return nil, ingest.ErrFinalized
+		return nil, ErrFinalized
 	}
-	r := b.r.Clone()
-	ing, err := b.ing.Snapshot(r)
+	return b.close(b.r.Clone())
+}
+
+// close finalizes the reservoir into a Summary, drawing the closing pass's
+// randomness from r. The reservoir is one mergeable VarOpt shard over the
+// whole stream; closing it is the same merge step the parallel engine
+// runs, over a local dataset of the retained candidates whose item indices
+// are dataset positions. When the reservoir never overflowed (tau0 == 0)
+// this degenerates to the exact main-memory construction.
+func (b *Builder) close(r *xmath.SplitMix) (*Summary, error) {
+	items, coords, tau0, err := b.ing.Reservoir()
 	if err != nil {
 		return nil, err
 	}
-	return b.close(ing, r)
-}
-
-// close finalizes one ingestion state (the Builder's own on Finalize, a
-// deep copy on Snapshot) into a Summary, drawing the closing pass's
-// randomness from r.
-func (b *Builder) close(ing *ingest.Ingester, r *xmath.SplitMix) (*Summary, error) {
-	items, tau0 := ing.Guide()
 	if len(items) == 0 {
 		return nil, ErrNoData
 	}
-	// The reservoir is one mergeable VarOpt shard over the whole stream;
-	// closing it is the same merge step the parallel engine runs, over a
-	// local dataset of the retained candidates. When the reservoir never
-	// overflowed (tau0 == 0) this degenerates to the exact main-memory
-	// construction.
-	lds, shard, err := b.reservoirDataset(ing, items, tau0)
-	if err != nil {
-		return nil, err
+	weights := make([]float64, len(items))
+	for k, it := range items {
+		weights[k] = it.Weight
+		items[k].Index = k
 	}
+	lds := &structure.Dataset{Axes: b.axes, Coords: coords, Weights: weights}
+	shard := varopt.Shard{Items: items, Tau: tau0}
 	res, err := engine.MergeClose(lds, []varopt.Shard{shard}, b.cfg.Size, closeMode(b.cfg.Method), r, engine.NewArena())
 	if err != nil {
 		return nil, mapErr(err)
 	}
 	return fromIndices(lds, res.Indices, res.Tau, b.cfg.Method), nil
-}
-
-// reservoirDataset materializes the retained reservoir items of ing as a
-// columnar dataset plus the matching mergeable shard (item indices are
-// local dataset positions).
-func (b *Builder) reservoirDataset(ing *ingest.Ingester, items []varopt.StreamItem, tau0 float64) (*structure.Dataset, varopt.Shard, error) {
-	coords := make([][]uint64, len(b.axes))
-	for d := range coords {
-		coords[d] = make([]uint64, len(items))
-	}
-	weights := make([]float64, len(items))
-	local := make([]varopt.StreamItem, len(items))
-	for k, it := range items {
-		pt, ok := ing.Point(it.Index)
-		if !ok {
-			return nil, varopt.Shard{}, fmt.Errorf("core: internal: lost coordinates for reservoir key %d", it.Index)
-		}
-		for d := range coords {
-			coords[d][k] = pt[d]
-		}
-		weights[k] = it.Weight
-		local[k] = varopt.StreamItem{Index: k, Weight: it.Weight}
-	}
-	lds := &structure.Dataset{Axes: b.axes, Coords: coords, Weights: weights}
-	return lds, varopt.Shard{Items: local, Tau: tau0}, nil
 }
 
 // MergeSummaries combines summaries built independently over pairwise

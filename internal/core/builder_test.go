@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"structaware/internal/hierarchy"
-	"structaware/internal/ingest"
 	"structaware/internal/structure"
 	"structaware/internal/xmath"
 )
@@ -140,10 +139,10 @@ func TestBuilderArgAndStateErrors(t *testing.T) {
 	if _, err := b.Finalize(); !errors.Is(err, ErrNoData) {
 		t.Fatalf("empty finalize: %v want ErrNoData", err)
 	}
-	if err := b.Push([]uint64{3}, 1); !errors.Is(err, ingest.ErrFinalized) {
+	if err := b.Push([]uint64{3}, 1); !errors.Is(err, ErrFinalized) {
 		t.Fatalf("push after finalize: %v", err)
 	}
-	if _, err := b.Finalize(); !errors.Is(err, ingest.ErrFinalized) {
+	if _, err := b.Finalize(); !errors.Is(err, ErrFinalized) {
 		t.Fatalf("double finalize: %v", err)
 	}
 }

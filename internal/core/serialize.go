@@ -202,20 +202,40 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 		return nil, err
 	}
 	s.Coords = make([][]uint64, dims)
+	var err error
 	for d := range s.Coords {
-		s.Coords[d] = make([]uint64, size)
-		if err := read(s.Coords[d]); err != nil {
+		if s.Coords[d], err = readColumn[uint64](br, int(size)); err != nil {
 			return nil, fmt.Errorf("%w: coords", ErrBadFormat)
 		}
 	}
-	s.Weights = make([]float64, size)
-	if err := read(s.Weights); err != nil {
+	if s.Weights, err = readColumn[float64](br, int(size)); err != nil {
 		return nil, fmt.Errorf("%w: weights", ErrBadFormat)
 	}
 	if err := s.check(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// readColumn reads a column of n little-endian values. The size comes from
+// the input, so the column grows only as its bytes arrive, from a first
+// read of 8,192 values by doubling: a header that declares more keys than
+// the input holds fails having allocated a small multiple of what the input
+// held, not what the header declared.
+func readColumn[T uint64 | float64](r io.Reader, n int) ([]T, error) {
+	col := make([]T, min(n, 8192))
+	for k := 0; ; {
+		if err := binary.Read(r, binary.LittleEndian, col[k:]); err != nil {
+			return nil, err
+		}
+		if len(col) == n {
+			return col, nil
+		}
+		k = len(col)
+		grown := make([]T, min(n, 2*k))
+		copy(grown, col)
+		col = grown
+	}
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

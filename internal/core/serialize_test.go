@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"structaware/internal/structure"
@@ -67,6 +69,29 @@ func TestSummaryRoundTripExplicitAxes(t *testing.T) {
 	}
 }
 
+// TestSummaryRoundTripLarge: a summary of more keys than ReadSummary's
+// first column read (8,192 values) comes back bit for bit, so every column
+// is read whole across its growth steps.
+func TestSummaryRoundTripLarge(t *testing.T) {
+	ds := make2D(t, 30000, 20, 23)
+	orig, err := Build(ds, Config{Size: 20000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSummary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSummary(t, got, orig, "20,000-key round trip")
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes left unread", buf.Len())
+	}
+}
+
 func TestReadSummaryRejectsCorruption(t *testing.T) {
 	ds := make2D(t, 100, 10, 23)
 	orig, err := Build(ds, Config{Size: 20, Seed: 2})
@@ -98,6 +123,33 @@ func TestReadSummaryRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadSummary(bytes.NewReader(bad)); err == nil {
 		t.Fatal("NaN weight must be rejected")
+	}
+}
+
+// TestReadSummaryAllocatesAsBytesArrive: a header that declares 2^22 keys
+// on two 20-bit axes and ends there is refused having allocated about what
+// it held, not the 96 MiB of columns it declared.
+func TestReadSummaryAllocatesAsBytesArrive(t *testing.T) {
+	one := &Summary{
+		Axes:    []structure.Axis{structure.BitTrieAxis(20), structure.BitTrieAxis(20)},
+		Coords:  [][]uint64{{1}, {2}},
+		Weights: []float64{3},
+	}
+	var buf bytes.Buffer
+	if _, err := one.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	header := buf.Bytes()[:buf.Len()-3*8]
+	binary.LittleEndian.PutUint32(header[len(header)-4:], 1<<22)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSummary(bytes.NewReader(header))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("%d-byte header declaring 2^22 keys: %v, want ErrBadFormat", len(header), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("%d-byte header declaring 2^22 keys allocated %d bytes", len(header), alloc)
 	}
 }
 

@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
-	"structaware/internal/ingest"
 	"structaware/internal/structure"
 )
 
@@ -34,9 +34,9 @@ func sameSummary(t *testing.T, got, want *Summary, label string) {
 // snapshot left no trace. The buffer is far smaller than the stream, so the
 // reservoir overflows before the snapshot point and keeps replacing items
 // after it. The coordinate arena, which holds admitted keys only, is never
-// swept mid-stream here: this stream's admissions do not fill its
-// 4×buffer slots, so only Guide's final sweep runs. The ingest package's
-// TestSnapshotDoesNotConsume and TestPushBatchMatchesPush cover sweeps.
+// swept here: this stream's admissions do not fill its 4×buffer slots. The
+// ingest package's TestReservoirReadsInPlace and TestPushBatchMatchesPush
+// cover reads between sweeps.
 func TestBuilderSnapshotDeterminism(t *testing.T) {
 	ds := make2D(t, 4000, 14, 53)
 	half := ds.Len() / 2
@@ -132,7 +132,45 @@ func TestBuilderSnapshotStateErrors(t *testing.T) {
 	if _, err := b.Finalize(); err != nil {
 		t.Fatalf("finalize after snapshots: %v", err)
 	}
-	if _, err := b.Snapshot(); !errors.Is(err, ingest.ErrFinalized) {
+	if _, err := b.Snapshot(); !errors.Is(err, ErrFinalized) {
 		t.Fatalf("snapshot after finalize: %v, want ErrFinalized", err)
+	}
+}
+
+// mallocs returns the number of heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSnapshotCopiesNoIngestState: Snapshot reads the reservoir in place,
+// so it allocates what Finalize allocates on an identical Builder plus the
+// clone of the generator, and nothing for a copy of the ingestion state.
+func TestSnapshotCopiesNoIngestState(t *testing.T) {
+	ds := make2D(t, 20000, 14, 53)
+	cfg := Config{Size: 60, Seed: 9, Buffer: 300}
+	builder := func() *Builder {
+		b, err := NewBuilder(ds.Axes, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushDataset(t, b, ds)
+		return b
+	}
+	snapB, finB := builder(), builder()
+	var err error
+	snap := mallocs(func() { _, err = snapB.Snapshot() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := mallocs(func() { _, err = finB.Finalize() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap > fin+1 {
+		t.Fatalf("Snapshot made %d allocations, Finalize %d: more than the generator clone apart", snap, fin)
 	}
 }

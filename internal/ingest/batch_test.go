@@ -48,12 +48,12 @@ func admitted(t *testing.T, ws []float64, k int, seed uint64) int {
 // TestPushBatchMatchesPush: a columnar batch must be byte-equivalent to the
 // same keys pushed one at a time — same reservoir, same threshold, same
 // retained coordinates, same arena sweeps (the batch path is a fast path,
-// not a variant) — and a snapshot taken between two batches must equal a
-// per-key ingester fed the same prefix. The longer cases drop almost every
-// key on arrival, so the arena holds coordinates for a small fraction of
-// the pushes. "no-threshold" has no threshold tracker, as a live builder's
-// ingester has none; "sweep-in-batch" has a capacity so small that the
-// arena is swept inside the second batch.
+// not a variant) — and a read of the reservoir between two batches must
+// equal a per-key ingester fed the same prefix. The longer cases drop
+// almost every key on arrival, so the arena holds coordinates for a small
+// fraction of the pushes. "no-threshold" has no threshold tracker, as a
+// live builder's ingester has none; "sweep-in-batch" has a capacity so
+// small that the arena is swept inside the second batch.
 func TestPushBatchMatchesPush(t *testing.T) {
 	for _, tc := range []struct {
 		name                    string
@@ -93,20 +93,16 @@ func TestPushBatchMatchesPush(t *testing.T) {
 			}
 			pushKeys(prefix, 0, tc.split)
 
-			r := xmath.NewRand(5)
-			bat, err := New(cfg, r)
+			bat, err := New(cfg, xmath.NewRand(5))
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Split the batch at an arbitrary boundary to exercise batch
-			// resumption, and snapshot there.
+			// resumption, and read the reservoir there.
 			if err := bat.PushBatch([][]uint64{cols[0][:tc.split], cols[1][:tc.split]}, ws[:tc.split]); err != nil {
 				t.Fatal(err)
 			}
-			snap, err := bat.Snapshot(r.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
+			sameReservoir(t, bat, prefix, "mid-stream read vs Push prefix")
 			sweeps := bat.sweeps
 			if err := bat.PushBatch([][]uint64{cols[0][tc.split:], cols[1][tc.split:]}, ws[tc.split:]); err != nil {
 				t.Fatal(err)
@@ -121,8 +117,7 @@ func TestPushBatchMatchesPush(t *testing.T) {
 			if to != tb || okO != okB {
 				t.Fatalf("tau_s %v/%v vs %v/%v", to, okO, tb, okB)
 			}
-			sameGuide(t, bat, one, "PushBatch vs Push")
-			sameGuide(t, snap, prefix, "mid-stream snapshot vs Push prefix")
+			sameReservoir(t, bat, one, "PushBatch vs Push")
 		})
 	}
 }
@@ -189,10 +184,13 @@ func TestArenaFollowsAdmissions(t *testing.T) {
 	if g.sweeps < 2 || g.sweeps > admissions/(3*capacity)+1 {
 		t.Fatalf("%d sweeps for %d admissions into capacity %d", g.sweeps, admissions, capacity)
 	}
-	items, _ = g.Guide()
-	for _, it := range items {
-		if p, ok := g.Point(it.Index); !ok || p[0] != uint64(it.Index) {
-			t.Fatalf("coordinates lost for reservoir row %d", it.Index)
+	items, coords, _, err := g.Reservoir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, it := range items {
+		if coords[0][k] != uint64(it.Index) {
+			t.Fatalf("reservoir row %d has coordinate %d", it.Index, coords[0][k])
 		}
 	}
 }
@@ -207,10 +205,6 @@ func TestBatchErrors(t *testing.T) {
 	}
 	if err := g.PushBatch([][]uint64{{1}, {2, 3}}, []float64{1}); err == nil {
 		t.Fatal("ragged columns must error")
-	}
-	g.Guide()
-	if err := g.PushBatch([][]uint64{{1}, {2}}, []float64{1}); err != ErrFinalized {
-		t.Fatalf("batch after Guide: %v want ErrFinalized", err)
 	}
 }
 

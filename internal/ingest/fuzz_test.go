@@ -127,6 +127,6 @@ func FuzzPushBatchMatchesPush(f *testing.F) {
 			t.Fatalf("tau_s %v/%v vs %v/%v", tb, okB, to, okO)
 		}
 		sameArena(t, bat, one)
-		sameGuide(t, bat, one, "PushBatch vs Push")
+		sameReservoir(t, bat, one, "PushBatch vs Push")
 	})
 }

@@ -35,7 +35,6 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -45,17 +44,13 @@ import (
 	"structaware/internal/xsort"
 )
 
-// ErrFinalized is returned when pushing into a result-extracted Ingester
-// whose reservoir has been handed off.
-var ErrFinalized = errors.New("ingest: ingester already finalized")
-
 // Config configures an Ingester.
 type Config struct {
 	// Capacity is the reservoir size: the number of candidate keys retained.
 	// Must be positive.
 	Capacity int
 	// Dims is the number of coordinates per key; the Ingester retains each
-	// reservoir item's coordinates and Point recovers them. Must be
+	// reservoir item's coordinates and Reservoir returns them. Must be
 	// positive.
 	Dims int
 	// ThresholdSize, when positive, additionally tracks the streaming IPPS
@@ -71,7 +66,6 @@ type Ingester struct {
 	cap    int
 	dims   int
 	rows   int
-	done   bool
 
 	// Columnar coordinate retention. Slot s holds the coordinates of one
 	// admitted key at coords[s*dims : (s+1)*dims] and its row index in
@@ -89,10 +83,6 @@ type Ingester struct {
 	itemsBuf []varopt.StreamItem
 	keepBuf  []int
 	sortScr  xsort.Scratch
-
-	// Row directory over the reservoir's slots, built by Guide for Point.
-	dirRows  []uint64
-	dirSlots []int32
 }
 
 // New creates an Ingester. r drives the reservoir's sampling decisions.
@@ -135,9 +125,6 @@ func (g *Ingester) maxSlots() int { return 4 * g.cap }
 //
 //sasvet:hotpath
 func (g *Ingester) Push(pt []uint64, w float64) error {
-	if g.done {
-		return ErrFinalized
-	}
 	if len(pt) != g.dims {
 		//sasvet:ok rejection path; a malformed point never reaches the per-row loop
 		return fmt.Errorf("ingest: point has %d dims, want %d", len(pt), g.dims)
@@ -156,9 +143,6 @@ func (g *Ingester) Push(pt []uint64, w float64) error {
 //
 //sasvet:hotpath
 func (g *Ingester) PushBatch(cols [][]uint64, weights []float64) error {
-	if g.done {
-		return ErrFinalized
-	}
 	if len(cols) != g.dims {
 		//sasvet:ok rejection path; a malformed batch never reaches the per-row loop
 		return fmt.Errorf("ingest: batch has %d columns, want %d", len(cols), g.dims)
@@ -253,33 +237,6 @@ func (g *Ingester) compact() {
 	}
 }
 
-// Snapshot returns a deep copy of the ingestion state — reservoir,
-// coordinate arena, and streaming threshold — that shares no mutable state
-// with g: the copy can be finalized with Guide while g keeps accepting
-// pushes. r drives the copy's future sampling decisions; snapshot consumers
-// finalize the copy immediately and never draw from it, but passing a clone
-// of the original's generator keeps the two ingesters byte-equivalent under
-// identical further pushes. Snapshotting a finalized Ingester is an error.
-func (g *Ingester) Snapshot(r xmath.Rand) (*Ingester, error) {
-	if g.done {
-		return nil, ErrFinalized
-	}
-	cl := &Ingester{
-		stream: g.stream.Clone(r),
-		cap:    g.cap,
-		dims:   g.dims,
-		rows:   g.rows,
-		live:   g.live,
-	}
-	if g.thr != nil {
-		cl.thr = g.thr.Clone()
-	}
-	cl.slotRows = append(make([]int, 0, len(g.slotRows)), g.slotRows...)
-	cl.coords = append(make([]uint64, 0, len(g.coords)), g.coords...)
-	cl.freeSlots = append(make([]int32, 0, cap(g.freeSlots)), g.freeSlots...)
-	return cl, nil
-}
-
 // Rows returns the number of keys pushed (including zero-weight ones).
 func (g *Ingester) Rows() int { return g.rows }
 
@@ -295,23 +252,17 @@ func (g *Ingester) Tau() (float64, bool) {
 	return g.thr.Tau(), true
 }
 
-// Guide returns the reservoir contents: a mergeable VarOpt sample of
-// everything pushed so far, as items (original weights, ascending row
-// index) plus the reservoir threshold τ₀. τ₀ == 0 means the reservoir never
-// overflowed, so the items are the entire positive-weight input. Further
-// pushes are rejected once Guide has been called.
-func (g *Ingester) Guide() (items []varopt.StreamItem, tau0 float64) {
-	g.done = true
+// Reservoir returns the reservoir contents and changes no state: a
+// mergeable VarOpt sample of everything pushed so far, as items (original
+// weights, ascending row index), their coordinates as fresh columns
+// (coords[d][k] is item k's coordinate on axis d), and the reservoir
+// threshold τ₀. τ₀ == 0 means the reservoir never overflowed, so the items
+// are the entire positive-weight input. The live slots, radix-sorted by
+// row, are merged against the items' ascending rows, so the read costs
+// O(live) with no per-slot search. It fails only when a reservoir key has
+// lost its coordinate slot, which only a bug can cause.
+func (g *Ingester) Reservoir() (items []varopt.StreamItem, coords [][]uint64, tau0 float64, err error) {
 	sm, items := g.stream.Result()
-	g.buildDirectory(items)
-	return items, sm.Tau
-}
-
-// buildDirectory indexes the slots of the reservoir items (ascending by
-// row) for Point lookups and frees every other slot. It is the final sweep:
-// the live slots, radix-sorted by row, are merged against the items, so it
-// costs O(live) with no per-slot search.
-func (g *Ingester) buildDirectory(items []varopt.StreamItem) {
 	rows := make([]uint64, 0, g.live)
 	slots := make([]int32, 0, g.live)
 	for s, row := range g.slotRows {
@@ -322,29 +273,24 @@ func (g *Ingester) buildDirectory(items []varopt.StreamItem) {
 	}
 	var counts [256]int
 	xsort.SortPairs(rows, slots, make([]uint64, len(rows)), make([]int32, len(slots)), &counts)
-	n := 0
-	for k, row := range rows {
-		if n < len(items) && uint64(items[n].Index) == row {
-			rows[n], slots[n] = row, slots[k]
-			n++
-			continue
+	coords = make([][]uint64, g.dims)
+	for d := range coords {
+		coords[d] = make([]uint64, len(items))
+	}
+	k := 0
+	for i, row := range rows {
+		if k < len(items) && uint64(items[k].Index) == row {
+			base := int(slots[i]) * g.dims
+			for d := range coords {
+				coords[d][k] = g.coords[base+d]
+			}
+			k++
 		}
-		g.slotRows[slots[k]] = -1
-		g.freeSlots = append(g.freeSlots, slots[k])
-		g.live--
 	}
-	g.dirRows, g.dirSlots = rows[:n], slots[:n]
-}
-
-// Point returns the retained coordinates of the reservoir item with the
-// given row index. It is only valid for indices of items returned by Guide.
-// The returned slice aliases the Ingester's coordinate arena and must not
-// be mutated.
-func (g *Ingester) Point(index int) ([]uint64, bool) {
-	i, ok := slices.BinarySearch(g.dirRows, uint64(index))
-	if !ok {
-		return nil, false
+	if k != len(items) {
+		// Every admitted key claims a slot and a sweep frees only dropped
+		// rows, so only a bug can lose a reservoir key's coordinates.
+		return nil, nil, 0, fmt.Errorf("ingest: internal: %d of %d reservoir keys have no coordinate slot", len(items)-k, len(items))
 	}
-	slot := int(g.dirSlots[i])
-	return g.coords[slot*g.dims : (slot+1)*g.dims], true
+	return items, coords, sm.Tau, nil
 }

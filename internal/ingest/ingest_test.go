@@ -17,7 +17,10 @@ func TestSmallStreamKeptExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	items, tau0 := g.Guide()
+	items, coords, tau0, err := g.Reservoir()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tau0 != 0 {
 		t.Fatalf("tau0 %v want 0 (no overflow)", tau0)
 	}
@@ -25,17 +28,13 @@ func TestSmallStreamKeptExactly(t *testing.T) {
 	if len(items) != 32 || g.Seen() != 32 || g.Rows() != 40 {
 		t.Fatalf("items %d seen %d rows %d", len(items), g.Seen(), g.Rows())
 	}
-	for _, it := range items {
-		pt, ok := g.Point(it.Index)
-		if !ok || pt[0] != uint64(it.Index) || pt[1] != uint64(2*it.Index) {
-			t.Fatalf("coordinates lost for row %d: %v %v", it.Index, pt, ok)
+	for k, it := range items {
+		if coords[0][k] != uint64(it.Index) || coords[1][k] != uint64(2*it.Index) {
+			t.Fatalf("row %d has coordinates %d, %d", it.Index, coords[0][k], coords[1][k])
 		}
 		if it.Weight != float64(it.Index%5) {
 			t.Fatalf("row %d weight %v", it.Index, it.Weight)
 		}
-	}
-	if err := g.Push([]uint64{1, 1}, 1); err != ErrFinalized {
-		t.Fatalf("push after Guide: %v want ErrFinalized", err)
 	}
 	if _, ok := g.Tau(); ok {
 		t.Fatal("Tau must report absence when no threshold size was configured")
@@ -59,19 +58,19 @@ func TestOverflowBoundsMemoryAndThreshold(t *testing.T) {
 			t.Fatalf("row %d: %d live coordinate slots, compaction failed", i, g.live)
 		}
 	}
-	items, tau0 := g.Guide()
+	items, coords, tau0, err := g.Reservoir()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(items) != capacity {
 		t.Fatalf("reservoir %d want %d", len(items), capacity)
 	}
 	if tau0 <= 0 {
 		t.Fatalf("tau0 %v want > 0 after overflow", tau0)
 	}
-	if g.live != capacity {
-		t.Fatalf("%d coordinate slots live after Guide, want %d", g.live, capacity)
-	}
-	for _, it := range items {
-		if pt, ok := g.Point(it.Index); !ok || pt[0] != uint64(it.Index) {
-			t.Fatalf("coordinates lost for reservoir row %d", it.Index)
+	for k, it := range items {
+		if coords[0][k] != uint64(it.Index) {
+			t.Fatalf("reservoir row %d has coordinate %d", it.Index, coords[0][k])
 		}
 	}
 	// The tracked streaming threshold matches the batch solver.

@@ -357,15 +357,6 @@ func (st *StreamThreshold) Tau() float64 { return st.tau }
 // tests and instrumentation.
 func (st *StreamThreshold) HeapSize() int { return len(st.h) }
 
-// Clone returns a deep copy of the solver: both copies can keep processing
-// independently and reach the same τ_s a single solver fed the whole stream
-// would. The algorithm is deterministic, so no randomness is involved.
-func (st *StreamThreshold) Clone() *StreamThreshold {
-	cl := &StreamThreshold{s: st.s, h: make(weightHeap, len(st.h), st.s+1), l: st.l, tau: st.tau}
-	copy(cl.h, st.h)
-	return cl
-}
-
 // AdjustedWeight returns the Horvitz–Thompson adjusted weight of a sampled
 // item: w if w >= τ, otherwise τ (for IPPS probabilities p = w/τ the HT
 // estimate w/p is exactly τ). τ <= 0 means "kept exactly" so the adjusted

@@ -253,26 +253,29 @@ func build(src Source, axes []structure.Axis, s int, cfg Config, r xmath.Rand, m
 	if err := scan(src, ing); err != nil {
 		return nil, err
 	}
-	items, _ := ing.Guide()
+	items, coords, _, err := ing.Reservoir()
+	if err != nil {
+		return nil, err
+	}
 	tau, _ := ing.Tau()
 
 	var part partition = singleCell{}
 	if tau > 0 {
 		// Keys with w >= τ_s are sampled with certainty; only the small keys
-		// of S′ guide the partition.
-		g := guide{coords: make([][]uint64, dims), p: make([]float64, 0, len(items))}
-		for d := range g.coords {
-			g.coords[d] = make([]uint64, 0, len(items))
-		}
-		for _, it := range items {
+		// of S′ guide the partition. The reservoir's columns are filtered to
+		// them in place.
+		g := guide{coords: coords, p: make([]float64, 0, len(items))}
+		for k, it := range items {
 			if it.Weight >= tau {
 				continue
 			}
-			pt, _ := ing.Point(it.Index) // every reservoir key keeps its coordinates
-			for d, x := range pt {
-				g.coords[d] = append(g.coords[d], x)
+			for d := range coords {
+				coords[d][len(g.p)] = coords[d][k]
 			}
 			g.p = append(g.p, it.Weight/tau)
+		}
+		for d := range coords {
+			coords[d] = coords[d][:len(g.p)]
 		}
 		if part, err = mk(g); err != nil {
 			return nil, err

@@ -284,27 +284,6 @@ func (st *Stream) Process(index int, w float64) (kept bool, err error) {
 // Len returns the number of items currently held by the reservoir.
 func (st *Stream) Len() int { return len(st.heavy) + len(st.light) }
 
-// Clone returns a deep copy of the reservoir that shares no mutable state
-// with st: both can keep processing independently. The clone draws its
-// randomness from r; passing a copy of the original's generator state makes
-// the clone's future decisions identical to the original's (the snapshot
-// determinism contract of core.Builder.Snapshot), while any other source
-// simply yields an independent continuation of the same reservoir state.
-func (st *Stream) Clone(r xmath.Rand) *Stream {
-	cl := &Stream{
-		k:       st.k,
-		r:       r,
-		heavy:   make(itemHeap, len(st.heavy), st.k+1),
-		light:   make([]StreamItem, len(st.light), st.k),
-		scratch: make([]StreamItem, 0, st.k+1),
-		tau:     st.tau,
-		seen:    st.seen,
-	}
-	copy(cl.heavy, st.heavy)
-	copy(cl.light, st.light)
-	return cl
-}
-
 // AppendItems appends the reservoir contents to dst (in internal, unsorted
 // order) and returns it — the allocation-free counterpart of Result for
 // callers that only need the retained items, e.g. the ingestion pipeline's

@@ -36,8 +36,8 @@ func NewRand(seed uint64) *SplitMix {
 
 // Clone returns an independent generator with the same state: both produce
 // the same future sequence, and advancing one does not affect the other.
-// Snapshot-style consumers (core.Builder.Snapshot) use this to finalize a
-// copy of a stream without perturbing the original's random decisions.
+// core.Builder.Snapshot closes the live reservoir with a clone, so the
+// snapshot's draws leave the Builder's own random decisions unperturbed.
 func (s *SplitMix) Clone() *SplitMix {
 	return &SplitMix{state: s.state}
 }
