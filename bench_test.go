@@ -568,10 +568,7 @@ func BenchmarkKDLocate(b *testing.B) {
 	if err := ing.PushBatch(ds.Coords, ds.Weights); err != nil {
 		b.Fatal(err)
 	}
-	reservoir, coords, _, err := ing.Reservoir()
-	if err != nil {
-		b.Fatal(err)
-	}
+	reservoir, coords, _ := ing.Reservoir()
 	tau, _ := ing.Tau()
 	guide := &structure.Dataset{Axes: ds.Axes, Coords: make([][]uint64, ds.Dims())}
 	var p []float64

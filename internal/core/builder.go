@@ -185,10 +185,7 @@ func (b *Builder) Snapshot() (*Summary, error) {
 // are dataset positions. When the reservoir never overflowed (tau0 == 0)
 // this degenerates to the exact main-memory construction.
 func (b *Builder) close(r *xmath.SplitMix) (*Summary, error) {
-	items, coords, tau0, err := b.ing.Reservoir()
-	if err != nil {
-		return nil, err
-	}
+	items, coords, tau0 := b.ing.Reservoir()
 	if len(items) == 0 {
 		return nil, ErrNoData
 	}

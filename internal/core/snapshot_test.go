@@ -33,10 +33,8 @@ func sameSummary(t *testing.T, got, want *Summary, label string) {
 // Finalize is bit-identical to a fresh Builder fed the whole stream — the
 // snapshot left no trace. The buffer is far smaller than the stream, so the
 // reservoir overflows before the snapshot point and keeps replacing items
-// after it. The coordinate arena, which holds admitted keys only, is never
-// swept here: this stream's admissions do not fill its 4×buffer slots. The
-// ingest package's TestReservoirReadsInPlace and TestPushBatchMatchesPush
-// cover reads between sweeps.
+// after it, each kept key taking the coordinate slot of the key it pushed
+// out.
 func TestBuilderSnapshotDeterminism(t *testing.T) {
 	ds := make2D(t, 4000, 14, 53)
 	half := ds.Len() / 2

@@ -78,7 +78,7 @@ func Close(ds *structure.Dataset, items []int, p []float64, size int, mode Close
 	if err := closePass(ds, items, p, mode, r, a); err != nil {
 		return nil, 0, err
 	}
-	kept = make([]int, 0, size)
+	kept = make([]int, 0, min(size, len(items)))
 	for _, i := range items {
 		if p[i] == 1 {
 			kept = append(kept, i)

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"slices"
 	"testing"
 
 	"structaware/internal/varopt"
@@ -23,9 +24,9 @@ func batchFixture(n int) (cols [][]uint64, ws []float64) {
 }
 
 // admitted counts the keys of ws that a capacity-k reservoir drawing from
-// xmath.NewRand(seed) keeps on arrival: the keys an Ingester with the same
-// capacity and seed claims coordinate slots for (threshold tracking draws no
-// randomness).
+// xmath.NewRand(seed) keeps on arrival: the keys whose coordinates an
+// Ingester with the same capacity and seed writes into a slot (threshold
+// tracking draws no randomness).
 func admitted(t *testing.T, ws []float64, k int, seed uint64) int {
 	t.Helper()
 	st, err := varopt.NewStream(k, xmath.NewRand(seed))
@@ -34,11 +35,11 @@ func admitted(t *testing.T, ws []float64, k int, seed uint64) int {
 	}
 	n := 0
 	for i, w := range ws {
-		kept, err := st.Process(i, w)
+		slot, err := st.Process(i, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kept {
+		if slot >= 0 {
 			n++
 		}
 	}
@@ -47,25 +48,24 @@ func admitted(t *testing.T, ws []float64, k int, seed uint64) int {
 
 // TestPushBatchMatchesPush: a columnar batch must be byte-equivalent to the
 // same keys pushed one at a time — same reservoir, same threshold, same
-// retained coordinates, same arena sweeps (the batch path is a fast path,
+// retained coordinates in the same slots (the batch path is a fast path,
 // not a variant) — and a read of the reservoir between two batches must
 // equal a per-key ingester fed the same prefix. The longer cases drop
-// almost every key on arrival, so the arena holds coordinates for a small
+// almost every key on arrival, so the slots take coordinates for a small
 // fraction of the pushes. "no-threshold" has no threshold tracker, as a
-// live builder's ingester has none; "sweep-in-batch" has a capacity so
-// small that the arena is swept inside the second batch.
+// live builder's ingester has none; "capacity-4" has a capacity so small
+// that its 5 slots take 44 kept keys, 4 of them inside the second batch.
 func TestPushBatchMatchesPush(t *testing.T) {
 	for _, tc := range []struct {
 		name                    string
 		capacity, thresholdSize int
 		n, split                int
 		maxAdmittedFrac         float64
-		wantSweepInSecondBatch  bool
 	}{
-		{"overflowing", 64, 16, 3000, 1234, 0.2, false},
-		{"mostly-dropped", 64, 16, 40000, 23456, 0.02, false},
-		{"no-threshold", 64, 0, 40000, 23456, 0.02, false},
-		{"sweep-in-batch", 4, 16, 40000, 23456, 0.002, true},
+		{"overflowing", 64, 16, 3000, 1234, 0.2},
+		{"mostly-dropped", 64, 16, 40000, 23456, 0.02},
+		{"no-threshold", 64, 0, 40000, 23456, 0.02},
+		{"capacity-4", 4, 16, 40000, 23456, 0.002},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cols, ws := batchFixture(tc.n)
@@ -103,14 +103,11 @@ func TestPushBatchMatchesPush(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameReservoir(t, bat, prefix, "mid-stream read vs Push prefix")
-			sweeps := bat.sweeps
 			if err := bat.PushBatch([][]uint64{cols[0][tc.split:], cols[1][tc.split:]}, ws[tc.split:]); err != nil {
 				t.Fatal(err)
 			}
-			if tc.wantSweepInSecondBatch && bat.sweeps == sweeps {
-				t.Fatal("no arena sweep ran inside the second batch")
-			}
-			sameArena(t, bat, one)
+			sameSlots(t, bat, one)
+			pushedCoords(t, bat, cols)
 
 			to, okO := one.Tau()
 			tb, okB := bat.Tau()
@@ -122,76 +119,65 @@ func TestPushBatchMatchesPush(t *testing.T) {
 	}
 }
 
-// sameArena requires two ingesters' coordinate arenas to have been swept
-// as often and to hold the same row in every slot.
-func sameArena(t *testing.T, got, want *Ingester) {
+// sameSlots requires two ingesters to hold every reservoir key in the same
+// slot and their coordinate slots to match value for value.
+func sameSlots(t *testing.T, got, want *Ingester) {
 	t.Helper()
-	if got.sweeps != want.sweeps || len(got.slotRows) != len(want.slotRows) {
-		t.Fatalf("arena: %d sweeps, %d slots vs %d sweeps, %d slots", got.sweeps, len(got.slotRows), want.sweeps, len(want.slotRows))
+	gi, gs := got.stream.Result()
+	wi, ws := want.stream.Result()
+	if !slices.Equal(gi, wi) || !slices.Equal(gs, ws) {
+		t.Fatalf("reservoir items %v in slots %v vs %v in %v", gi, gs, wi, ws)
 	}
-	for i := range got.slotRows {
-		if got.slotRows[i] != want.slotRows[i] {
-			t.Fatalf("arena slot %d holds row %d vs %d", i, got.slotRows[i], want.slotRows[i])
+	if !slices.Equal(got.coords, want.coords) {
+		t.Fatalf("coordinate slots differ: %d vs %d values", len(got.coords), len(want.coords))
+	}
+}
+
+// pushedCoords requires every key g's reservoir holds to read back the
+// coordinates pushed at its row: cols[d][row] on axis d.
+func pushedCoords(t *testing.T, g *Ingester, cols [][]uint64) {
+	t.Helper()
+	items, coords, _ := g.Reservoir()
+	for k, it := range items {
+		for d := range cols {
+			if coords[d][k] != cols[d][it.Index] {
+				t.Fatalf("row %d reads %d on axis %d, pushed %d", it.Index, coords[d][k], d, cols[d][it.Index])
+			}
 		}
 	}
 }
 
-// TestArenaFollowsAdmissions: over a long overflowing stream a key claims a
-// coordinate slot exactly when the reservoir admits it, and the arena is
-// swept at most once per 3×capacity admissions (plus the first sweep).
-func TestArenaFollowsAdmissions(t *testing.T) {
+// TestSlotsFollowAdmissions: over a long overflowing stream, after every
+// push each key the reservoir holds reads back from its slot the
+// coordinates pushed for it, and the coordinate slots never outgrow the
+// reservoir's capacity+1 places.
+func TestSlotsFollowAdmissions(t *testing.T) {
 	const capacity, n = 32, 50000
+	r := xmath.NewRand(13)
+	cols := [][]uint64{make([]uint64, n), make([]uint64, n)}
+	ws := make([]float64, n)
+	for i := range ws {
+		cols[0][i], cols[1][i] = uint64(i), r.Uint64()%1024
+		ws[i] = 1 + 30*r.Float64()
+		if i%7 == 0 {
+			ws[i] = 0
+		}
+	}
+	if a := admitted(t, ws, capacity, 12); a > n/20 {
+		t.Fatalf("%d of %d keys admitted: the stream does not exercise drops on arrival", a, n)
+	}
 	g, err := New(Config{Capacity: capacity, Dims: 2}, xmath.NewRand(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := xmath.NewRand(13)
-	pt := make([]uint64, 2)
-	var items []varopt.StreamItem
-	admissions := 0
-	for i := 0; i < n; i++ {
-		pt[0], pt[1] = uint64(i), r.Uint64()%1024
-		w := 1 + 30*r.Float64()
-		if i%7 == 0 {
-			w = 0
-		}
-		if err := g.Push(pt, w); err != nil {
+	for i, w := range ws {
+		if err := g.Push([]uint64{cols[0][i], cols[1][i]}, w); err != nil {
 			t.Fatal(err)
 		}
-		items = g.stream.AppendItems(items[:0])
-		inReservoir := false
-		for _, it := range items {
-			if it.Index == i {
-				inReservoir = true
-			}
+		if len(g.coords) > (capacity+1)*2 {
+			t.Fatalf("row %d: %d coordinate values for %d places", i, len(g.coords), capacity+1)
 		}
-		hasSlot := false
-		for _, row := range g.slotRows {
-			if row == i {
-				hasSlot = true
-			}
-		}
-		if hasSlot != inReservoir {
-			t.Fatalf("row %d: slot claimed %v, admitted %v", i, hasSlot, inReservoir)
-		}
-		if inReservoir {
-			admissions++
-		}
-	}
-	if admissions > n/20 {
-		t.Fatalf("%d of %d keys admitted: the stream does not exercise drops on arrival", admissions, n)
-	}
-	if g.sweeps < 2 || g.sweeps > admissions/(3*capacity)+1 {
-		t.Fatalf("%d sweeps for %d admissions into capacity %d", g.sweeps, admissions, capacity)
-	}
-	items, coords, _, err := g.Reservoir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, it := range items {
-		if coords[0][k] != uint64(it.Index) {
-			t.Fatalf("reservoir row %d has coordinate %d", it.Index, coords[0][k])
-		}
+		pushedCoords(t, g, cols)
 	}
 }
 
@@ -209,13 +195,12 @@ func TestBatchErrors(t *testing.T) {
 }
 
 // TestIngesterPushZeroAllocSteadyState: the coordinate-tracking per-key path
-// (slot arena + reservoir + compaction) must be allocation-free once warm.
-// Only admitted keys claim slots, so the stream keeps admitting: even keys
-// carry a weight that grows by 1+2/capacity per key, which past the first
-// 2×capacity keys keeps each one above the stream's total weight divided by
-// the capacity, so the reservoir always admits it, and odd keys carry
-// unit-scale weights that it drops on arrival. A sweep thus runs at least
-// every 6×capacity pushes once warm.
+// (reservoir + slot writes) must be allocation-free once the reservoir is
+// full. Only kept keys write a slot, so the stream keeps admitting: even
+// keys carry a weight that grows by 1+2/capacity per key, which past the
+// first 2×capacity keys keeps each one above the stream's total weight
+// divided by the capacity, so the reservoir always admits it, and odd keys
+// carry unit-scale weights that it drops on arrival.
 func TestIngesterPushZeroAllocSteadyState(t *testing.T) {
 	const capacity = 128
 	g, err := New(Config{Capacity: capacity, Dims: 2}, xmath.NewRand(2))
@@ -237,18 +222,11 @@ func TestIngesterPushZeroAllocSteadyState(t *testing.T) {
 		}
 		idx++
 	}
-	// Warm past two compaction sweeps so every buffer reaches its
-	// steady-state capacity.
-	for g.sweeps < 2 {
+	// Warm well past the reservoir's fill, after which no buffer grows.
+	for idx < 8*capacity {
 		push()
 	}
-	// Measure over several sweeps: compaction itself must also be
-	// allocation-free, not just the common path.
-	sweeps := g.sweeps
-	if allocs := testing.AllocsPerRun(8*g.maxSlots(), push); allocs != 0 {
+	if allocs := testing.AllocsPerRun(32*capacity, push); allocs != 0 {
 		t.Fatalf("steady-state Push allocated %v times per call", allocs)
-	}
-	if g.sweeps == sweeps {
-		t.Fatal("no compaction sweep ran inside the measured window")
 	}
 }

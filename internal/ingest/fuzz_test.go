@@ -45,15 +45,16 @@ func fuzzWeights(data []byte) []float64 {
 // cut at the split points; a batch that fails resumes right after the
 // rejected row, as a caller would resend the rest. They must fail at the
 // same rows with the same errors and end in the same state: rows, seen
-// keys, threshold, arena sweeps and slots, reservoir items, τ₀ and every
-// retained point.
+// keys, threshold, slots, reservoir items, τ₀ and every retained point,
+// which must be the point pushed at its row.
 func FuzzPushBatchMatchesPush(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 100, 160, 170, 180, 190, 200, 161, 171, 181, 191, 201, 162, 172})
 	f.Add([]byte{0, 9, 2, 60, 120, 64, 64, 64, 64, 96, 97, 98, 0, 64, 64, 224, 64, 65, 66, 96, 128})
 	f.Add([]byte{7, 1, 0, 200, 32, 33, 128, 160, 161, 162, 163, 164, 165, 166, 167, 96, 100, 104, 160, 161, 162})
 	f.Add(append([]byte{15, 4, 1, 90, 170}, slices.Repeat([]byte{160, 175, 190, 205, 64, 0, 131, 33}, 40)...))
-	// Capacity 2 and no tracker: the geometric bytes keep the arena
-	// sweeping, and the rejected weights reach the reservoir itself.
+	// Capacity 2 and no tracker: the geometric bytes keep the reservoir
+	// admitting, so its 3 slots are rewritten over and over, and the
+	// rejected weights reach the reservoir itself.
 	f.Add(append([]byte{1, 0, 1, 80, 200}, slices.Repeat([]byte{160, 170, 98, 180, 190, 224, 200, 100, 225, 210, 226, 0}, 30)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -126,7 +127,8 @@ func FuzzPushBatchMatchesPush(f *testing.F) {
 		if math.Float64bits(tb) != math.Float64bits(to) || okB != okO {
 			t.Fatalf("tau_s %v/%v vs %v/%v", tb, okB, to, okO)
 		}
-		sameArena(t, bat, one)
+		sameSlots(t, bat, one)
 		sameReservoir(t, bat, one, "PushBatch vs Push")
+		pushedCoords(t, one, cols)
 	})
 }

@@ -10,23 +10,22 @@
 //     IPPS threshold τ₀ (0 until the reservoir overflows);
 //   - the retained items' coordinates, always: every consumer reads the
 //     reservoir's keys back by coordinates, never by a row index into
-//     resident data. They are kept in a flat columnar slot arena that holds
-//     coordinates of admitted keys only: a key the reservoir drops on
-//     arrival is never copied. The arena is swept of rows the reservoir has
-//     since dropped once every 3×capacity admissions, so memory stays
-//     O(capacity) regardless of stream length and sweeps are paced by
-//     admissions, not by pushes; and
+//     resident data. Each of the reservoir's capacity+1 places (varopt's
+//     slots) has one fixed coordinate slot, which holds the coordinates of
+//     the key in that place. A key the reservoir drops on arrival is never
+//     copied, and a kept key overwrites the slot of the key it pushed out,
+//     so memory stays O(capacity) regardless of stream length; and
 //   - optionally, the streaming IPPS threshold τ_s for a separate target
 //     size (the paper's Algorithm 4), which the two-pass construction of §5
 //     needs alongside its guide sample.
 //
-// The per-key path is allocation-free in steady state: coordinate slots are
-// recycled through a free list, compaction reuses persistent radix-sort
-// scratch, and weight validation is scalar. Once the reservoir has
-// overflowed, most arrivals are dropped on arrival and cost only the
-// reservoir's O(1) small-item check. Columnar batches (PushBatch) avoid
-// even the per-key point materialization, which is how the dataset-backed
-// and batch-file paths feed the pipeline.
+// The per-key path is allocation-free once the reservoir is full, and
+// weight validation is scalar. Until then the slots grow with the keys
+// kept, so a capacity far above the stream's length costs no memory. Once
+// the reservoir has overflowed, most arrivals are dropped on arrival and
+// cost only the reservoir's O(1) small-item check. Columnar batches
+// (PushBatch) avoid even the per-key point materialization, which is how
+// the dataset-backed and batch-file paths feed the pipeline.
 //
 // Consumers: core.Builder (the streaming public API, behind every live
 // sasserve summary) and the two-pass constructions of internal/twopass
@@ -41,7 +40,6 @@ import (
 	"structaware/internal/ipps"
 	"structaware/internal/varopt"
 	"structaware/internal/xmath"
-	"structaware/internal/xsort"
 )
 
 // Config configures an Ingester.
@@ -66,23 +64,9 @@ type Ingester struct {
 	cap    int
 	dims   int
 	rows   int
-
-	// Columnar coordinate retention. Slot s holds the coordinates of one
-	// admitted key at coords[s*dims : (s+1)*dims] and its row index in
-	// slotRows[s] (-1 when free). Slots are recycled through freeSlots; when
-	// live slots reach maxSlots the non-reservoir ones are swept back to the
-	// free list. sweeps counts those sweeps.
-	slotRows  []int
-	coords    []uint64
-	freeSlots []int32
-	live      int
-	sweeps    int
-
-	// Persistent compaction scratch: the reservoir snapshot and the sorted
-	// kept-row list, plus the radix scratch both sorts share.
-	itemsBuf []varopt.StreamItem
-	keepBuf  []int
-	sortScr  xsort.Scratch
+	// coords holds the coordinates of the key in reservoir slot s at
+	// coords[s*dims : (s+1)*dims]; it grows to (cap+1)*dims slots.
+	coords []uint64
 }
 
 // New creates an Ingester. r drives the reservoir's sampling decisions.
@@ -103,19 +87,8 @@ func New(cfg Config, r xmath.Rand) (*Ingester, error) {
 			return nil, err
 		}
 	}
-	slots := g.maxSlots()
-	g.slotRows = make([]int, 0, slots)
-	g.coords = make([]uint64, 0, slots*cfg.Dims)
-	g.freeSlots = make([]int32, 0, slots)
 	return g, nil
 }
-
-// maxSlots is the coordinate-arena size at which compaction runs. Only
-// admitted keys claim a slot, and a sweep leaves at most cap slots live (the
-// reservoir's), so a 4× arena leaves at least 3×cap admissions between
-// sweeps, amortizing each O(cap log cap) sweep to O(log cap) work per
-// admission; pushes the reservoir drops on arrival never reach the arena.
-func (g *Ingester) maxSlots() int { return 4 * g.cap }
 
 // Push consumes one weighted key. The row index assigned to the key is the
 // number of prior Push calls, so dataset-backed callers pushing rows in
@@ -169,11 +142,9 @@ func (g *Ingester) PushBatch(cols [][]uint64, weights []float64) error {
 
 // admit is the per-key step of every push path: it assigns the next row
 // index and runs the weight through the threshold tracker and the
-// reservoir. When the reservoir admits the key, admit claims an arena
-// slot for the row and returns the offset of its coordinates in g.coords
-// for the caller to fill; otherwise it returns -1. Keys dropped on arrival
-// thus cost no slot and no copy, and the arena fills, and is swept, at the
-// rate of admissions.
+// reservoir. When the reservoir keeps the key, admit returns the offset in
+// g.coords of the slot it now occupies, for the caller to fill; otherwise
+// it returns -1. Keys dropped on arrival thus cost no copy.
 //
 //sasvet:hotpath
 func (g *Ingester) admit(w float64) (int, error) {
@@ -184,57 +155,21 @@ func (g *Ingester) admit(w float64) (int, error) {
 			return -1, err
 		}
 	}
-	kept, err := g.stream.Process(index, w)
-	if err != nil || !kept {
+	slot, err := g.stream.Process(index, w)
+	if err != nil || slot < 0 {
 		return -1, err
 	}
-	return g.takeSlot(index) * g.dims, nil
-}
-
-// takeSlot claims a coordinate slot for row, sweeping the slots of rows
-// the reservoir has since dropped first when the arena is full.
-func (g *Ingester) takeSlot(row int) int {
-	if g.live >= g.maxSlots() {
-		g.compact()
-	}
-	var slot int
-	if n := len(g.freeSlots); n > 0 {
-		slot = int(g.freeSlots[n-1])
-		g.freeSlots = g.freeSlots[:n-1]
-	} else {
-		slot = len(g.slotRows)
-		g.slotRows = append(g.slotRows, 0)
-		if need := (slot + 1) * g.dims; cap(g.coords) >= need {
-			g.coords = g.coords[:need] // pre-sized by New: no allocation
-		} else {
-			g.coords = append(g.coords, make([]uint64, g.dims)...)
+	base := slot * g.dims
+	if base == len(g.coords) {
+		// While the reservoir fills, each kept key takes the next unused
+		// slot. The key that fills it sizes the slots for all capacity+1
+		// places, so a full reservoir never grows them.
+		if slot == g.cap-1 {
+			g.coords = append(make([]uint64, 0, (g.cap+1)*g.dims), g.coords...)
 		}
+		g.coords = slices.Grow(g.coords, g.dims)[:base+g.dims]
 	}
-	g.slotRows[slot] = row
-	g.live++
-	return slot
-}
-
-// compact frees the slots of rows no longer held by the reservoir. All
-// scratch is persistent, so steady-state compaction does not allocate.
-func (g *Ingester) compact() {
-	g.sweeps++
-	items := g.stream.AppendItems(g.itemsBuf[:0])
-	g.itemsBuf = items[:0]
-	keep := g.keepBuf[:0]
-	for _, it := range items {
-		keep = append(keep, it.Index)
-	}
-	xsort.Ints(keep, &g.sortScr)
-	g.keepBuf = keep[:0]
-	for s, row := range g.slotRows {
-		if _, kept := slices.BinarySearch(keep, row); row < 0 || kept {
-			continue
-		}
-		g.slotRows[s] = -1
-		g.freeSlots = append(g.freeSlots, int32(s))
-		g.live--
-	}
+	return base, nil
 }
 
 // Rows returns the number of keys pushed (including zero-weight ones).
@@ -255,42 +190,17 @@ func (g *Ingester) Tau() (float64, bool) {
 // Reservoir returns the reservoir contents and changes no state: a
 // mergeable VarOpt sample of everything pushed so far, as items (original
 // weights, ascending row index), their coordinates as fresh columns
-// (coords[d][k] is item k's coordinate on axis d), and the reservoir
-// threshold τ₀. τ₀ == 0 means the reservoir never overflowed, so the items
-// are the entire positive-weight input. The live slots, radix-sorted by
-// row, are merged against the items' ascending rows, so the read costs
-// O(live) with no per-slot search. It fails only when a reservoir key has
-// lost its coordinate slot, which only a bug can cause.
-func (g *Ingester) Reservoir() (items []varopt.StreamItem, coords [][]uint64, tau0 float64, err error) {
-	sm, items := g.stream.Result()
-	rows := make([]uint64, 0, g.live)
-	slots := make([]int32, 0, g.live)
-	for s, row := range g.slotRows {
-		if row >= 0 {
-			rows = append(rows, uint64(row))
-			slots = append(slots, int32(s))
-		}
-	}
-	var counts [256]int
-	xsort.SortPairs(rows, slots, make([]uint64, len(rows)), make([]int32, len(slots)), &counts)
+// (coords[d][k] is item k's coordinate on axis d), gathered from each
+// item's slot, and the reservoir threshold τ₀. τ₀ == 0 means the reservoir
+// never overflowed, so the items are the entire positive-weight input.
+func (g *Ingester) Reservoir() (items []varopt.StreamItem, coords [][]uint64, tau0 float64) {
+	items, slots := g.stream.Result()
 	coords = make([][]uint64, g.dims)
 	for d := range coords {
 		coords[d] = make([]uint64, len(items))
-	}
-	k := 0
-	for i, row := range rows {
-		if k < len(items) && uint64(items[k].Index) == row {
-			base := int(slots[i]) * g.dims
-			for d := range coords {
-				coords[d][k] = g.coords[base+d]
-			}
-			k++
+		for k, s := range slots {
+			coords[d][k] = g.coords[s*g.dims+d]
 		}
 	}
-	if k != len(items) {
-		// Every admitted key claims a slot and a sweep frees only dropped
-		// rows, so only a bug can lose a reservoir key's coordinates.
-		return nil, nil, 0, fmt.Errorf("ingest: internal: %d of %d reservoir keys have no coordinate slot", len(items)-k, len(items))
-	}
-	return items, coords, sm.Tau, nil
+	return items, coords, g.stream.Tau()
 }

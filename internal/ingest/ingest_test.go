@@ -17,10 +17,7 @@ func TestSmallStreamKeptExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	items, coords, tau0, err := g.Reservoir()
-	if err != nil {
-		t.Fatal(err)
-	}
+	items, coords, tau0 := g.Reservoir()
 	if tau0 != 0 {
 		t.Fatalf("tau0 %v want 0 (no overflow)", tau0)
 	}
@@ -54,14 +51,11 @@ func TestOverflowBoundsMemoryAndThreshold(t *testing.T) {
 		if err := g.Push([]uint64{uint64(i)}, ws[i]); err != nil {
 			t.Fatal(err)
 		}
-		if g.live > g.maxSlots() {
-			t.Fatalf("row %d: %d live coordinate slots, compaction failed", i, g.live)
+		if len(g.coords) > capacity+1 {
+			t.Fatalf("row %d: %d coordinate slots for %d places", i, len(g.coords), capacity+1)
 		}
 	}
-	items, coords, tau0, err := g.Reservoir()
-	if err != nil {
-		t.Fatal(err)
-	}
+	items, coords, tau0 := g.Reservoir()
 	if len(items) != capacity {
 		t.Fatalf("reservoir %d want %d", len(items), capacity)
 	}

@@ -10,8 +10,8 @@ import (
 
 // feed pushes n deterministic 2-D keys into g, starting the coordinate and
 // weight sequence at seed. Log-weights trend upward with the row index, so
-// the reservoir keeps admitting keys all along the stream and the
-// coordinate arena, which holds admitted keys only, keeps being swept.
+// the reservoir keeps admitting keys all along the stream and each kept
+// key overwrites the slot of the key it pushed out.
 func feed(t *testing.T, g *Ingester, n int, seed uint64) {
 	t.Helper()
 	r := xmath.NewRand(seed)
@@ -28,14 +28,8 @@ func feed(t *testing.T, g *Ingester, n int, seed uint64) {
 // and coordinates bit for bit.
 func sameReservoir(t *testing.T, got, want *Ingester, label string) {
 	t.Helper()
-	gi, gc, gt, err := got.Reservoir()
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	wi, wc, wt, err := want.Reservoir()
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
+	gi, gc, gt := got.Reservoir()
+	wi, wc, wt := want.Reservoir()
 	if math.Float64bits(gt) != math.Float64bits(wt) || len(gi) != len(wi) {
 		t.Fatalf("%s: tau/len %v/%d vs %v/%d", label, gt, len(gi), wt, len(wi))
 	}
@@ -56,10 +50,10 @@ func sameReservoir(t *testing.T, got, want *Ingester, label string) {
 
 // TestReservoirReadsInPlace: a read mid-stream returns exactly what a fresh
 // ingester fed the same prefix returns, and changes no state: the read
-// ingester keeps ingesting and ends with the arena, threshold and
-// reservoir of a fresh ingester fed the whole stream. Stream length (4000
-// keys into a capacity 150 reservoir) sweeps the arena on both sides of the
-// read.
+// ingester keeps ingesting and ends with the slots, threshold and
+// reservoir of a fresh ingester fed the whole stream. Kept keys rewrite
+// slots on both sides of the read (4000 keys into a capacity 150
+// reservoir).
 func TestReservoirReadsInPlace(t *testing.T) {
 	const capacity, half = 150, 2000
 	cfg := Config{Capacity: capacity, Dims: 2, ThresholdSize: 50}
@@ -68,9 +62,6 @@ func TestReservoirReadsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(t, g, half, 21)
-	if g.sweeps == 0 {
-		t.Fatal("no arena sweep before the read")
-	}
 	prefix, err := New(cfg, xmath.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
@@ -78,18 +69,14 @@ func TestReservoirReadsInPlace(t *testing.T) {
 	feed(t, prefix, half, 21)
 	sameReservoir(t, g, prefix, "read vs fresh prefix ingester")
 
-	sweeps := g.sweeps
 	feed(t, g, half, 22)
-	if g.sweeps == sweeps {
-		t.Fatal("no arena sweep after the read")
-	}
 	full, err := New(cfg, xmath.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	feed(t, full, half, 21)
 	feed(t, full, half, 22)
-	sameArena(t, g, full)
+	sameSlots(t, g, full)
 	gt, _ := g.Tau()
 	ft, _ := full.Tau()
 	if math.Float64bits(gt) != math.Float64bits(ft) {

@@ -317,7 +317,7 @@ func NewStreamThreshold(s int) (*StreamThreshold, error) {
 	if s <= 0 {
 		return nil, ErrBadSize
 	}
-	return &StreamThreshold{s: s, h: make(weightHeap, 0, s+1)}, nil
+	return &StreamThreshold{s: s}, nil
 }
 
 // Process consumes one weight. It returns ErrBadWeight for invalid weights.

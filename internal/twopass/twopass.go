@@ -253,10 +253,7 @@ func build(src Source, axes []structure.Axis, s int, cfg Config, r xmath.Rand, m
 	if err := scan(src, ing); err != nil {
 		return nil, err
 	}
-	items, coords, _, err := ing.Reservoir()
-	if err != nil {
-		return nil, err
-	}
+	items, coords, _ := ing.Reservoir()
 	tau, _ := ing.Tau()
 
 	var part partition = singleCell{}
@@ -283,11 +280,12 @@ func build(src Source, axes []structure.Axis, s int, cfg Config, r xmath.Rand, m
 	}
 
 	// ---- Pass 2: IO-AGGREGATE over a second sequential read. With τ_s = 0
-	// (fewer than s positive keys) every positive key is kept.
+	// (fewer than s positive keys) every positive key is kept: the guide's
+	// keys, so the sample never outgrows the guide.
 	if err := src.Reset(); err != nil {
 		return nil, err
 	}
-	st := newState(part.numCells(), dims, s)
+	st := newState(part.numCells(), dims, min(s, len(items)))
 	for row := 0; ; row++ {
 		pt, w, ok, err := src.Next()
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 // TestStreamProcessZeroAllocSteadyState enforces the zero-allocation
 // contract of the reservoir hot path: once the reservoir has overflowed, a
 // Process call must not allocate — the demotion buffer, heap, and light pool
-// are all pre-sized and reused.
+// took their full capacity when the reservoir first filled and are reused.
 func TestStreamProcessZeroAllocSteadyState(t *testing.T) {
 	r := xmath.NewRand(1)
 	const k = 512

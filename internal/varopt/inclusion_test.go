@@ -33,10 +33,10 @@ func TestStreamPairwiseInclusionBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sm, _ := st.Result()
+		items, _ := st.Result()
 		in := make([]bool, n)
-		for _, i := range sm.Indices {
-			in[i] = true
+		for _, it := range items {
+			in[it.Index] = true
 		}
 		for i := 0; i < n; i++ {
 			if in[i] {
@@ -72,13 +72,13 @@ func TestStreamFixedSizeThroughoutPrefix(t *testing.T) {
 		if _, err := st.Process(i, 1+10*r.Float64()); err != nil {
 			t.Fatal(err)
 		}
-		sm, _ := st.Result()
+		items, _ := st.Result()
 		want := i + 1
 		if want > 7 {
 			want = 7
 		}
-		if sm.Size() != want {
-			t.Fatalf("after %d items: size %d want %d", i+1, sm.Size(), want)
+		if len(items) != want {
+			t.Fatalf("after %d items: size %d want %d", i+1, len(items), want)
 		}
 	}
 }

@@ -119,30 +119,38 @@ type StreamItem struct {
 // arrival past capacity the threshold rises to τ' solving
 // Σ min(1, w/τ') = k over the k+1 candidates, and exactly one candidate is
 // dropped with probability 1 - min(1, w/τ').
+//
+// Every held item occupies one of k+1 slots, numbered 0 to k, which a
+// caller can use to store per-item payload in a fixed array: a full
+// reservoir holds k items and keeps one slot free, and each arrival it
+// keeps takes the free slot while the item it drops frees its own. While
+// the reservoir fills, the free slot is the next unused one.
 type Stream struct {
 	k       int
 	r       xmath.Rand
 	heavy   itemHeap
-	light   []StreamItem // adjusted weight τ each; original weights retained
-	scratch []StreamItem // reusable demotion buffer (≤ k+1)
+	light   []entry // adjusted weight τ each; original weights retained
+	scratch []entry // reusable demotion buffer (≤ k+1)
+	free    int     // the slot the next kept arrival takes
 	tau     float64
 	seen    int
 }
 
-// NewStream creates a stream VarOpt reservoir with capacity k. All internal
-// buffers are pre-sized to the reservoir capacity, so steady-state Process
-// calls never allocate.
+// entry is a held item and its slot.
+type entry struct {
+	StreamItem
+	slot int
+}
+
+// NewStream creates a stream VarOpt reservoir with capacity k. Its buffers
+// start empty and grow while the reservoir fills; it takes their full
+// capacity once, when it first fills, so Process calls on a full reservoir
+// never allocate.
 func NewStream(k int, r xmath.Rand) (*Stream, error) {
 	if k <= 0 {
 		return nil, ipps.ErrBadSize
 	}
-	return &Stream{
-		k:       k,
-		r:       r,
-		heavy:   make(itemHeap, 0, k+1),
-		light:   make([]StreamItem, 0, k),
-		scratch: make([]StreamItem, 0, k+1),
-	}, nil
+	return &Stream{k: k, r: r}, nil
 }
 
 // Seen returns the number of positive-weight items processed so far.
@@ -151,17 +159,18 @@ func (st *Stream) Seen() int { return st.seen }
 // Tau returns the current threshold (0 until the reservoir overflows).
 func (st *Stream) Tau() float64 { return st.tau }
 
-// Process consumes one item and reports whether the reservoir holds it on
-// return: kept is false for a zero weight and when the item itself was the
-// candidate dropped, so a caller that stores per-item payload can store it
-// for kept items only. The report identifies the item by index, so it is
-// exact when no item already in the reservoir carries the same index.
-// Zero-weight items are ignored; negative or non-finite weights are
-// rejected. Steady-state calls are allocation-free: the demotion buffer is
-// reused and the heap and light pools are bounded by the capacity.
+// Process consumes one item and returns the slot it occupies when the
+// reservoir holds it on return, or -1 when it does not: for a zero weight
+// and when the item itself was the candidate dropped. A caller that stores
+// per-item payload stores it in that slot, whose previous item has been
+// dropped. The report follows the arrival's slot, so it is exact even when
+// held items share the arrival's index. Zero-weight items are ignored;
+// negative or non-finite weights are rejected. Calls on a full reservoir
+// are allocation-free: the demotion buffer is reused and the heap and
+// light pools are bounded by the capacity.
 //
 //sasvet:hotpath
-func (st *Stream) Process(index int, w float64) (kept bool, err error) {
+func (st *Stream) Process(index int, w float64) (slot int, err error) {
 	// Small-arrival step. An arrival is small when the reservoir is full,
 	// 0 < w < τ, there are m ≥ 1 light items, and the raised threshold
 	// τ′ = (m·τ + w)/m stays below the heap minimum: no heap item is
@@ -181,25 +190,27 @@ func (st *Stream) Process(index int, w float64) (kept bool, err error) {
 			st.seen++
 			st.tau = tauNew
 			if st.r.Float64() < 1-w/tauNew {
-				return false, nil
+				return -1, nil
 			}
 			// The general step removes light[j] by moving the last light
 			// item into its place and then appends the arrival; doing both
 			// in place keeps the light order, and with it every later
 			// draw's target, the same.
 			j := st.r.Uint64() % uint64(m)
+			slot, st.free = st.free, st.light[j].slot
 			st.light[j] = st.light[m-1]
-			st.light[m-1] = StreamItem{Index: index, Weight: w}
-			return true, nil
+			st.light[m-1] = entry{StreamItem{Index: index, Weight: w}, slot}
+			return slot, nil
 		}
 	}
 	if err := ipps.ValidateWeight(w); err != nil {
-		return false, err
+		return -1, err
 	}
 	if w == 0 {
-		return false, nil
+		return -1, nil
 	}
 	st.seen++
+	arrival := entry{StreamItem{Index: index, Weight: w}, st.free}
 	demoted := st.scratch[:0]
 	if w < st.tau && len(st.heavy)+len(st.light) == st.k {
 		// A small arrival that demotes heap items (or meets no light item):
@@ -207,11 +218,15 @@ func (st *Stream) Process(index int, w float64) (kept bool, err error) {
 		// round trip produces the exact demotion sequence the heap path
 		// would (the new item is strictly lighter than every heavy item, so
 		// it would be popped first).
-		demoted = append(demoted, StreamItem{Index: index, Weight: w})
+		demoted = append(demoted, arrival)
 	} else {
-		st.heavy.push(StreamItem{Index: index, Weight: w})
-		if len(st.heavy)+len(st.light) <= st.k {
-			return true, nil
+		st.heavy.push(arrival)
+		if n := len(st.heavy) + len(st.light); n <= st.k {
+			st.free = n
+			if n == st.k {
+				st.reserve()
+			}
+			return arrival.slot, nil
 		}
 	}
 
@@ -236,15 +251,15 @@ func (st *Stream) Process(index int, w float64) (kept bool, err error) {
 	}
 	if t < 2 {
 		//sasvet:ok invariant-violation path; allocating while failing loudly is fine
-		return false, fmt.Errorf("varopt: internal error, %d small candidates", t)
+		return -1, fmt.Errorf("varopt: internal error, %d small candidates", t)
 	}
 	tauNew := L / float64(t-1)
 
 	// Drop exactly one candidate: explicit candidates (the demoted items)
 	// with probability 1 - w/τ', otherwise a uniformly random old light item
 	// (old light items all carry adjusted weight τ, hence equal drop odds).
-	// The arriving item is kept unless it is the demoted candidate dropped.
-	kept = true
+	// The dropped candidate frees its slot; the arrival is kept unless that
+	// slot is its own.
 	u := st.r.Float64()
 	dropped := -1
 	for di, it := range demoted {
@@ -259,59 +274,70 @@ func (st *Stream) Process(index int, w float64) (kept bool, err error) {
 		u -= dp
 	}
 	if dropped >= 0 {
-		kept = demoted[dropped].Index != index
+		st.free = demoted[dropped].slot
 		demoted = append(demoted[:dropped], demoted[dropped+1:]...)
 	} else if len(st.light) > 0 {
 		j := int(st.r.Uint64() % uint64(len(st.light)))
+		st.free = st.light[j].slot
 		st.light[j] = st.light[len(st.light)-1]
 		st.light = st.light[:len(st.light)-1]
 	} else {
 		// Numerically the drop probabilities sum to 1; if rounding left us
 		// here, drop the last demoted item (probability O(eps) event).
-		kept = demoted[len(demoted)-1].Index != index
+		st.free = demoted[len(demoted)-1].slot
 		demoted = demoted[:len(demoted)-1]
 	}
 	st.light = append(st.light, demoted...)
-	st.scratch = demoted[:0] // keep the (possibly grown) buffer for reuse
+	st.scratch = demoted[:0] // keep the buffer for reuse
 	st.tau = tauNew
 	if len(st.heavy)+len(st.light) != st.k {
 		//sasvet:ok invariant-violation path; allocating while failing loudly is fine
-		return false, fmt.Errorf("varopt: reservoir size %d want %d", len(st.heavy)+len(st.light), st.k)
+		return -1, fmt.Errorf("varopt: reservoir size %d want %d", len(st.heavy)+len(st.light), st.k)
 	}
-	return kept, nil
+	if st.free == arrival.slot {
+		return -1, nil
+	}
+	return arrival.slot, nil
+}
+
+// reserve gives the buffers their full capacity when the reservoir first
+// fills: within a step the heap holds up to k+1 items, the light pool up to
+// k and the demotion buffer up to k+1. Until the first overflow every item
+// is heavy, so the heap is the only buffer with contents.
+func (st *Stream) reserve() {
+	st.heavy = append(make(itemHeap, 0, st.k+1), st.heavy...)
+	st.light = make([]entry, 0, st.k)
+	st.scratch = make([]entry, 0, st.k+1)
 }
 
 // Len returns the number of items currently held by the reservoir.
 func (st *Stream) Len() int { return len(st.heavy) + len(st.light) }
 
-// AppendItems appends the reservoir contents to dst (in internal, unsorted
-// order) and returns it — the allocation-free counterpart of Result for
-// callers that only need the retained items, e.g. the ingestion pipeline's
-// coordinate compaction.
-func (st *Stream) AppendItems(dst []StreamItem) []StreamItem {
-	dst = append(dst, st.heavy...)
-	return append(dst, st.light...)
-}
-
-// Result returns the reservoir contents as a Sample plus the items' original
-// weights (parallel to Sample.Indices). The sample is a VarOpt_k sample of
-// everything processed so far.
-func (st *Stream) Result() (*Sample, []StreamItem) {
-	items := make([]StreamItem, 0, len(st.heavy)+len(st.light))
-	items = append(items, st.heavy...)
-	items = append(items, st.light...)
-	sortByIndex(items)
-	out := &Sample{Tau: st.tau, Indices: make([]int, len(items))}
-	for i, it := range items {
-		out.Indices[i] = it.Index
+// Result returns the reservoir contents, a VarOpt_k sample of everything
+// processed so far, in ascending Index order: the items with their original
+// weights, and the slot each one occupies (parallel to items). Their HT
+// adjusted weights are ipps.AdjustedWeight(w, Tau()).
+func (st *Stream) Result() (items []StreamItem, slots []int) {
+	held := make([]entry, 0, st.Len())
+	held = append(append(held, st.heavy...), st.light...)
+	keys := make([]uint64, len(held))
+	for i, e := range held {
+		keys[i] = uint64(e.Index)
 	}
-	return out, items
+	var counts [256]int
+	xsort.SortPairs(keys, held, make([]uint64, len(held)), make([]entry, len(held)), &counts)
+	items = make([]StreamItem, len(held))
+	slots = make([]int, len(held))
+	for i, e := range held {
+		items[i], slots[i] = e.StreamItem, e.slot
+	}
+	return items, slots
 }
 
-// itemHeap is a min-heap of StreamItems ordered by weight.
-type itemHeap []StreamItem
+// itemHeap is a min-heap of held items ordered by weight.
+type itemHeap []entry
 
-func (h *itemHeap) push(it StreamItem) {
+func (h *itemHeap) push(it entry) {
 	*h = append(*h, it)
 	i := len(*h) - 1
 	for i > 0 {
@@ -324,7 +350,7 @@ func (h *itemHeap) push(it StreamItem) {
 	}
 }
 
-func (h *itemHeap) pop() StreamItem {
+func (h *itemHeap) pop() entry {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
@@ -347,18 +373,4 @@ func (h *itemHeap) pop() StreamItem {
 		i = small
 	}
 	return top
-}
-
-// sortByIndex sorts items ascending by Index (LSD radix; indices are
-// distinct, so stability is moot, but the order is deterministic).
-func sortByIndex(items []StreamItem) {
-	n := len(items)
-	keys := make([]uint64, n)
-	for i, it := range items {
-		keys[i] = uint64(it.Index)
-	}
-	tmpKeys := make([]uint64, n)
-	tmpVals := make([]StreamItem, n)
-	var counts [256]int
-	xsort.SortPairs(keys, items, tmpKeys, tmpVals, &counts)
 }

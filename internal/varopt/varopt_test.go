@@ -151,89 +151,112 @@ func TestStreamExactSizeAndValidity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sm, items := st.Result()
-	if sm.Size() != 100 || len(items) != 100 {
-		t.Fatalf("size %d want 100", sm.Size())
+	items, slots := st.Result()
+	if len(items) != 100 || len(slots) != 100 {
+		t.Fatalf("size %d want 100", len(items))
 	}
-	seen := map[int]bool{}
 	for k, it := range items {
-		if it.Index != sm.Indices[k] {
-			t.Fatal("items and indices must be parallel")
+		if k > 0 && items[k-1].Index >= it.Index {
+			t.Fatalf("items not in ascending index order: %d then %d", items[k-1].Index, it.Index)
 		}
-		if seen[it.Index] {
-			t.Fatalf("duplicate index %d", it.Index)
-		}
-		seen[it.Index] = true
 		if it.Weight != ws[it.Index] {
 			t.Fatalf("original weight lost: %v vs %v", it.Weight, ws[it.Index])
 		}
 	}
 	// Adjusted weights: heavy items keep w, light items get τ >= w.
 	for _, it := range items {
-		aw := sm.AdjustedWeight(it.Weight)
+		aw := ipps.AdjustedWeight(it.Weight, st.Tau())
 		if aw < it.Weight-1e-9 {
 			t.Fatalf("adjusted weight below original: %v < %v", aw, it.Weight)
 		}
 	}
 }
 
-// TestStreamProcessReportsAdmission: after every call, Process's kept
-// report must equal "the arriving index is among AppendItems" — through the
-// fill phase, zero weights, arrivals that take the heap path (heavy ones,
-// and ones just above τ that the heap path may demote and drop), and light
-// arrivals on the small-item fast path.
+// heldSlot requires the items st holds to occupy distinct slots in [0, k]
+// and returns the slot of the held item with the given index and weight,
+// or -1 when none is held.
+func heldSlot(t *testing.T, st *Stream, k, index int, w float64) int {
+	t.Helper()
+	items, slots := st.Result()
+	used := make([]bool, k+1)
+	found := -1
+	for i, s := range slots {
+		if s < 0 || s > k || used[s] {
+			t.Fatalf("held item %+v in slot %d: outside [0, %d] or shared", items[i], s, k)
+		}
+		used[s] = true
+		if items[i].Index == index && items[i].Weight == w {
+			found = s
+		}
+	}
+	return found
+}
+
+// TestStreamProcessReportsAdmission: after every call the held items
+// occupy distinct slots in [0, k], and Process returns a slot s ≥ 0 exactly
+// when the reservoir holds the arrival, in slot s — through the fill phase,
+// zero weights, arrivals that take the heap path (heavy ones, and ones just
+// above τ that the heap path may demote and drop), and light arrivals on
+// the small-item fast path. The weights are distinct, so an item is known
+// by its weight: in the "same-index" case every arrival carries one index,
+// and only a report that follows the arrival's slot, not its index, holds
+// there.
 func TestStreamProcessReportsAdmission(t *testing.T) {
 	const k = 16
-	r := xmath.NewRand(14)
-	st, err := NewStream(k, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type outcome struct {
-		path string
-		kept bool
-	}
-	seen := map[outcome]int{}
-	var items []StreamItem
-	for i := 0; i < 5000; i++ {
-		w := 1 + 10*r.Float64()
-		switch {
-		case i%13 == 0:
-			w = 0
-		case i%29 == 0:
-			w *= 1000
-		case i%5 == 0 && st.Tau() > 0:
-			w = st.Tau() * (1 + 0.01*r.Float64())
+	for _, sameIndex := range []bool{false, true} {
+		name := "distinct-index"
+		if sameIndex {
+			name = "same-index"
 		}
-		path := "heap"
-		switch {
-		case w == 0:
-			path = "zero"
-		case st.Len() < k:
-			path = "fill"
-		case w < st.Tau():
-			path = "small"
-		}
-		kept, err := st.Process(i, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items = st.AppendItems(items[:0])
-		in := false
-		for _, it := range items {
-			if it.Index == i {
-				in = true
+		t.Run(name, func(t *testing.T) {
+			r := xmath.NewRand(14)
+			st, err := NewStream(k, r)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if kept != in {
-			t.Fatalf("item %d (%s path, w=%v): kept %v, in reservoir %v", i, path, w, kept, in)
-		}
-		seen[outcome{path, kept}]++
-	}
-	for _, o := range []outcome{{"fill", true}, {"zero", false}, {"heap", true}, {"heap", false}, {"small", true}, {"small", false}} {
-		if seen[o] == 0 {
-			t.Fatalf("no %s-path arrival with kept=%v: %v", o.path, o.kept, seen)
-		}
+			type outcome struct {
+				path string
+				kept bool
+			}
+			seen := map[outcome]int{}
+			for i := 0; i < 5000; i++ {
+				w := 1 + 10*r.Float64()
+				switch {
+				case i%13 == 0:
+					w = 0
+				case i%29 == 0:
+					w *= 1000
+				case i%5 == 0 && st.Tau() > 0:
+					w = st.Tau() * (1 + 0.01*r.Float64())
+				}
+				path := "heap"
+				switch {
+				case w == 0:
+					path = "zero"
+				case st.Len() < k:
+					path = "fill"
+				case w < st.Tau():
+					path = "small"
+				}
+				index := i
+				if sameIndex {
+					index = 7
+				}
+				slot, err := st.Process(index, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if held := heldSlot(t, st, k, index, w); slot != held {
+					t.Fatalf("item %d (%s path, w=%v): Process returned slot %d, held in slot %d", i, path, w, slot, held)
+				}
+				seen[outcome{path, slot >= 0}]++
+			}
+			for _, o := range []outcome{{"fill", true}, {"zero", false}, {"heap", true}, {"heap", false}, {"small", true}, {"small", false}} {
+				if seen[o] == 0 {
+					t.Fatalf("no %s-path arrival with kept=%v: %v", o.path, o.kept, seen)
+				}
+			}
+		})
 	}
 }
 
@@ -250,9 +273,9 @@ func TestStreamUnbiasedTotal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sm, items := st.Result()
+		items, _ := st.Result()
 		for _, it := range items {
-			acc += sm.AdjustedWeight(it.Weight)
+			acc += ipps.AdjustedWeight(it.Weight, st.Tau())
 		}
 	}
 	mean := acc / trials
@@ -278,9 +301,9 @@ func TestStreamInclusionMatchesIPPS(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sm, _ := st.Result()
-		for _, i := range sm.Indices {
-			counts[i]++
+		items, _ := st.Result()
+		for _, it := range items {
+			counts[it.Index]++
 		}
 	}
 	for i := range ws {
@@ -317,12 +340,12 @@ func TestStreamFewerItemsThanCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sm, items := st.Result()
-	if sm.Size() != 4 || sm.Tau != 0 {
-		t.Fatalf("undersized stream should keep everything exactly: size=%d τ=%v", sm.Size(), sm.Tau)
+	items, _ := st.Result()
+	if len(items) != 4 || st.Tau() != 0 {
+		t.Fatalf("undersized stream should keep everything exactly: size=%d τ=%v", len(items), st.Tau())
 	}
 	for _, it := range items {
-		if sm.AdjustedWeight(it.Weight) != it.Weight {
+		if ipps.AdjustedWeight(it.Weight, st.Tau()) != it.Weight {
 			t.Fatal("τ=0 must keep exact weights")
 		}
 	}
@@ -378,10 +401,10 @@ func TestStreamSubsetUnbiased(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sm, items := st.Result()
+		items, _ := st.Result()
 		for _, it := range items {
 			if subset[it.Index] {
-				acc += sm.AdjustedWeight(it.Weight)
+				acc += ipps.AdjustedWeight(it.Weight, st.Tau())
 			}
 		}
 	}

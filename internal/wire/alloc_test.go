@@ -24,14 +24,12 @@ func TestDecodePushBatchZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pre-encoded frames, one per step, so successive decodes see different
-	// geometry-compatible payloads rather than one cached pattern. The
-	// Builder's coordinate arena is swept once per 3×Buffer admissions, so
-	// the stream keeps admitting: even keys carry a weight that grows by
-	// 1+2/Buffer per key, which past the first 2×Buffer keys keeps each one
-	// above the stream's total weight divided by the buffer, so the
-	// reservoir always admits it; odd keys carry unit-scale weights that it
-	// drops on arrival. A sweep thus runs at least every 6×Buffer keys once
-	// warm, several per measured window.
+	// geometry-compatible payloads rather than one cached pattern. Only
+	// kept keys write the Builder's coordinate slots, so the stream keeps
+	// admitting: even keys carry a weight that grows by 1+2/Buffer per key,
+	// which past the first 2×Buffer keys keeps each one above the stream's
+	// total weight divided by the buffer, so the reservoir always admits
+	// it; odd keys carry unit-scale weights that it drops on arrival.
 	r := xmath.NewRand(9)
 	frames := make([][]byte, warmFrames+measuredFrames+1)
 	trend := 1.0
@@ -64,8 +62,8 @@ func TestDecodePushBatchZeroAllocSteadyState(t *testing.T) {
 		}
 		i++
 	}
-	// Warm past the reservoir capacity and through several coordinate
-	// compaction sweeps, as the Builder.Push contract does.
+	// Warm well past the reservoir's fill, as the Builder.Push contract
+	// does.
 	for i < warmFrames {
 		step()
 	}
